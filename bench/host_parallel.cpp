@@ -1,19 +1,14 @@
 // Host-parallel execution bench: what does RuntimeConfig::host buy?
 //
-// Runs the CK34 all-vs-all *without* a PairCache, so every slave executes
-// real TM-align inline — the host-CPU-heavy configuration the parallel
-// scheduler was built for — once per host-thread setting, and reports the
-// host wall-clock next to the (necessarily identical) simulated makespan.
-// The simulated results are cross-checked byte-for-byte against the serial
-// scheduler: this bench doubles as an end-to-end determinism check at full
-// kernel weight.
-//
-// Alongside wall-clock the bench records the scheduler's own concurrency
-// accounting (HostParallelStats): released width, local fast-path ops,
-// steals, handoffs, horizon renewals. Those are hardware-independent in the
-// sense that they describe how much parallelism the *scheduler* exposed,
-// so they stay meaningful on an undersubscribed host where wall-clock
-// speedup physically cannot appear.
+// Runs the CK34 all-vs-all *without* a PairCache, so every run executes its
+// 561 real TM-align comparisons, once per host-thread setting, and reports
+// the host wall-clock next to the (necessarily identical) simulated
+// makespan. The farm driver pre-executes the comparisons on a pool of
+// runtime.host.threads workers, one workspace each, and then replays their
+// charges on the serial scheduler; the width therefore scales the kernel
+// phase and leaves the simulation untouched. The simulated results are
+// cross-checked byte-for-byte against the width-1 run: this bench doubles
+// as an end-to-end determinism check at full kernel weight.
 //
 // Writes BENCH_host_parallel.json into the working directory. On a >= 4-core
 // runner expect >= 2x wall-clock speedup at 4 host threads; on fewer cores
@@ -43,14 +38,13 @@ struct Point {
   int host_threads = 1;
   double wall_s = 0.0;
   double speedup = 1.0;
-  scc::HostParallelStats hp{};
 };
 
 rckalign::RckAlignRun run_once(const std::vector<bio::Protein>& dataset,
                                int slaves, int host_threads, double& wall_s) {
   rckalign::RckAlignOptions opts;
   opts.slave_count = slaves;
-  opts.cache = nullptr;  // slaves run the real TM-align kernel inline
+  opts.cache = nullptr;  // the run pre-executes every comparison itself
   opts.runtime.host.threads = host_threads;
   const auto t0 = std::chrono::steady_clock::now();
   rckalign::RckAlignRun run = rckalign::run_rckalign(dataset, opts);
@@ -66,7 +60,7 @@ int main(int argc, char** argv) {
   std::string json_path = "BENCH_host_parallel.json";
   bool force = false;
   harness::ArgParser cli("bench_host_parallel",
-                         "Wall-clock speedup of host-parallel simulation.");
+                         "Wall-clock speedup of kernel pre-execution on host threads.");
   cli.option("slaves", &slaves, "simulated slave cores")
       .option("json", &json_path, "output path for the bench JSON")
       .flag("force", &force,
@@ -83,15 +77,16 @@ int main(int argc, char** argv) {
   const int hw = scc::HostParallelism::hardware().threads;
   const bool undersubscribed = hw < 4;
   std::cout << "Host-parallel bench: CK34 all-vs-all, " << slaves
-            << " slaves, real TM-align kernels (no cache)\n"
+            << " slaves, real TM-align kernels pre-executed on a host pool "
+               "(no cache)\n"
             << "Host hardware threads: " << hw << "\n";
   if (undersubscribed) {
     std::cout
         << "\n"
         << "*** WARNING: only " << hw << " hardware thread(s) available. ***\n"
         << "*** Wall-clock speedup CANNOT materialize on this host; the  ***\n"
-        << "*** timing curve below measures scheduling overhead, not the ***\n"
-        << "*** scheduler. Re-run on a >= 4-core machine for speedups.   ***\n";
+        << "*** timing curve below measures pool overhead, not the pool. ***\n"
+        << "*** Re-run on a >= 4-core machine for speedups.              ***\n";
   }
   std::cout << "\n";
   const auto dataset = bio::build_dataset(bio::ck34_spec());
@@ -103,7 +98,7 @@ int main(int argc, char** argv) {
   double serial_wall = 0.0;
   const rckalign::RckAlignRun serial = run_once(dataset, slaves, 1, serial_wall);
 
-  std::vector<Point> points{{1, serial_wall, 1.0, serial.hp}};
+  std::vector<Point> points{{1, serial_wall, 1.0}};
   bool identical = true;
   for (std::size_t k = 1; k < settings.size(); ++k) {
     double wall = 0.0;
@@ -112,22 +107,16 @@ int main(int argc, char** argv) {
                 run.results == serial.results &&
                 run.core_reports == serial.core_reports &&
                 run.network == serial.network && run.events == serial.events;
-    points.push_back({settings[k], wall, serial_wall / wall, run.hp});
+    points.push_back({settings[k], wall, serial_wall / wall});
   }
 
   harness::TextTable table("Host wall-clock vs host threads (simulated results identical)");
-  table.set_columns({"host threads", "wall s", "speedup", "max width",
-                     "local ops", "steals", "handoffs", "renewals"});
+  table.set_columns({"host threads", "wall s", "speedup"});
   for (const Point& p : points) {
     char wall[32], sp[32];
     std::snprintf(wall, sizeof wall, "%.2f", p.wall_s);
     std::snprintf(sp, sizeof sp, "%.2fx", p.speedup);
-    table.add_row({std::to_string(p.host_threads), wall, sp,
-                   std::to_string(p.hp.max_width),
-                   std::to_string(p.hp.local_ops),
-                   std::to_string(p.hp.steals),
-                   std::to_string(p.hp.handoffs),
-                   std::to_string(p.hp.renewals)});
+    table.add_row({std::to_string(p.host_threads), wall, sp});
   }
   table.print(std::cout);
   std::cout << "Simulated makespan: "
@@ -146,12 +135,7 @@ int main(int argc, char** argv) {
     const Point& p = points[k];
     json << "    {\"host_threads\": " << p.host_threads
          << ", \"wall_s\": " << p.wall_s
-         << ", \"speedup\": " << p.speedup
-         << ", \"max_width\": " << p.hp.max_width
-         << ", \"local_ops\": " << p.hp.local_ops
-         << ", \"steals\": " << p.hp.steals
-         << ", \"handoffs\": " << p.hp.handoffs
-         << ", \"renewals\": " << p.hp.renewals << "}"
+         << ", \"speedup\": " << p.speedup << "}"
          << (k + 1 < points.size() ? ",\n" : "\n");
   }
   json << "  ]\n}\n";

@@ -62,15 +62,15 @@ int main(int argc, char** argv) {
       .option("slaves", &slaves, "slave cores (rank 0 is the master)")
       .flag("lpt", &lpt, "longest-first job order (paper used FIFO)")
       .option("batch", &batch,
-              "jobs per farm grant (K>1 packs TM-align pairs across SIMD "
-              "lanes on each slave; results are bit-identical to K=1)")
+              "jobs per farm grant (K>1 cuts master round trips; results "
+              "are bit-identical to K=1)")
       .flag("serial", &serial, "single-core serial baseline instead")
       .flag("distributed", &distributed, "distributed TM-align NFS baseline")
       .option("csv", &csv_path, "write per-pair results as CSV")
       .flag("gantt", &gantt, "print an ASCII per-core activity gantt")
       .flag("heatmap", &heatmap, "print the NoC link-utilization heatmap")
       .option("host-threads", &host_threads,
-              "host threads for the simulation itself (0 = all)")
+              "host threads pre-executing the comparisons (0 = all)")
       .flag("master-ft", &master_ft,
             "checkpointed master + standby failover (standby on rank slaves+1)")
       .option("crash-master-at", &crash_master_ms,

@@ -63,6 +63,10 @@ class WireReader {
   std::uint64_t u64();
   double f64();
   std::string str();
+  /// Read a u32 element count, rejecting (WireError) a count whose elements,
+  /// at least `min_bytes` each, cannot fit in the remaining bytes. Callers
+  /// can then size an allocation from the count without trusting it.
+  std::uint32_t count(std::size_t min_bytes);
   /// Consume and return exactly `n` bytes.
   Bytes raw(std::size_t n);
   /// Consume and return all remaining bytes.

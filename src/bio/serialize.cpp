@@ -4,6 +4,7 @@
 #include <array>
 #include <bit>
 #include <cstring>
+#include <string>
 
 namespace rck::bio {
 
@@ -29,6 +30,9 @@ T read_le(std::span<const std::byte> data, std::size_t pos) {
   std::memcpy(&v, raw.data(), sizeof(T));
   return v;
 }
+
+/// Encoded size of one residue: aa (u8), seq (i32), CA x/y/z (3 x f64).
+constexpr std::size_t kResidueWireBytes = 1 + 4 + 3 * 8;
 
 }  // namespace
 
@@ -91,6 +95,14 @@ std::string WireReader::str() {
   return s;
 }
 
+std::uint32_t WireReader::count(std::size_t min_bytes) {
+  const std::uint32_t n = u32();
+  if (min_bytes != 0 && n > remaining() / min_bytes)
+    throw WireError("count " + std::to_string(n) + " exceeds the " +
+                    std::to_string(remaining()) + " bytes that remain");
+  return n;
+}
+
 Bytes WireReader::raw(std::size_t n) {
   need(n);
   Bytes out(data_.begin() + static_cast<std::ptrdiff_t>(pos_),
@@ -122,7 +134,7 @@ Bytes serialize(const Protein& p) {
 Protein deserialize_protein(std::span<const std::byte> data) {
   WireReader r(data);
   std::string name = r.str();
-  const std::uint32_t n = r.u32();
+  const std::uint32_t n = r.count(kResidueWireBytes);
   std::vector<Residue> residues;
   residues.reserve(n);
   for (std::uint32_t i = 0; i < n; ++i) {

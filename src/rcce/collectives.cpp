@@ -20,7 +20,7 @@ bio::Bytes encode_doubles(const std::vector<double>& v) {
 
 std::vector<double> decode_doubles(bio::Bytes raw) {
   bio::WireReader r(std::move(raw));
-  const std::uint32_t n = r.u32();
+  const std::uint32_t n = r.count(sizeof(double));
   std::vector<double> v(n);
   for (std::uint32_t k = 0; k < n; ++k) v[k] = r.f64();
   return v;

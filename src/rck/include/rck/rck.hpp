@@ -108,10 +108,10 @@ struct RunConfig {
   /// LPT (longest-first) job ordering; the paper used FIFO.
   bool lpt = false;
   /// Farm grant size: jobs per master->slave round trip. K > 1 batches
-  /// grants and packs independent TM-align pairs across SIMD lanes on each
-  /// slave (kern::align_batch). Results and per-job cycle charges are
-  /// bit-identical to K = 1. Plain farm only — incompatible with
-  /// fault_tolerant / master_ft / a non-empty fault plan.
+  /// grants, which cuts master round trips in simulated time; slaves serve
+  /// a grant job by job from the pre-executed outcomes. Results and per-job
+  /// cycle charges are bit-identical to K = 1. Plain farm only —
+  /// incompatible with fault_tolerant / master_ft / a non-empty fault plan.
   std::size_t batch = 1;
   /// Optional precomputed pair results (not owned; may be null).
   const rckalign::PairCache* cache = nullptr;
@@ -172,6 +172,8 @@ struct RunConfig {
   RunConfig& with_master_ft(const rckskel::MasterFtOptions& o) { master_ft = true; mft = o; return *this; }
   RunConfig& with_runtime(const scc::RuntimeConfig& rt) { runtime = rt; return *this; }
   RunConfig& with_faults(const scc::FaultPlan& plan) { runtime.faults = plan; return *this; }
+  /// Host workers that pre-execute the run's comparisons before the serial
+  /// simulation starts (1 = inline on the calling thread). Wall-clock only.
   RunConfig& with_host_threads(int threads) { runtime.host.threads = threads; return *this; }
   RunConfig& with_obs(const obs::Config& o) { obs = o; return *this; }
   RunConfig& with_trace(std::string path) { obs.trace_path = std::move(path); return *this; }

@@ -57,7 +57,8 @@ std::vector<ConfigIssue> RunConfig::validate() const {
   }
 
   if (runtime.host.threads < 1) {
-    bad("runtime.host.threads", "must be >= 1 (1 = serial scheduler)");
+    bad("runtime.host.threads",
+        "must be >= 1 (host workers pre-executing the comparisons; 1 = inline)");
   }
   if (runtime.poll_cost == 0) {
     bad("runtime.poll_cost", "a zero-cost poll makes polling loops free and "

@@ -40,7 +40,10 @@ RckAlignRun run_rckalign(const std::vector<bio::Protein>& dataset,
 
   const PairCache* cache = opts.cache;
   RckAlignRun run;
-  scc::SpmdRuntime rt(opts.runtime);
+  scc::SpmdRuntime rt(detail::serial_runtime(opts.runtime));
+  const Method methods[] = {opts.method};
+  const OutcomeTable outcomes =
+      detail::pre_execute_all_pairs(dataset, methods, opts.runtime, cache);
 
   constexpr int kMaster = 0;
   const int standby_rank = opts.master_ft ? opts.slave_count + 1 : -1;
@@ -158,22 +161,9 @@ RckAlignRun run_rckalign(const std::vector<bio::Protein>& dataset,
         decode_collected(*collected, *standby_rows);
       }
     } else if (opts.batch > 1) {
-      // Batch-pulling slave: whole grants go through the lane-batched
-      // TM-align driver (per-job results and cycle charges bit-identical
-      // to the solo path below; see execute_pair_batch).
-      core::BatchWorkspace batch_ws;  // per-slave, reused across grants
-      const rckskel::BatchWorker worker =
-          [cache, &batch_ws](rcce::Comm& c, std::span<const rckskel::Job> jobs,
-                             std::vector<bio::Bytes>& out) {
-            detail::execute_pair_batch(c, jobs, cache, batch_ws, out);
-          };
-      rckskel::farm_slave_batch(comm, kMaster, worker);
+      rckskel::farm_slave_batch(comm, kMaster, detail::pair_batch_worker(outcomes));
     } else {
-      core::TmAlignWorkspace tm_ws;  // per-slave: reused across this core's jobs
-      const rckskel::Worker worker = [cache, &tm_ws](rcce::Comm& c,
-                                                     const bio::Bytes& payload) {
-        return detail::execute_pair_job(c, payload, cache, &tm_ws);
-      };
+      const rckskel::Worker worker = detail::pair_worker(outcomes);
       if (opts.master_ft) {
         rckskel::MasterFtOptions m = master_ft_options();
         rckskel::farm_slave_ft(comm, kMaster, worker, m.ft);
@@ -200,7 +190,6 @@ RckAlignRun run_rckalign(const std::vector<bio::Protein>& dataset,
   run.events = rt.events_fired();
   run.obs = rt.obs();
   run.chk = rt.chk();
-  run.hp = rt.host_parallel_stats();
   // obs forces the runtime's internal trace on (to derive per-core lanes),
   // so the trace/heatmap fields follow either switch.
   if (opts.runtime.enable_trace || run.obs != nullptr) {

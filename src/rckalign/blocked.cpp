@@ -58,7 +58,10 @@ BlockedRun run_rckalign_blocked(const std::vector<bio::Protein>& dataset,
   const PairCache* cache = opts.cache;
   BlockedRun run;
   run.blocks = static_cast<int>(blocks.size());
-  scc::SpmdRuntime rt(opts.runtime);
+  scc::SpmdRuntime rt(detail::serial_runtime(opts.runtime));
+  const Method methods[] = {Method::TmAlign};
+  const OutcomeTable outcomes =
+      detail::pre_execute_all_pairs(dataset, methods, opts.runtime, cache);
 
   const auto program = [&](scc::CoreCtx& ctx) {
     rcce::Comm comm(ctx);
@@ -132,19 +135,9 @@ BlockedRun run_rckalign_blocked(const std::vector<bio::Protein>& dataset,
       }
       rckskel::terminate(comm, slaves);
     } else if (opts.batch > 1) {
-      core::BatchWorkspace batch_ws;  // per-slave, reused across grants
-      rckskel::farm_slave_batch(
-          comm, kMaster,
-          [cache, &batch_ws](rcce::Comm& c, std::span<const rckskel::Job> jobs,
-                             std::vector<bio::Bytes>& out) {
-            detail::execute_pair_batch(c, jobs, cache, batch_ws, out);
-          });
+      rckskel::farm_slave_batch(comm, kMaster, detail::pair_batch_worker(outcomes));
     } else {
-      core::TmAlignWorkspace tm_ws;  // per-slave: reused across this core's jobs
-      rckskel::farm_slave(comm, kMaster,
-                          [cache, &tm_ws](rcce::Comm& c, const bio::Bytes& payload) {
-                            return detail::execute_pair_job(c, payload, cache, &tm_ws);
-                          });
+      rckskel::farm_slave(comm, kMaster, detail::pair_worker(outcomes));
     }
   };
 

@@ -53,6 +53,15 @@ PairJobData decode_pair_job(bio::Bytes payload) {
   return d;
 }
 
+PairSpec decode_pair_spec(std::span<const std::byte> payload) {
+  bio::WireReader r(payload);
+  PairSpec k;
+  k.a = r.u32();
+  k.b = r.u32();
+  k.method = static_cast<Method>(r.u8());
+  return k;
+}
+
 bio::Bytes encode_outcome(const PairOutcome& o) {
   bio::WireWriter w;
   w.u32(o.i);

@@ -51,8 +51,11 @@ McPscRun run_mcpsc(const std::vector<bio::Protein>& dataset, const McPscOptions&
     throw AlignError("run_mcpsc: cache/dataset mismatch");
 
   McPscRun run;
-  scc::SpmdRuntime rt(opts.runtime);
+  scc::SpmdRuntime rt(detail::serial_runtime(opts.runtime));
   const PairCache* cache = opts.cache;
+  const Method methods[] = {Method::TmAlign, Method::GaplessRmsd};
+  const OutcomeTable outcomes =
+      detail::pre_execute_all_pairs(dataset, methods, opts.runtime, cache);
 
   const auto program = [&](scc::CoreCtx& ctx) {
     rcce::Comm comm(ctx);
@@ -87,11 +90,7 @@ McPscRun run_mcpsc(const std::vector<bio::Protein>& dataset, const McPscOptions&
           run.rmsd_results.push_back(to_row(o, jr.worker));
       }
     } else {
-      core::TmAlignWorkspace tm_ws;  // per-slave: reused across this core's jobs
-      rckskel::farm_slave(comm, kMaster,
-                          [cache, &tm_ws](rcce::Comm& c, const bio::Bytes& payload) {
-                            return detail::execute_pair_job(c, payload, cache, &tm_ws);
-                          });
+      rckskel::farm_slave(comm, kMaster, detail::pair_worker(outcomes));
     }
   };
 
@@ -118,8 +117,12 @@ MultiMethodRun run_multi_method(const std::vector<bio::Protein>& dataset,
 
   MultiMethodRun run;
   run.results.resize(opts.groups.size());
-  scc::SpmdRuntime rt(opts.runtime);
+  scc::SpmdRuntime rt(detail::serial_runtime(opts.runtime));
   const PairCache* cache = opts.cache;
+  std::vector<Method> methods;
+  for (const MethodGroup& g : opts.groups) methods.push_back(g.method);
+  const OutcomeTable outcomes =
+      detail::pre_execute_all_pairs(dataset, methods, opts.runtime, cache);
 
   const std::size_t npairs = all_pairs(dataset.size()).size();
 
@@ -152,11 +155,7 @@ MultiMethodRun run_multi_method(const std::vector<bio::Protein>& dataset,
         run.results[g].push_back(to_row(o, jr.worker));
       }
     } else {
-      core::TmAlignWorkspace tm_ws;  // per-slave: reused across this core's jobs
-      rckskel::farm_slave(comm, kMaster,
-                          [cache, &tm_ws](rcce::Comm& c, const bio::Bytes& payload) {
-                            return detail::execute_pair_job(c, payload, cache, &tm_ws);
-                          });
+      rckskel::farm_slave(comm, kMaster, detail::pair_worker(outcomes));
     }
   };
 
@@ -191,7 +190,7 @@ bio::Bytes pack_batch(std::span<const rckskel::Job* const> jobs) {
 
 std::vector<rckskel::Job> unpack_batch(const bio::Bytes& raw) {
   bio::WireReader r(raw);
-  const std::uint32_t n = r.u32();
+  const std::uint32_t n = r.count(8 + 8 + 4);  // id, cost hint, length
   std::vector<rckskel::Job> jobs;
   jobs.reserve(n);
   for (std::uint32_t k = 0; k < n; ++k) {
@@ -219,7 +218,7 @@ bio::Bytes pack_results(std::span<const rckskel::JobResult> results) {
 
 std::vector<rckskel::JobResult> unpack_results(const bio::Bytes& raw) {
   bio::WireReader r(raw);
-  const std::uint32_t n = r.u32();
+  const std::uint32_t n = r.count(8 + 4 + 4);  // id, worker, length
   std::vector<rckskel::JobResult> out;
   out.reserve(n);
   for (std::uint32_t k = 0; k < n; ++k) {
@@ -253,8 +252,11 @@ HierarchyRun run_hierarchical(const std::vector<bio::Protein>& dataset,
     group_slaves[static_cast<std::size_t>(s % g)].push_back(1 + g + s);
 
   HierarchyRun run;
-  scc::SpmdRuntime rt(opts.runtime);
+  scc::SpmdRuntime rt(detail::serial_runtime(opts.runtime));
   const PairCache* cache = opts.cache;
+  const Method methods[] = {Method::TmAlign};
+  const OutcomeTable outcomes =
+      detail::pre_execute_all_pairs(dataset, methods, opts.runtime, cache);
 
   const auto program = [&](scc::CoreCtx& ctx) {
     rcce::Comm comm(ctx);
@@ -342,11 +344,7 @@ HierarchyRun run_hierarchical(const std::vector<bio::Protein>& dataset,
     } else {
       // Leaf slave: find my group master.
       const int my_master = 1 + (ue - 1 - g) % g;
-      core::TmAlignWorkspace tm_ws;  // per-slave: reused across this core's jobs
-      rckskel::farm_slave(comm, my_master,
-                          [cache, &tm_ws](rcce::Comm& c, const bio::Bytes& payload) {
-                            return detail::execute_pair_job(c, payload, cache, &tm_ws);
-                          });
+      rckskel::farm_slave(comm, my_master, detail::pair_worker(outcomes));
     }
   };
 

@@ -34,20 +34,21 @@ struct RckAlignOptions {
   int slave_count = 47;
   /// Chip / network / core-model configuration for the simulation.
   scc::RuntimeConfig runtime{};
-  /// Pairwise results + costs computed up front; if null, slaves execute
-  /// real TM-align inline (identical simulated times, more host CPU).
+  /// Pairwise results + costs computed up front, replayed for TM-align
+  /// jobs. If null (or for other methods), the run pre-executes its
+  /// comparisons on a host pool of runtime.host.threads workers before the
+  /// simulation starts; either way slaves only replay charges.
   const PairCache* cache = nullptr;
   /// Comparison method for all jobs.
   Method method = Method::TmAlign;
   /// LPT (longest-first) job ordering; the paper used FIFO.
   bool lpt = false;
   /// Farm grant size: jobs handed to a slave per round trip. With K > 1 the
-  /// plain farm sends BATCH frames and slaves serve them with
-  /// farm_slave_batch + kern::align_batch, packing independent TM-align
-  /// pairs across SIMD lanes. Per-job results and cycle charges are
-  /// bit-identical to K = 1; only the dispatch schedule (and host wall
-  /// clock) changes. Requires the plain farm: incompatible with
-  /// fault_tolerant / master_ft, which lease and retry individual jobs.
+  /// plain farm sends BATCH frames, served by farm_slave_batch job by job,
+  /// which cuts master round trips in simulated time. Per-job results and
+  /// cycle charges are bit-identical to K = 1; only the dispatch schedule
+  /// changes. Requires the plain farm: incompatible with fault_tolerant /
+  /// master_ft, which lease and retry individual jobs.
   std::size_t batch = 1;
   /// Use the fault-tolerant farm (leases, retry, blacklist) instead of the
   /// paper's plain FARM. Required whenever runtime.faults is non-empty, and
@@ -102,12 +103,11 @@ struct RckAlignRun {
   /// Race checker (null unless opts.runtime.chk is active). Kept alive past
   /// the runtime so callers can inspect reports() / write report_json().
   std::shared_ptr<chk::Checker> chk;
-  /// Host-parallel scheduler accounting (all zero in serial mode). Wall-
-  /// clock dependent — a concurrency diagnostic, never a simulated result.
-  scc::HostParallelStats hp{};
 };
 
-/// Run the all-vs-all task over `dataset` on the simulated SCC.
+/// Run the all-vs-all task over `dataset` on the simulated SCC: pre-execute
+/// the comparisons on opts.runtime.host.threads host workers, then simulate
+/// the farm on the serial scheduler.
 RckAlignRun run_rckalign(const std::vector<bio::Protein>& dataset,
                          const RckAlignOptions& opts);
 

@@ -24,6 +24,19 @@ enum class Method : std::uint8_t {
                    ///< the ultra-cheap pre-filter; fills seq_identity only
 };
 
+/// One requested comparison: chain `a` is aligned onto chain `b` (TM-align
+/// is asymmetric; tm_norm_a in the row is normalized by `a`'s length).
+/// Indices address the sender's structure table — for run_pairs(), the one
+/// passed to it. Duplicate specs are allowed — rows map back through their
+/// spec index.
+struct PairSpec {
+  std::uint32_t a = 0;
+  std::uint32_t b = 0;
+  Method method = Method::TmAlign;
+
+  auto operator<=>(const PairSpec&) const = default;
+};
+
 /// Decoded job payload.
 struct PairJobData {
   std::uint32_t i = 0;  ///< dataset index of chain a
@@ -43,6 +56,9 @@ bio::Bytes encode_pair_job(std::uint32_t i, std::uint32_t j, Method method,
 bio::Bytes encode_pair_job(std::uint32_t i, std::uint32_t j, Method method,
                            const bio::Bytes& a_wire, const bio::Bytes& b_wire);
 PairJobData decode_pair_job(bio::Bytes payload);
+/// Only the header of a job payload: which comparison it asks for. The
+/// chains are not decoded.
+PairSpec decode_pair_spec(std::span<const std::byte> payload);
 
 /// Decoded result payload (what a slave returns to the master).
 struct PairOutcome {

@@ -1,25 +1,37 @@
-// All-vs-all alignment cache.
+// Pre-executed comparison outcomes.
 //
-// The paper sweeps the slave-core count from 1 to 47 over the *same* job
-// set: every sweep point redistributes identical pairwise comparisons. The
-// comparisons themselves are deterministic, so we compute each pair once —
-// real TM-align runs, producing real TM-scores and exact work counters —
-// and let the simulator replay the recorded cost at every sweep point.
-// Building the cache may use host threads (results are stored by pair
-// index, so host scheduling cannot affect any simulated outcome).
+// A comparison's outcome and its cycle charge come from the pair's
+// AlignStats, so they are the same whichever simulated slave runs it and
+// whenever. Two tables exploit that:
+//
+//  - PairCache: the all-vs-all matrix of one dataset. The paper sweeps the
+//    slave-core count from 1 to 47 over the *same* job set, so each pair is
+//    computed once — real TM-align runs, producing real TM-scores and exact
+//    work counters — and the simulator replays the recorded cost at every
+//    sweep point.
+//  - OutcomeTable: whatever (a, b, method) comparisons one farm run will
+//    dispatch. Every farm driver builds one before its simulation starts,
+//    so its slaves only look up an outcome and charge its cycles.
+//
+// Both are built on a host pool (rck/rckalign/host_pool.hpp) and store
+// results by index, so host scheduling cannot affect any simulated outcome.
 #pragma once
 
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "rck/bio/protein.hpp"
 #include "rck/core/stats.hpp"
 #include "rck/core/tmalign.hpp"
+#include "rck/rckalign/codec.hpp"
 #include "rck/scc/timing.hpp"
 
 namespace rck::rckalign {
 
-/// Cached outcome + cost of one unordered pair (i < j).
+/// Outcome + cost of one comparison. Fields a method does not produce stay
+/// zero (gapless RMSD has no TM-scores; SeqNw fills only seq_identity and
+/// aligned_length; CE carries its one TM-score in both normalizations).
 struct PairEntry {
   double tm_norm_a = 0.0;
   double tm_norm_b = 0.0;
@@ -55,6 +67,32 @@ class PairCache {
   static std::size_t tri_index(std::uint32_t i, std::uint32_t j, std::size_t n);
   std::size_t n_ = 0;
   std::vector<PairEntry> entries_;
+};
+
+/// The outcomes one farm run dispatches, keyed by (a, b, method) over the
+/// run's structure table.
+class OutcomeTable {
+ public:
+  /// Run every distinct key of `keys` once over `structures` on a pool of
+  /// `host_threads` workers (<= 0: hardware_concurrency()), each with its
+  /// own workspace. When `cache` is given, TM-align keys are served from it
+  /// (order-insensitively, indices taken as dataset indices) instead of
+  /// being run; it must outlive the table. A kernel's rck::Error leaves
+  /// with its own code once every worker has joined.
+  static OutcomeTable build(std::span<const bio::Protein* const> structures,
+                            std::vector<PairSpec> keys, int host_threads,
+                            const PairCache* cache = nullptr);
+
+  /// Comparisons this table ran (cache hits excluded).
+  std::size_t size() const noexcept { return keys_.size(); }
+
+  /// Entry for `key`; throws AlignError when the table has none.
+  const PairEntry& at(const PairSpec& key) const;
+
+ private:
+  std::vector<PairSpec> keys_;      ///< sorted and distinct
+  std::vector<PairEntry> entries_;  ///< parallel to keys_
+  const PairCache* cache_ = nullptr;
 };
 
 }  // namespace rck::rckalign

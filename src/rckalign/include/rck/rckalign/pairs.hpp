@@ -29,18 +29,6 @@
 
 namespace rck::rckalign {
 
-/// One requested comparison: chain `a` is aligned onto chain `b` (TM-align
-/// is asymmetric; tm_norm_a in the row is normalized by `a`'s length).
-/// Indices address the structure table passed to run_pairs(). Duplicate
-/// specs are allowed — rows map back through their spec index.
-struct PairSpec {
-  std::uint32_t a = 0;
-  std::uint32_t b = 0;
-  Method method = Method::TmAlign;
-
-  bool operator==(const PairSpec&) const = default;
-};
-
 /// Farm configuration for a pair-set run: the scheduling/resilience subset
 /// of RckAlignOptions (no cache — pair sets are for live queries; cached
 /// replay stays with run_rckalign). Prefer deriving this from a validated
@@ -49,7 +37,7 @@ struct PairsOptions {
   int slave_count = 47;
   scc::RuntimeConfig runtime{};
   bool lpt = false;
-  /// Farm grant size; K > 1 packs TM-align jobs across SIMD lanes per slave
+  /// Farm grant size; K > 1 hands each slave K jobs per round trip
   /// (bit-identical results). Plain farm only, as in RckAlignOptions.
   std::size_t batch = 1;
   bool fault_tolerant = false;
@@ -88,10 +76,14 @@ struct PairsRun {
   std::shared_ptr<obs::Recorder> obs;
   /// Race checker (null unless opts.runtime.chk is active).
   std::shared_ptr<chk::Checker> chk;
-  scc::HostParallelStats hp{};
+  /// Distinct (a, b, method) comparisons pre-executed for this run; duplicate
+  /// specs share one.
+  std::size_t kernels = 0;
 };
 
-/// Execute every spec over the structure table on the simulated SCC.
+/// Execute every spec over the structure table on the simulated SCC. Each
+/// distinct comparison runs once, on a pool of opts.runtime.host.threads host
+/// workers, before the farm is simulated on the serial scheduler.
 ///
 /// `structures` entries must be non-null and outlive the call. `wires`,
 /// when non-empty, must parallel `structures`; a non-null wires[k] is the

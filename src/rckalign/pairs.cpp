@@ -45,7 +45,11 @@ PairsRun run_pairs(std::span<const bio::Protein* const> structures,
   validate_inputs(structures, specs, opts, wires);
 
   PairsRun run;
-  scc::SpmdRuntime rt(opts.runtime);
+  scc::SpmdRuntime rt(detail::serial_runtime(opts.runtime));
+  const OutcomeTable outcomes =
+      OutcomeTable::build(structures, {specs.begin(), specs.end()},
+                          detail::pool_threads(opts.runtime));
+  run.kernels = outcomes.size();
 
   constexpr int kMaster = 0;
   const int standby_rank = opts.master_ft ? opts.slave_count + 1 : -1;
@@ -154,20 +158,9 @@ PairsRun run_pairs(std::span<const bio::Protein* const> structures,
         decode_collected(*collected, *standby_rows);
       }
     } else if (opts.batch > 1) {
-      core::BatchWorkspace batch_ws;  // per-slave, reused across grants
-      const rckskel::BatchWorker worker =
-          [&batch_ws](rcce::Comm& c, std::span<const rckskel::Job> jobs,
-                      std::vector<bio::Bytes>& out) {
-            detail::execute_pair_batch(c, jobs, /*cache=*/nullptr, batch_ws,
-                                       out);
-          };
-      rckskel::farm_slave_batch(comm, kMaster, worker);
+      rckskel::farm_slave_batch(comm, kMaster, detail::pair_batch_worker(outcomes));
     } else {
-      core::TmAlignWorkspace tm_ws;  // per-slave: reused across this core's jobs
-      const rckskel::Worker worker = [&tm_ws](rcce::Comm& c,
-                                              const bio::Bytes& payload) {
-        return detail::execute_pair_job(c, payload, /*cache=*/nullptr, &tm_ws);
-      };
+      const rckskel::Worker worker = detail::pair_worker(outcomes);
       if (opts.master_ft) {
         rckskel::MasterFtOptions m = master_ft_options();
         rckskel::farm_slave_ft(comm, kMaster, worker, m.ft);
@@ -194,7 +187,6 @@ PairsRun run_pairs(std::span<const bio::Protein* const> structures,
   run.network = rt.network_stats();
   run.obs = rt.obs();
   run.chk = rt.chk();
-  run.hp = rt.host_parallel_stats();
   return run;
 }
 

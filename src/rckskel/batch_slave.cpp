@@ -3,11 +3,11 @@
 //
 // A farm run with FarmOptions::batch > 1 sends BATCH frames: several jobs
 // granted in one round trip. The slave hands the whole grant to a
-// BatchWorker — for the alignment farm that is kern::align_batch, which
-// packs the independent pairs across SIMD lanes — and replies with one
-// BATCHRESULT frame. Single JOB frames (Seq groups, ragged tails, batch==1
-// masters) are served through the same worker as one-job grants, so a
-// batch slave interoperates with every farm() configuration.
+// BatchWorker — the alignment farm serves it job by job from its
+// pre-executed outcomes — and replies with one BATCHRESULT frame. Single
+// JOB frames (Seq groups, ragged tails, batch==1 masters) are served
+// through the same worker as one-job grants, so a batch slave interoperates
+// with every farm() configuration.
 //
 // Steady-state allocation discipline mirrors the alignment kernels: the
 // grant/result scratch vectors grow to the largest grant once and are

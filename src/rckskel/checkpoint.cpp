@@ -32,7 +32,7 @@ FarmReport decode_report(bio::WireReader& r) {
   rep.checkpoints = r.u64();
   rep.failovers = r.u64();
   rep.resumed_jobs = r.u64();
-  const std::uint32_t ndead = r.u32();
+  const std::uint32_t ndead = r.count(4);  // i32 per dead UE
   rep.dead_ues.reserve(ndead);
   for (std::uint32_t i = 0; i < ndead; ++i) rep.dead_ues.push_back(r.i32());
   rep.wasted = r.u64();
@@ -76,7 +76,7 @@ FarmCheckpoint decode_checkpoint_state(std::span<const std::byte> blob) {
     FarmCheckpoint ck;
     ck.seq = r.u64();
     ck.report = decode_report(r);
-    const std::uint32_t ndone = r.u32();
+    const std::uint32_t ndone = r.count(8 + 4 + 4);  // id, worker, length
     ck.done.reserve(ndone);
     for (std::uint32_t i = 0; i < ndone; ++i) {
       JobResult res;
@@ -86,7 +86,7 @@ FarmCheckpoint decode_checkpoint_state(std::span<const std::byte> blob) {
       res.payload = r.raw(len);
       ck.done.push_back(std::move(res));
     }
-    const std::uint32_t natt = r.u32();
+    const std::uint32_t natt = r.count(8 + 4);  // id, attempts
     ck.attempts.reserve(natt);
     for (std::uint32_t i = 0; i < natt; ++i) {
       FarmCheckpoint::JobAttempts a;

@@ -133,9 +133,9 @@ struct FarmOptions {
   noc::SimTime slave_idle_timeout = 3600 * noc::kPsPerSec;
   /// Grant size: how many jobs the master packs into one BATCH frame per
   /// free slave (1 = classic per-job dispatch, the default). Batching
-  /// amortises the master round trip and lets a batch-aware slave
-  /// (farm_slave_batch driving kern::align_batch) pack jobs across SIMD
-  /// lanes. Purely a scheduling knob: per-job payloads, results and cycle
+  /// amortises the master round trip; a batch-aware slave
+  /// (farm_slave_batch) serves the whole grant in one exchange. Purely a
+  /// scheduling knob: per-job payloads, results and cycle
   /// charges are identical to unbatched dispatch. Seq groups always release
   /// one job at a time regardless of this setting. Slaves of a farm run
   /// with batch > 1 must use farm_slave_batch (a plain farm_slave fails
@@ -175,9 +175,7 @@ void farm_slave(rcce::Comm& comm, int master_ue, const Worker& worker,
                 const FarmOptions& opts = {});
 
 /// Batch-aware worker callback: all granted jobs in, one result payload per
-/// job out (same order). `out` arrives cleared; the worker fills it. This
-/// is where inter-pair lane batching plugs in: an alignment slave hands the
-/// whole grant to kern::align_batch so independent pairs share SIMD lanes.
+/// job out (same order). `out` arrives cleared; the worker fills it.
 using BatchWorker = std::function<void(
     rcce::Comm&, std::span<const Job>, std::vector<bio::Bytes>&)>;
 

@@ -12,6 +12,9 @@ bio::Bytes seal(const bio::Bytes& body) {
   return w.take();
 }
 
+/// Smallest encoding of one batch grant/reply entry: u64 id + u32 length.
+constexpr std::size_t kMinBatchEntryBytes = 8 + 4;
+
 }  // namespace
 
 std::uint32_t wire_checksum(std::span<const std::byte> data) noexcept {
@@ -100,7 +103,7 @@ bio::Bytes encode_batch_result(std::span<const Job> jobs,
 void decode_batch_jobs(const bio::Bytes& payload, std::vector<Job>& out) {
   out.clear();
   bio::WireReader r(std::span<const std::byte>(payload.data(), payload.size()));
-  const std::uint32_t count = r.u32();
+  const std::uint32_t count = r.count(kMinBatchEntryBytes);
   if (count == 0) throw bio::WireError("decode_batch_jobs: empty grant");
   out.resize(count);
   for (std::uint32_t k = 0; k < count; ++k) {
@@ -117,7 +120,7 @@ void decode_batch_results(const bio::Bytes& payload, int worker,
                           std::vector<JobResult>& out) {
   out.clear();
   bio::WireReader r(std::span<const std::byte>(payload.data(), payload.size()));
-  const std::uint32_t count = r.u32();
+  const std::uint32_t count = r.count(kMinBatchEntryBytes);
   if (count == 0) throw bio::WireError("decode_batch_results: empty reply");
   out.resize(count);
   for (std::uint32_t k = 0; k < count; ++k) {

@@ -21,11 +21,14 @@
 // lie below the conservative lookahead horizon (the earliest pending event);
 // they re-serialize at the next communication operation. Simulated results
 // stay bit-identical to serial mode — see HostParallelism and DESIGN.md
-// ("Host-parallel execution").
+// ("Host-parallel execution"). The rckalign farm drivers do not use this
+// mode: they pre-execute their kernels on a host pool of host.threads
+// workers and simulate on the serial scheduler, so the horizon scheduler
+// serves raw SpmdRuntime programs with heavy compute of their own.
 //
 // Compute cost enters via charge_cycles(), typically fed from the
-// core::AlignStats counters of a real alignment executed inline by the
-// program, converted through the chip's CoreTimingModel.
+// core::AlignStats counters of a real alignment (pre-executed by the farm
+// drivers), converted through the chip's CoreTimingModel.
 #pragma once
 
 #include <cstdint>
@@ -168,6 +171,11 @@ struct FaultPlan {
 /// CoreReports, observability output, fault replays — bit-identical to
 /// serial mode (threads <= 1). Serial mode keeps the legacy one-at-a-time
 /// scheduler byte-for-byte.
+///
+/// The rckalign farm drivers read `threads` as the width of their kernel
+/// pre-execution pool instead and always simulate on the serial scheduler:
+/// once the kernels are off the critical path, serial replay beats the
+/// horizon scheduler (DESIGN.md, "Host-parallel execution").
 struct HostParallelism {
   /// Maximum program threads released concurrently; <= 1 = serial scheduler.
   int threads = 1;
@@ -213,9 +221,11 @@ struct RuntimeConfig {
   /// Deterministic fault injection (core crashes, message loss/corruption,
   /// storage stalls). Empty by default: no faults.
   FaultPlan faults{};
-  /// Host-side parallel execution of independent compute sections. Off by
-  /// default (serial scheduler); turning it on changes wall-clock time only,
-  /// never any simulated result.
+  /// Host-side parallelism. For a raw SpmdRuntime program, the width of the
+  /// horizon scheduler (off by default: serial). For the rckalign farm
+  /// drivers, the width of the pool that pre-executes their kernels; they
+  /// simulate serially. Either way it changes wall-clock time only, never
+  /// any simulated result.
   HostParallelism host{};
   /// Observability (metrics + structured trace, see DESIGN.md
   /// "Observability"). Off by default: no recorder is created and every

@@ -14,7 +14,7 @@
 //   * an admission-controlled query queue with a simulated clock — queries
 //     arrive at trace timestamps, wait in a bounded queue, and are coalesced
 //     into farm rounds of at most max_queries_per_round each, so unrelated
-//     queries share one master/slave round trip and one K-lane batch pool.
+//     queries share one master/slave round trip and one pre-execution pool.
 //
 // Every comparison — matrix build, matrix extension, query serving — runs
 // through rckalign::run_pairs(), i.e. the same simulated-SCC farm as the

@@ -103,6 +103,36 @@ TEST(ProteinSerialize, TruncatedPayloadThrows) {
   EXPECT_THROW(deserialize_protein(raw), WireError);
 }
 
+TEST(Wire, CountRejectsElementsBeyondTheRemainingBytes) {
+  WireWriter w;
+  w.u32(3);
+  w.raw(Bytes(12));
+  const Bytes fits = w.take();
+  WireReader ok(fits);
+  EXPECT_EQ(ok.count(4), 3u);
+  EXPECT_EQ(ok.remaining(), 12u);
+  WireReader tight(fits);
+  EXPECT_THROW(tight.count(5), WireError);
+}
+
+/// Overwrite the little-endian u32 at `at` with 0xFFFFFFFF.
+void inflate_u32(Bytes& raw, std::size_t at) {
+  for (std::size_t k = 0; k < 4; ++k) raw[at + k] = std::byte{0xFF};
+}
+
+TEST(ProteinSerialize, InflatedResidueCountRaisesWireCode) {
+  Rng rng(8);
+  const Protein p = make_protein("inflated", 12, rng);
+  Bytes raw = serialize(p);
+  inflate_u32(raw, 4 + p.name().size());  // after the u32-prefixed name
+  try {
+    (void)deserialize_protein(raw);
+    FAIL() << "an inflated residue count decoded";
+  } catch (const rck::Error& e) {
+    EXPECT_EQ(e.code(), "rck.bio.wire");
+  }
+}
+
 TEST(ProteinSerialize, SizeIsPredictable) {
   Rng rng(7);
   for (int len : {5, 60, 333}) {

@@ -2,18 +2,25 @@
 // contention invariants under randomized traffic (TEST_P over patterns).
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <random>
+#include <type_traits>
 
 #include "rck/noc/network.hpp"
 
 namespace rck::noc {
 namespace {
 
+// gtest names each case by the parameter's raw bytes, and ctest registers
+// those names at build time. A padding hole would put uninitialised stack
+// bytes into the names, so every field is 64-bit and the struct has none.
 struct TrafficParam {
   std::uint64_t seed;
-  int messages;
+  std::int64_t messages;
   std::uint64_t max_bytes;
 };
+static_assert(std::has_unique_object_representations_v<TrafficParam>,
+              "TrafficParam must have no padding bytes");
 
 class NetworkProperties : public ::testing::TestWithParam<TrafficParam> {};
 

@@ -2,8 +2,8 @@
 // BlockedOptions::batch, OneVsAllOptions::batch).
 //
 // Batching is a pure scheduling/transport change: slaves pull K jobs per
-// grant and pack TM-align pairs across SIMD lanes (core::kern::align_batch),
-// but every per-job score, cycle charge and observation must be bit-identical
+// grant and serve them job by job from the run's pre-executed outcomes, so
+// every per-job score, cycle charge and observation must be bit-identical
 // to the classic one-job-at-a-time farm. These tests pin that contract at
 // the application layer, on top of the kernel-level identity already proven
 // by tests/core/test_batch.cpp and the protocol-level tests in
@@ -35,8 +35,7 @@ class BatchAppTest : public ::testing::Test {
     cache_ = nullptr;
     dataset_ = nullptr;
   }
-  /// Live (uncached) options so slaves actually run TM-align — and, for
-  /// batch > 1, the lane-packed align_batch path.
+  /// Live (uncached) options: the run pre-executes its own TM-aligns.
   static RckAlignOptions live(int slaves, std::size_t batch) {
     RckAlignOptions o;
     o.slave_count = slaves;

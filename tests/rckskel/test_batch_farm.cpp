@@ -6,8 +6,10 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <functional>
 #include <map>
 #include <set>
+#include <string>
 
 #include "rck/rckskel/skeletons.hpp"
 #include "rck/scc/runtime.hpp"
@@ -122,6 +124,40 @@ TEST(BatchCodec, RejectsMalformedFrames) {
   EXPECT_THROW(decode_batch_jobs(m.payload, sink), bio::WireError);
   std::vector<JobResult> rsink;
   EXPECT_THROW(decode_batch_results(m.payload, 0, rsink), bio::WireError);
+}
+
+// An inflated element count must fail as rck.bio.wire before any
+// allocation is sized from it (std::bad_alloc / std::length_error sit
+// outside the rck::Error taxonomy).
+std::string inflated_count_code(Bytes payload,
+                                const std::function<void(const Bytes&)>& decode) {
+  for (std::size_t k = 0; k < 4; ++k) payload[k] = std::byte{0xFF};
+  try {
+    decode(payload);
+  } catch (const rck::Error& e) {
+    return e.code();
+  }
+  return "decoded";
+}
+
+TEST(BatchCodec, InflatedGrantCountRaisesWireCode) {
+  const std::vector<Job> jobs = numbered_jobs(3, 40);
+  std::vector<const Job*> ptrs;
+  for (const Job& j : jobs) ptrs.push_back(&j);
+  std::vector<Job> sink;
+  EXPECT_EQ(inflated_count_code(decode_message(encode_batch(ptrs)).payload,
+                                [&](const Bytes& b) { decode_batch_jobs(b, sink); }),
+            "rck.bio.wire");
+}
+
+TEST(BatchCodec, InflatedResultCountRaisesWireCode) {
+  const std::vector<Job> jobs = numbered_jobs(2, 7);
+  const std::vector<Bytes> payloads(2, Bytes(16));
+  std::vector<JobResult> sink;
+  EXPECT_EQ(inflated_count_code(
+                decode_message(encode_batch_result(jobs, payloads)).payload,
+                [&](const Bytes& b) { decode_batch_results(b, 3, sink); }),
+            "rck.bio.wire");
 }
 
 // ---- Batched farm ----------------------------------------------------------

@@ -13,6 +13,8 @@
 
 #include <cstdint>
 #include <random>
+#include <span>
+#include <string>
 #include <vector>
 
 namespace rck::rckskel {
@@ -117,6 +119,38 @@ TEST(CheckpointCodecProperty, TruncationsRejected) {
                          blob.begin() + static_cast<std::ptrdiff_t>(len));
     EXPECT_THROW(decode_checkpoint_state(cut), CheckpointError) << len;
   }
+}
+
+/// Set the u32 count at body offset `at` to 0xFFFFFFFF, re-seal the
+/// checksum, and return the error code the decoder raises.
+std::string inflated_count_code(const FarmCheckpoint& ck, std::size_t at) {
+  bio::Bytes blob = encode_checkpoint_state(ck);
+  const std::span<std::byte> body(blob.data() + 4, blob.size() - 4);
+  for (std::size_t k = 0; k < 4; ++k) body[at + k] = std::byte{0xFF};
+  const std::uint32_t sum = wire_checksum(body);
+  for (std::size_t k = 0; k < 4; ++k)
+    blob[k] = static_cast<std::byte>((sum >> (8 * k)) & 0xFF);
+  try {
+    (void)decode_checkpoint_state(blob);
+  } catch (const rck::Error& e) {
+    return e.code();
+  }
+  return "decoded";
+}
+
+TEST(CheckpointCodecProperty, InflatedCountsRaiseCheckpointCode) {
+  FarmCheckpoint ck;
+  ck.report.dead_ues = {3, 5};
+  ck.done.push_back(JobResult{7, 2, bio::Bytes(9)});
+  ck.attempts.push_back({7, 2});
+  // Body layout: seq (u64), ten u64 report counters, ndead + i32s, wasted
+  // (u64), ndone + (u64 id, i32 worker, u32 length, payload)s, natt.
+  const std::size_t ndead_at = 8 + 10 * 8;
+  const std::size_t ndone_at = ndead_at + 4 + 2 * 4 + 8;
+  const std::size_t natt_at = ndone_at + 4 + 8 + 4 + 4 + 9;
+  EXPECT_EQ(inflated_count_code(ck, ndead_at), "rck.skel.checkpoint");
+  EXPECT_EQ(inflated_count_code(ck, ndone_at), "rck.skel.checkpoint");
+  EXPECT_EQ(inflated_count_code(ck, natt_at), "rck.skel.checkpoint");
 }
 
 TEST(CheckpointCodecProperty, TrailingGarbageRejected) {
