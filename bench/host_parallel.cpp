@@ -145,16 +145,16 @@ int main(int argc, char** argv) {
   // noticing. Refuse unless --force.
   if (undersubscribed && !force) {
     std::ifstream existing(json_path);
-    if (existing) {
-      const std::string prior((std::istreambuf_iterator<char>(existing)),
-                              std::istreambuf_iterator<char>());
-      if (prior.find("\"undersubscribed\": false") != std::string::npos) {
-        std::cout << "REFUSING to overwrite " << json_path
-                  << ": it was recorded on a well-subscribed host (>= 4 "
-                     "hardware threads) and this host has "
-                  << hw << "; pass --force to overwrite anyway\n";
-        return 1;
-      }
+    bool well_subscribed = false;
+    for (std::string line; std::getline(existing, line);)
+      if (line.find("\"undersubscribed\": false") != std::string::npos)
+        well_subscribed = true;
+    if (well_subscribed) {
+      std::cout << "REFUSING to overwrite " << json_path
+                << ": it was recorded on a well-subscribed host (>= 4 "
+                   "hardware threads) and this host has "
+                << hw << "; pass --force to overwrite anyway\n";
+      return 1;
     }
   }
   harness::write_file(json_path, json.str());

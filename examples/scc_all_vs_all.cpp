@@ -107,7 +107,6 @@ int main(int argc, char** argv) {
   // Pre-rename spellings stay alive as aliases for one release.
   cli.alias("query-pdb", "query")
       .alias("slave-count", "slaves")
-      .alias("host-parallel", "host-threads")
       .alias("service-queries", "service-trace");
   try {
     if (!cli.parse(argc, argv)) return 0;

@@ -67,8 +67,8 @@ struct Config {
   /// Bounded schedule perturbation: when non-zero, ready cores whose virtual
   /// clocks tie at the same simulated timestamp are dispatched in an order
   /// drawn from this seed instead of lowest-rank-first. Replays are
-  /// deterministic per seed. Implies enable; forces the serial scheduler
-  /// (host-parallel windows would absorb some of the perturbed picks).
+  /// deterministic per seed. Implies enable; an rck::mc session, when
+  /// present, resolves the ties instead.
   std::uint64_t schedule_seed = 0;
   /// Stop recording after this many race reports (detection continues).
   std::size_t max_reports = 64;

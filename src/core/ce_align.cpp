@@ -195,7 +195,9 @@ CeResult ce_align(const bio::Protein& a, const bio::Protein& b, const CeOptions&
         }
       }
       if (bi < 0) break;
-      path.insert(path.begin(), {bi, bj, m});
+      // Prepend: append, then rotate the new fragment to the front.
+      path.push_back({bi, bj, m});
+      std::rotate(path.begin(), path.end() - 1, path.end());
     }
 
     // Evaluate: superposed RMSD over the path's residues.

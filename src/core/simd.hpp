@@ -4,8 +4,8 @@
 // lanes, and every kernel in simd_kernels_impl.hpp is a template over the
 // lane type — so the AVX2 build and the scalar fallback execute the same
 // per-element operations in the same order and produce bit-identical
-// results. That is the determinism contract the host-parallel scheduler and
-// the SIMD-vs-scalar tests rely on; widening the logical vector width would
+// results. That is the determinism contract the pre-execution pool and the
+// SIMD-vs-scalar tests rely on; widening the logical vector width would
 // change reduction order and break it. Only the simd_kernels*.cpp TUs may
 // include this header (the AVX2 one is the only TU compiled with -mavx2,
 // keeping the intrinsics out of every other translation unit).

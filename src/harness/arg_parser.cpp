@@ -33,34 +33,34 @@ ArgParser::ArgParser(std::string program, std::string summary)
 
 ArgParser& ArgParser::flag(std::string_view name, bool* out, std::string_view help) {
   specs_.push_back(Spec{"--" + std::string(name), Kind::Bool, out,
-                        std::string(help), {}});
+                        std::string(help), {}, {}});
   return *this;
 }
 
 ArgParser& ArgParser::option(std::string_view name, int* out, std::string_view help) {
   specs_.push_back(Spec{"--" + std::string(name), Kind::Int, out,
-                        std::string(help), {}});
+                        std::string(help), {}, {}});
   return *this;
 }
 
 ArgParser& ArgParser::option(std::string_view name, double* out,
                              std::string_view help) {
   specs_.push_back(Spec{"--" + std::string(name), Kind::Double, out,
-                        std::string(help), {}});
+                        std::string(help), {}, {}});
   return *this;
 }
 
 ArgParser& ArgParser::option(std::string_view name, std::string* out,
                              std::string_view help) {
   specs_.push_back(Spec{"--" + std::string(name), Kind::String, out,
-                        std::string(help), {}});
+                        std::string(help), {}, {}});
   return *this;
 }
 
 ArgParser& ArgParser::choice(std::string_view name, std::string* out,
                              std::span<const std::string_view> choices,
                              std::string_view help) {
-  Spec s{"--" + std::string(name), Kind::Choice, out, std::string(help), {}};
+  Spec s{"--" + std::string(name), Kind::Choice, out, std::string(help), {}, {}};
   s.choices.assign(choices.begin(), choices.end());
   specs_.push_back(std::move(s));
   return *this;

@@ -41,7 +41,7 @@ struct Exp1Row {
   double distributed_s = 0.0;
   /// Host wall-clock spent simulating the rckAlign point, milliseconds.
   /// Simulated seconds are the paper's result; this column shows what the
-  /// simulation itself costs (and what host-parallel mode buys).
+  /// simulation itself costs (and what the pre-execution pool buys).
   double host_ms = 0.0;
 };
 

@@ -168,8 +168,8 @@ std::optional<Violation> check_protocol_log(const std::vector<ProtoEvent>& log);
 ///    must match the scripted kind and arity exactly, and
 ///    verify_replay_complete() checks the run consumed the whole script.
 ///
-/// Thread safety: none needed — mc forces the serial scheduler, and all
-/// calls happen under the scheduler lock on one thread at a time.
+/// Thread safety: none needed — the scheduler admits one thread at a time,
+/// and all calls happen under the scheduler lock.
 class Session {
  public:
   /// Exploration mode. `prefix[i]` is the alternative to take at decision

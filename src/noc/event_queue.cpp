@@ -11,22 +11,7 @@ std::uint64_t EventQueue::schedule_at(SimTime t, Callback fn, int target,
   if (t < now_) throw NocError("EventQueue: scheduling into the past");
   const std::uint64_t seq = next_seq_++;
   events_.emplace(std::make_pair(t, seq), Stored{target, cls, std::move(fn)});
-  if (target < 0) {
-    untargeted_.insert(t);
-  } else {
-    by_target_[target].insert(t);
-  }
   return seq;
-}
-
-SimTime EventQueue::earliest_for(int id) const noexcept {
-  SimTime best = untargeted_.empty() ? kTimeInfinity : *untargeted_.begin();
-  const auto it = by_target_.find(id);
-  if (it != by_target_.end() && !it->second.empty() &&
-      *it->second.begin() < best) {
-    best = *it->second.begin();
-  }
-  return best;
 }
 
 std::size_t EventQueue::tie_count() const noexcept {
@@ -60,18 +45,12 @@ void EventQueue::run_nth(std::size_t k) {
       throw NocError("EventQueue: run_nth index beyond the head tie group");
     }
   }
-  auto node = events_.extract(it);
-  const SimTime t = node.key().first;
-  Stored& ev = node.mapped();
-  if (ev.target < 0) {
-    untargeted_.erase(untargeted_.find(t));
-  } else {
-    const auto bt = by_target_.find(ev.target);
-    bt->second.erase(bt->second.find(t));
-  }
-  now_ = t;
+  // Unlink the entry before firing, so the callback sees the queue without it.
+  Callback fn = std::move(it->second.fn);
+  events_.erase(it);
+  now_ = head;
   ++fired_;
-  ev.fn();
+  fn();
 }
 
 std::size_t EventQueue::run(SimTime until) {

@@ -6,26 +6,20 @@
 //
 // Every event optionally names a *target* — the integer id of the one entity
 // (for the SCC runtime: the simulated core rank) whose state its callback
-// mutates. Targets make the lookahead horizon per-entity instead of global:
-// earliest_for(id) bounds the first instant at which any pending event can
-// touch `id`, which is what lets a conservative parallel scheduler release
-// one core far past another core's pending events (see scc/horizon.hpp).
-// Untargeted events (target < 0) are assumed to touch everything.
-//
-// Events additionally carry an EventClass describing *what* the callback
-// does (message delivery, timer expiry, fault injection...). The class never
-// affects ordering; it exists so the model checker (rck::mc) can reason
-// about whether two same-instant events commute. For the same reason the
-// queue exposes the head tie group — all pending events due at the earliest
-// instant — and run_nth(), which fires a chosen member of that group out of
-// sequence order. Outside model checking run_one() (== run_nth(0)) preserves
-// the canonical schedule-order semantics exactly.
+// mutates — and an EventClass describing *what* the callback does (message
+// delivery, timer expiry, fault injection...). Untargeted events (target < 0)
+// are assumed to touch everything. Neither field ever affects ordering; they
+// exist so the model checker (rck::mc) can reason about whether two
+// same-instant events commute. For the same reason the queue exposes the
+// head tie group — all pending events due at the earliest instant — and
+// run_nth(), which fires a chosen member of that group out of sequence
+// order. Outside model checking run_one() (== run_nth(0)) preserves the
+// canonical schedule-order semantics exactly.
 #pragma once
 
 #include <cstdint>
 #include <functional>
 #include <map>
-#include <set>
 #include <utility>
 #include <vector>
 
@@ -84,9 +78,6 @@ class EventQueue {
   /// Time of the earliest pending event. Precondition: !empty().
   SimTime next_time() const noexcept { return events_.begin()->first.first; }
 
-  /// Target of the earliest pending event. Precondition: !empty().
-  int next_target() const noexcept { return events_.begin()->second.target; }
-
   /// Number of pending events due at the earliest instant (the head tie
   /// group). 0 when the queue is empty; 1 means no tie.
   std::size_t tie_count() const noexcept;
@@ -94,26 +85,13 @@ class EventQueue {
   /// Fill `out` with the head tie group in sequence order.
   void tied(std::vector<TieRef>& out) const;
 
-  /// Conservative lookahead horizon: the earliest simulated instant at which
-  /// a pending event could change any entity's state, or kTimeInfinity when
-  /// no event is pending. Work strictly below the horizon that touches no
-  /// shared state (e.g. a core's own compute interval) cannot interact with
-  /// the rest of the simulation and may run ahead — or in parallel.
-  SimTime lookahead() const noexcept {
-    return events_.empty() ? kTimeInfinity : events_.begin()->first.first;
-  }
-
-  /// Per-entity lookahead: the earliest pending event that can touch entity
-  /// `id` — the minimum over events targeting `id` and untargeted events —
-  /// or kTimeInfinity when no such event is pending.
-  SimTime earliest_for(int id) const noexcept;
-
   /// Fire the earliest pending event (advances now()). Precondition: !empty().
   void run_one() { run_nth(0); }
 
-  /// Fire the k-th member (sequence order) of the head tie group.
-  /// Precondition: k < tie_count(). Used only by the model checker to
-  /// explore same-instant delivery orders; k = 0 is the canonical choice.
+  /// Fire the k-th member (sequence order) of the head tie group. Throws
+  /// NocError when the queue is empty or k >= tie_count(). Used only by the
+  /// model checker to explore same-instant delivery orders; k = 0 is the
+  /// canonical choice.
   void run_nth(std::size_t k);
 
   /// Fire events until the queue is empty or `until` is exceeded.
@@ -134,10 +112,6 @@ class EventQueue {
   // walks. An ordered map keeps iteration deterministic per the repo's
   // sim-layer determinism rule.
   std::map<std::pair<SimTime, std::uint64_t>, Stored> events_;
-  // Pending-event times bucketed by target, kept in lockstep with events_ so
-  // earliest_for() is a map lookup + two multiset minima.
-  std::map<int, std::multiset<SimTime>> by_target_;
-  std::multiset<SimTime> untargeted_;
   SimTime now_ = 0;
   std::uint64_t next_seq_ = 0;
   std::uint64_t fired_ = 0;

@@ -74,9 +74,10 @@ class Network {
   /// `on_delivered` fires as an event at the arrival time (never called when
   /// `disposition` is Delivery::Drop). Returns the computed arrival time.
   /// `delivery_target` tags the arrival event with the entity id whose state
-  /// the delivery mutates (the receiving core's rank), enabling per-entity
-  /// lookahead via EventQueue::earliest_for(); the default leaves the event
-  /// untargeted, which is always safe.
+  /// the delivery mutates (the receiving core's rank), which is what lets
+  /// the model checker tell same-instant deliveries to distinct cores apart
+  /// (EventQueue::tied); the default leaves the event untargeted, which is
+  /// always safe.
   SimTime send(int src_router, int dst_router, std::uint64_t bytes, SimTime depart,
                std::function<void(SimTime)> on_delivered,
                Delivery disposition = Delivery::Deliver,
@@ -90,15 +91,6 @@ class Network {
   /// in-flight mesh time).
   SimTime endpoint_occupancy(std::uint64_t bytes) const {
     return params_.sw_overhead + transfer_time(bytes);
-  }
-
-  /// Lower bound on (arrival - depart) across every possible message of at
-  /// least `min_bytes` bytes: the software overhead plus one minimum-size
-  /// transfer, with zero hops and no contention. A conservative parallel
-  /// scheduler may rely on no send at time T producing a delivery event
-  /// before T + min_delivery_delay(min message size).
-  SimTime min_delivery_delay(std::uint64_t min_bytes) const {
-    return params_.sw_overhead + transfer_time(min_bytes);
   }
 
   const NetworkStats& stats() const noexcept { return stats_; }

@@ -15,7 +15,8 @@ namespace rck::noc {
 /// Simulated time in picoseconds since simulation start.
 using SimTime = std::uint64_t;
 
-/// Sentinel "beyond any simulated instant" (used for lookahead horizons).
+/// Sentinel "beyond any simulated instant" (e.g. the next event time of an
+/// empty queue).
 constexpr SimTime kTimeInfinity = ~SimTime{0};
 
 constexpr SimTime kPsPerNs = 1000;

@@ -48,7 +48,7 @@ using Ts = std::uint64_t;
 /// doubles use %.17g (round-trips exactly, locale-independent for the
 /// values we emit), u64 avoids the double-precision integer cliff entirely.
 /// Equal values produce equal bytes, which is what the byte-identity
-/// contracts (serial vs host-parallel) are built on.
+/// contracts (across host-pool widths) are built on.
 void append_json_double(std::string& out, double v);
 void append_json_u64(std::string& out, std::uint64_t v);
 /// JSON string literal with the usual escapes (quotes, backslash, control

@@ -12,8 +12,8 @@
 //     the scheduler lock);
 //   * every record carries its simulated timestamp, and the merged view is
 //     ordered by (ts, shard, per-shard sequence) — all three components are
-//     pure simulation observables, so serial and host-parallel executions
-//     of the same run produce byte-identical merged output.
+//     pure simulation observables, so executions of the same run at any
+//     host-pool width produce byte-identical merged output.
 //
 // When no observability is configured, SpmdRuntime never constructs a
 // Recorder and every hook short-circuits on a null Handle — the simulated

@@ -113,8 +113,8 @@ struct QueryResult {
   bool operator==(const QueryResult&) const = default;
 
   /// Stable JSON document ("rck-query-result-v1"): equal results produce
-  /// byte-equal documents (doubles via the obs %.17g formatter), so serial
-  /// and host-parallel service runs can be compared with cmp/strcmp.
+  /// byte-equal documents (doubles via the obs %.17g formatter), so service
+  /// runs at different host-pool widths can be compared with cmp/strcmp.
   std::string to_json() const;
 };
 

@@ -76,9 +76,8 @@ struct ServiceLimits {
 };
 
 /// Bounded systematic schedule exploration (rck::mc) switches, consumed by
-/// rck::mc_explore() / rck::mc_replay(). Like chk, an active mc session
-/// forces the serial scheduler, and the canonical (all-zeros) schedule is
-/// bit-identical to an mc-off run.
+/// rck::mc_explore() / rck::mc_replay(). The canonical (all-zeros) schedule
+/// is bit-identical to an mc-off run.
 struct McConfig {
   /// Master switch for mc_explore(); rck::run() ignores it.
   bool enable = false;
@@ -146,9 +145,8 @@ struct RunConfig {
 
   // -- analysis ---------------------------------------------------------
   /// Race-detector (rck::chk) switches; copied into the runtime by
-  /// to_options(). Off by default. Enabling chk forces the serial
-  /// scheduler, and a clean chk-enabled run is bit-identical (cycles,
-  /// alignments, obs bytes) to a chk-disabled one.
+  /// to_options(). Off by default. A clean chk-enabled run is
+  /// bit-identical (cycles, alignments, obs bytes) to a chk-disabled one.
   chk::Config chk{};
 
   /// Systematic schedule exploration (rck::mc) switches; used by

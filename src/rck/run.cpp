@@ -112,6 +112,10 @@ std::vector<ConfigIssue> RunConfig::validate() const {
   }
   for (std::size_t i = 0; i < faults.stalls.size(); ++i) {
     const auto& s = faults.stalls[i];
+    if (s.rank < -1 || (cores >= 2 && s.rank >= cores)) {
+      bad("runtime.faults.stalls[" + std::to_string(i) + "].rank",
+          "rank outside the chip (-1 stalls every rank)");
+    }
     if (s.slowdown <= 0.0) {
       bad("runtime.faults.stalls[" + std::to_string(i) + "].slowdown",
           "must be > 0");

@@ -40,7 +40,7 @@ RckAlignRun run_rckalign(const std::vector<bio::Protein>& dataset,
 
   const PairCache* cache = opts.cache;
   RckAlignRun run;
-  scc::SpmdRuntime rt(detail::serial_runtime(opts.runtime));
+  scc::SpmdRuntime rt(opts.runtime);
   const Method methods[] = {opts.method};
   const OutcomeTable outcomes =
       detail::pre_execute_all_pairs(dataset, methods, opts.runtime, cache);

@@ -58,7 +58,7 @@ BlockedRun run_rckalign_blocked(const std::vector<bio::Protein>& dataset,
   const PairCache* cache = opts.cache;
   BlockedRun run;
   run.blocks = static_cast<int>(blocks.size());
-  scc::SpmdRuntime rt(detail::serial_runtime(opts.runtime));
+  scc::SpmdRuntime rt(opts.runtime);
   const Method methods[] = {Method::TmAlign};
   const OutcomeTable outcomes =
       detail::pre_execute_all_pairs(dataset, methods, opts.runtime, cache);

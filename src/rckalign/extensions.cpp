@@ -51,7 +51,7 @@ McPscRun run_mcpsc(const std::vector<bio::Protein>& dataset, const McPscOptions&
     throw AlignError("run_mcpsc: cache/dataset mismatch");
 
   McPscRun run;
-  scc::SpmdRuntime rt(detail::serial_runtime(opts.runtime));
+  scc::SpmdRuntime rt(opts.runtime);
   const PairCache* cache = opts.cache;
   const Method methods[] = {Method::TmAlign, Method::GaplessRmsd};
   const OutcomeTable outcomes =
@@ -117,7 +117,7 @@ MultiMethodRun run_multi_method(const std::vector<bio::Protein>& dataset,
 
   MultiMethodRun run;
   run.results.resize(opts.groups.size());
-  scc::SpmdRuntime rt(detail::serial_runtime(opts.runtime));
+  scc::SpmdRuntime rt(opts.runtime);
   const PairCache* cache = opts.cache;
   std::vector<Method> methods;
   for (const MethodGroup& g : opts.groups) methods.push_back(g.method);
@@ -252,7 +252,7 @@ HierarchyRun run_hierarchical(const std::vector<bio::Protein>& dataset,
     group_slaves[static_cast<std::size_t>(s % g)].push_back(1 + g + s);
 
   HierarchyRun run;
-  scc::SpmdRuntime rt(detail::serial_runtime(opts.runtime));
+  scc::SpmdRuntime rt(opts.runtime);
   const PairCache* cache = opts.cache;
   const Method methods[] = {Method::TmAlign};
   const OutcomeTable outcomes =

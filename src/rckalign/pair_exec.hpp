@@ -22,14 +22,6 @@
 
 namespace rck::rckalign::detail {
 
-/// The runtime a driver simulates on: `rt` on the serial scheduler. With no
-/// kernel left inside the simulation there is nothing for host-parallel
-/// windows to overlap; `rt.host.threads` sizes the pre-execution pool instead.
-inline scc::RuntimeConfig serial_runtime(scc::RuntimeConfig rt) {
-  rt.host.threads = 1;
-  return rt;
-}
-
 /// Pre-execution pool width for a driver's runtime configuration.
 inline int pool_threads(const scc::RuntimeConfig& rt) {
   return std::max(1, rt.host.threads);

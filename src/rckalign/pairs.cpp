@@ -45,7 +45,7 @@ PairsRun run_pairs(std::span<const bio::Protein* const> structures,
   validate_inputs(structures, specs, opts, wires);
 
   PairsRun run;
-  scc::SpmdRuntime rt(detail::serial_runtime(opts.runtime));
+  scc::SpmdRuntime rt(opts.runtime);
   const OutcomeTable outcomes =
       OutcomeTable::build(structures, {specs.begin(), specs.end()},
                           detail::pool_threads(opts.runtime));

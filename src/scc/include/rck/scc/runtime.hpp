@@ -14,17 +14,8 @@
 // virtual time (ties: events first, then lowest rank). This conservative
 // order makes simulated executions sequentially consistent and bit-for-bit
 // reproducible: wall-clock thread scheduling cannot change any simulated
-// outcome.
-//
-// With RuntimeConfig::host.threads > 1 the scheduler additionally releases
-// several ready cores at once while their operations are compute-class and
-// lie below the conservative lookahead horizon (the earliest pending event);
-// they re-serialize at the next communication operation. Simulated results
-// stay bit-identical to serial mode — see HostParallelism and DESIGN.md
-// ("Host-parallel execution"). The rckalign farm drivers do not use this
-// mode: they pre-execute their kernels on a host pool of host.threads
-// workers and simulate on the serial scheduler, so the horizon scheduler
-// serves raw SpmdRuntime programs with heavy compute of their own.
+// outcome. This serial scheduler is the only one; RuntimeConfig::host never
+// reaches it (see HostParallelism).
 //
 // Compute cost enters via charge_cycles(), typically fed from the
 // core::AlignStats counters of a real alignment (pre-executed by the farm
@@ -124,8 +115,8 @@ struct FaultPlan {
   /// events (message deliveries, timers, scheduled faults). Event execution
   /// order is a pure simulation observable, so this pins a crash to a
   /// precise protocol step — "crash the master right after the Kth
-  /// delivery" — independent of how timing parameters shift wall-clock
-  /// simulated times. Deterministic across serial and host-parallel runs.
+  /// delivery" — independent of how timing parameters shift simulated
+  /// times.
   struct EventCrash {
     int rank = -1;
     std::uint64_t after_events = 0;
@@ -152,53 +143,17 @@ struct FaultPlan {
   }
 };
 
-/// Host-side execution parallelism for the simulation itself.
-///
-/// The DES stays *conservative*: with threads > 1 the scheduler grants each
-/// core its own *release horizon* — H(c) = min(earliest pending event that
-/// can touch c, earliest time any other core can initiate an effect toward
-/// c plus one minimum delivery latency; see rck/scc/horizon.hpp) — and a
-/// granted core runs its compute-class sections (charge / charge_cycles /
-/// dram_read / set_freq) and own-state receives on a real host thread,
-/// committing virtual time under the scheduler lock, until it reaches its
-/// horizon. At the horizon it first tries to renew (peers may have advanced)
-/// and otherwise parks, handing its host slot to the next grantable core via
-/// a per-slot work-stealing offer deque. Communication operations that touch
-/// shared simulation state (send/barrier/wait_any/peer_alive) re-serialize
-/// at the scheduler; events and serialized operations fire only when no
-/// released core could still commit an earlier-simulated-time action, which
-/// keeps every simulated outcome — event order, makespan, traces,
-/// CoreReports, observability output, fault replays — bit-identical to
-/// serial mode (threads <= 1). Serial mode keeps the legacy one-at-a-time
-/// scheduler byte-for-byte.
-///
-/// The rckalign farm drivers read `threads` as the width of their kernel
-/// pre-execution pool instead and always simulate on the serial scheduler:
-/// once the kernels are off the critical path, serial replay beats the
-/// horizon scheduler (DESIGN.md, "Host-parallel execution").
+/// Host-side parallelism around the simulation. The rckalign farm drivers
+/// pre-execute their comparisons on a pool of `threads` host workers before
+/// simulating (DESIGN.md, "Host-parallel execution"); SpmdRuntime itself
+/// ignores it and always runs its one serial scheduler, so the width changes
+/// wall-clock time only, never a simulated result.
 struct HostParallelism {
-  /// Maximum program threads released concurrently; <= 1 = serial scheduler.
+  /// Pre-execution pool width; 1 = run the comparisons inline.
   int threads = 1;
 
   /// Convenience: one thread per host hardware thread.
   static HostParallelism hardware() noexcept;
-
-  bool enabled() const noexcept { return threads > 1; }
-};
-
-/// Host-parallel scheduler accounting (see SpmdRuntime::host_parallel_stats).
-/// Counters describe host-side scheduling only; they are wall-clock
-/// dependent and deliberately excluded from simulated results.
-struct HostParallelStats {
-  std::uint64_t windows = 0;    ///< scheduler passes that granted >= 1 core
-  std::uint64_t releases = 0;   ///< grants summed over passes
-  std::uint64_t local_ops = 0;  ///< compute ops applied without the scheduler
-  std::uint64_t max_width = 0;  ///< most cores released at once
-  std::uint64_t steals = 0;     ///< grants popped from another slot's deque
-  std::uint64_t handoffs = 0;   ///< parking cores that woke a successor
-  std::uint64_t renewals = 0;   ///< horizons regrown in place at the wall
-
-  bool operator==(const HostParallelStats&) const = default;
 };
 
 struct RuntimeConfig {
@@ -221,11 +176,9 @@ struct RuntimeConfig {
   /// Deterministic fault injection (core crashes, message loss/corruption,
   /// storage stalls). Empty by default: no faults.
   FaultPlan faults{};
-  /// Host-side parallelism. For a raw SpmdRuntime program, the width of the
-  /// horizon scheduler (off by default: serial). For the rckalign farm
-  /// drivers, the width of the pool that pre-executes their kernels; they
-  /// simulate serially. Either way it changes wall-clock time only, never
-  /// any simulated result.
+  /// Width of the farm drivers' kernel pre-execution pool (see
+  /// HostParallelism). Changes wall-clock time only, never any simulated
+  /// result.
   HostParallelism host{};
   /// Observability (metrics + structured trace, see DESIGN.md
   /// "Observability"). Off by default: no recorder is created and every
@@ -236,18 +189,16 @@ struct RuntimeConfig {
   obs::Config obs{};
   /// Protocol race detection (vector-clock MPB/flag checker, see DESIGN.md
   /// "Analysis & invariants"). Off by default: no checker is constructed
-  /// and every hook short-circuits. When active the serial scheduler is
-  /// forced (every operation is an interception point, so host-parallel
-  /// windows would buy nothing; simulated results are identical either
-  /// way). A clean chk run stays bit-identical to a chk-off run.
+  /// and every hook short-circuits. A clean chk run stays bit-identical to
+  /// a chk-off run; a nonzero schedule_seed reorders same-instant core ties.
   chk::Config chk{};
   /// Model-checking session (see DESIGN.md "Systematic exploration"). Null
-  /// by default. When set, the serial scheduler is forced (like chk) and
-  /// every same-instant scheduling tie — ready cores at equal virtual time,
-  /// events due at the same instant — becomes a decision the session
-  /// resolves and records. The all-zeros decision vector reproduces the
-  /// canonical serial schedule exactly, so a session that always picks 0
-  /// leaves every simulated result bit-identical to an mc-off run.
+  /// by default. When set, every same-instant scheduling tie — ready cores
+  /// at equal virtual time, events due at the same instant — becomes a
+  /// decision the session resolves and records (taking precedence over
+  /// chk's schedule perturbation). The all-zeros decision vector reproduces
+  /// the canonical schedule exactly, so a session that always picks 0 leaves
+  /// every simulated result bit-identical to an mc-off run.
   std::shared_ptr<mc::Session> mc{};
 };
 
@@ -415,9 +366,6 @@ class SpmdRuntime {
   /// Recorded activity intervals, in simulated-time order (empty unless
   /// RuntimeConfig::enable_trace was set).
   const std::vector<TraceEvent>& trace() const noexcept;
-
-  /// Host-parallel scheduler accounting (all zero in serial mode).
-  const HostParallelStats& host_parallel_stats() const noexcept;
 
   /// The run's observability recorder (null unless RuntimeConfig::obs is
   /// active). Shared so callers can keep metrics/trace alive after the

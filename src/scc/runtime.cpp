@@ -10,8 +10,6 @@
 #include <thread>
 #include <tuple>
 
-#include "rck/scc/horizon.hpp"
-
 namespace rck::scc {
 
 namespace {
@@ -24,8 +22,6 @@ struct AbortSim {};
 /// Thrown into a single program thread to unwind it when its core is killed
 /// by the FaultPlan. Same non-std::exception rationale as AbortSim.
 struct CrashUnwind {};
-
-constexpr noc::SimTime kInf = ~noc::SimTime{0};
 
 /// Framing bytes added to every payload for timing purposes (source rank,
 /// length, tag words RCCE puts in the MPB).
@@ -80,26 +76,6 @@ struct CoreState {
   // classify the segment for CoreTie commutation (see mc::Session::segment).
   bool mc_shared = false;
 
-  // --- Host-parallel grant state (all scheduler-lock protected) ---
-  // `released` marks a core granted a host-pool slot rather than the serial
-  // execution token; while set, the core may apply compute-class operations
-  // locally as long as its clock stays below `horizon` (its per-core release
-  // horizon, see rck/scc/horizon.hpp). `in_op` marks a thread parked
-  // *inside* a communication-class operation: such a core must only ever be
-  // resumed serially, because the remainder of the operation touches shared
-  // state. `slot` is the pool slot held while released; `offered` marks a
-  // grant offer for this core queued on some slot's deque.
-  bool released = false;
-  noc::SimTime horizon = 0;
-  bool in_op = false;
-  int slot = -1;
-  bool offered = false;
-  // Run-ahead trace records awaiting their deterministic merge into the
-  // global trace (kept sorted by construction; `local_flushed` is the merged
-  // prefix).
-  std::vector<TraceEvent> local_trace;
-  std::size_t local_flushed = 0;
-
   CoreReport report;
   std::exception_ptr error;
   std::condition_variable cv;
@@ -125,43 +101,13 @@ struct SpmdRuntime::Impl {
   std::uint64_t barrier_epoch = 0;
   noc::SimTime barrier_time = 0;
 
-  bool parallel = false;  // cfg.host.threads > 1, latched in run()
-  HostParallelStats hp_stats;
-
-  // --- Grant pool (parallel scheduler; all scheduler-lock protected) ---
-  // cfg.host.threads slots bound how many cores run released at once. A
-  // grantable core that finds no free slot is queued as an *offer* on one of
-  // the per-slot deques; a parking core pops its own deque from the back
-  // (warmest) and steals from the other deques' fronts (oldest) to hand its
-  // slot over without a scheduler round-trip. The deques balance wake-up
-  // work across slots — every transition still happens under the one
-  // scheduler mutex, so this is a scheduling discipline, not lock-freedom.
-  int pool_width = 0;
-  int pool_active = 0;  // cores currently released
-  std::vector<std::deque<CoreState*>> pool_offers;
-  std::vector<int> free_slots;
-  std::size_t offer_rr = 0;  // round-robin deque choice for queued offers
-  bool draining = false;     // error drain: stop granting and handing off
-  // Earliest simulated time the waiting scheduler still cares about: a
-  // released core committing to or past it must notify sched_cv. kInf when
-  // the scheduler is awake (or waiting only for parks).
-  noc::SimTime sched_wait_below = kInf;
-  noc::SimTime l_min = 0;  // network.min_delivery_delay(kMsgHeaderBytes)
-  // Horizon computation scratch, persistent across passes (no per-pass
-  // allocation on the scheduler hot path).
-  HorizonModel hz_model;
-  std::vector<HorizonCore> hz_cores;
-  std::vector<noc::SimTime> hz_bounds;
-  std::vector<noc::SimTime> hz_horizons;
-
   std::vector<TraceEvent> trace;
 
   // Observability (null unless cfg.obs is active). Shards follow the
   // single-writer discipline documented in rck/obs/obs.hpp: program threads
   // write their own core's shard; delivery/crash events write the affected
-  // core's shard from the scheduler (an event fires only while its target
-  // core holds no release — released_blocks_event), and the network writes
-  // the trailing system shard.
+  // core's shard from the scheduler (events fire only while every program
+  // thread is parked), and the network writes the trailing system shard.
   std::shared_ptr<obs::Recorder> rec;
   std::vector<std::uint64_t> mpb_bytes;  // queued inbox bytes per core
 
@@ -206,9 +152,9 @@ struct SpmdRuntime::Impl {
     }
   }
 
-  // Race detection (null unless cfg.chk is active). chk forces the serial
-  // scheduler, so every checker call happens with all other program threads
-  // parked — the checker needs no locking of its own.
+  // Race detection (null unless cfg.chk is active). The scheduler admits one
+  // thread at a time, so every checker call happens with all other program
+  // threads parked — the checker needs no locking of its own.
   std::shared_ptr<chk::Checker> chk;
   struct ChkSites {
     chk::SiteId send = 0, recv = 0, recv_timeout = 0, probe = 0, wait_any = 0,
@@ -216,12 +162,13 @@ struct SpmdRuntime::Impl {
   } chk_sites;
   std::uint64_t chk_rng = 0;  // schedule-perturbation state; 0 = off
 
-  // Model checking (null unless cfg.mc is set; latched in run()). mc forces
-  // the serial scheduler like chk, so every session call happens with all
-  // other program threads parked. Scratch vectors live here to keep the
-  // scheduler hot path allocation-free across decisions.
+  // Model checking (null unless cfg.mc is set; latched in run()). Like chk,
+  // every session call happens with all other program threads parked.
+  // Scratch vectors live here to keep the scheduler hot path allocation-free
+  // across decisions: `tied` collects the ready cores tied at the minimum
+  // virtual time for mc's CoreTie decisions and chk's schedule perturbation.
   mc::Session* mc = nullptr;
-  std::vector<CoreState*> mc_tied;
+  std::vector<CoreState*> tied;
   std::vector<int> mc_ranks;
   std::vector<noc::EventQueue::TieRef> mc_ties;
 
@@ -264,12 +211,8 @@ struct SpmdRuntime::Impl {
   /// Park the calling core's thread with the given status and wait until the
   /// scheduler resumes it. Lock must be held; rethrows AbortSim on shutdown
   /// and CrashUnwind once this core has been killed by the fault plan.
-  /// A core entering an ordinary yield point gives up any parallel-window
-  /// release it still holds (re-serializing is always safe); after the wait,
-  /// `released` reflects the kind of the *new* grant.
   void yield(CoreState& st, std::unique_lock<std::mutex>& lock,
              CoreState::Status status) {
-    leave_released(st);  // give the slot away before any unwind below
     if (st.dead) throw CrashUnwind{};  // rck-lint: allow(throw-taxonomy)
     st.status = status;
     if (status == CoreState::Status::Blocked) st.blocked_since = st.vtime;
@@ -281,29 +224,6 @@ struct SpmdRuntime::Impl {
     if (st.dead) throw CrashUnwind{};  // rck-lint: allow(throw-taxonomy)
   }
 
-  /// A released core ends its run-ahead (next operation needs the
-  /// scheduler, or its clock reached the horizon and renewal failed): hand
-  /// the slot over, park as Ready and wait for the next grant — serial
-  /// (released stays false) or another release (released set again by
-  /// wake_grant). Lock must be held.
-  void park_released(CoreState& st, std::unique_lock<std::mutex>& lock) {
-    leave_released(st);
-    st.status = CoreState::Status::Ready;
-    sched_cv.notify_all();
-    st.cv.wait(lock, [&] {
-      return st.status == CoreState::Status::Running || shutdown || st.dead;
-    });
-    if (shutdown) throw AbortSim{};  // rck-lint: allow(throw-taxonomy)
-    if (st.dead) throw CrashUnwind{};  // rck-lint: allow(throw-taxonomy)
-  }
-
-  /// Gate at the top of every communication-class operation: such operations
-  /// touch shared state (network, event queue, inboxes, barrier, liveness)
-  /// and must never run inside a parallel window. Lock must be held.
-  void serialize(CoreState& st, std::unique_lock<std::mutex>& lock) {
-    while (st.released) park_released(st, lock);
-  }
-
   /// Advance the core's clock (busy) and give the scheduler a chance to
   /// reorder. Lock must be held.
   void advance(CoreState& st, std::unique_lock<std::mutex>& lock, noc::SimTime dt,
@@ -313,78 +233,6 @@ struct SpmdRuntime::Impl {
     st.report.busy += dt;
     yield(st, lock, CoreState::Status::Ready);
   }
-
-  /// A released core reached its horizon: peers may have advanced since the
-  /// grant, so recompute before giving the slot up. True when the horizon
-  /// grew past the core's clock (keep running). Lock must be held.
-  bool try_renew(CoreState& st) {
-    const noc::SimTime h = horizon_of(st.rank);
-    if (st.vtime >= h) return false;
-    st.horizon = h;
-    ++hp_stats.renewals;
-    return true;
-  }
-
-  /// Compute-class time advance: while released, apply the operation locally
-  /// (it touches only this core's state) as long as the clock stays strictly
-  /// below the release horizon — no other simulated action can observe or
-  /// affect this core below that instant (rck/scc/horizon.hpp). At the
-  /// horizon, renew in place if peers have moved on; otherwise park.
-  /// Non-released cores take the serial advance. Lock must be held.
-  void advance_compute(CoreState& st, std::unique_lock<std::mutex>& lock,
-                       noc::SimTime dt, TraceEvent::Kind kind = TraceEvent::Kind::Compute) {
-    for (;;) {
-      if (!st.released) {
-        advance(st, lock, dt, kind);
-        return;
-      }
-      if (st.vtime < st.horizon || try_renew(st)) {
-        if (cfg.enable_trace && dt > 0)
-          st.local_trace.push_back({st.rank, kind, st.vtime, st.vtime + dt});
-        st.vtime += dt;
-        st.report.busy += dt;
-        ++hp_stats.local_ops;
-        if (st.vtime >= sched_wait_below) sched_cv.notify_all();
-        return;  // keep running user code without a scheduler round-trip
-      }
-      park_released(st, lock);  // horizon reached for good: next grant
-    }
-  }
-
-  /// Merge buffered run-ahead trace records into the global trace, in
-  /// exactly the order the serial scheduler would have appended them: all
-  /// records strictly older than the work unit about to execute, by
-  /// (start, rank). For an event unit pass rank_bound = -1 (events fire
-  /// before any core op at the same instant); for a core dispatch pass the
-  /// core's rank (lower ranks win ties). Lock must be held.
-  void flush_local_before(noc::SimTime t, int rank_bound) {
-    if (!cfg.enable_trace) return;
-    for (;;) {
-      CoreState* best = nullptr;
-      for (auto& c : cores) {
-        if (c->local_flushed >= c->local_trace.size()) continue;
-        const TraceEvent& f = c->local_trace[c->local_flushed];
-        if (f.start > t || (f.start == t && (rank_bound < 0 || c->rank >= rank_bound)))
-          continue;
-        if (best == nullptr) {
-          best = c.get();
-          continue;
-        }
-        const TraceEvent& b = best->local_trace[best->local_flushed];
-        if (f.start < b.start || (f.start == b.start && c->rank < best->rank))
-          best = c.get();
-      }
-      if (best == nullptr) break;
-      trace.push_back(best->local_trace[best->local_flushed++]);
-      if (best->local_flushed == best->local_trace.size()) {
-        best->local_trace.clear();
-        best->local_flushed = 0;
-      }
-    }
-  }
-
-  /// Drain every remaining buffered record (end of run).
-  void flush_local_all() { flush_local_before(kInf, -1); }
 
   bool wants_message_from(const CoreState& st, int src) const {
     if (st.wait_src == src) return true;
@@ -435,8 +283,8 @@ struct SpmdRuntime::Impl {
     st.report.crashed = true;
     st.report.crashed_at = t;
     if (rec) {
-      // Crash events fire from the scheduler with no parallel window open,
-      // so the victim's shard is writable here.
+      // Crash events fire from the scheduler while every program thread is
+      // parked, so the victim's shard is writable here.
       const obs::Handle h = oh(st.rank);
       h.add(h.ids().scc_crashes);
       h.instant(obs::Lane::Core, h.ids().n_crash, t,
@@ -449,7 +297,6 @@ struct SpmdRuntime::Impl {
     }
     st.vtime = std::max(st.vtime, t);
     st.in_barrier = false;  // an arrived-then-crashed core stays counted
-    st.offered = false;     // any queued grant offer is void
     ++st.wait_epoch;
     st.cv.notify_all();
   }
@@ -466,27 +313,6 @@ struct SpmdRuntime::Impl {
   }
 
   // ---- CoreCtx operations (called from program threads) -------------------
-
-  /// RAII marker: the calling thread is inside a communication-class
-  /// operation, so any park point it reaches before returning must only be
-  /// resumed serially (the remainder of the operation touches shared state).
-  /// Declared after the lock in every operation, so it is restored before
-  /// the lock is released.
-  struct OpGuard {
-    explicit OpGuard(CoreState& s) : st(&s) { st->in_op = true; }
-    ~OpGuard() {
-      if (st != nullptr) st->in_op = false;
-    }
-    /// The operation's shared-state section is over; a park at a later
-    /// own-state yield may safely be resumed by a parallel window.
-    void done() {
-      st->in_op = false;
-      st = nullptr;
-    }
-    OpGuard(const OpGuard&) = delete;
-    OpGuard& operator=(const OpGuard&) = delete;
-    CoreState* st;
-  };
 
   /// The single "is a frame pending from src?" primitive: every probe-style
   /// inbox check — probe(), the wait_any sweeps and the recv dequeue tests,
@@ -546,7 +372,7 @@ struct SpmdRuntime::Impl {
 
   void op_charge(CoreState& st, noc::SimTime dt) {
     std::unique_lock lock(m);
-    advance_compute(st, lock, dt);
+    advance(st, lock, dt);
   }
 
   double freq_scale_of(int rank) const {
@@ -563,7 +389,7 @@ struct SpmdRuntime::Impl {
     std::unique_lock lock(m);
     // SCC voltage/frequency transition: frequency switches are fast but a
     // voltage step stalls the tile for on the order of 100 us.
-    advance_compute(st, lock, 100 * noc::kPsPerUs);
+    advance(st, lock, 100 * noc::kPsPerUs);
     st.freq_scale_dynamic = scale;
   }
 
@@ -571,10 +397,9 @@ struct SpmdRuntime::Impl {
     std::unique_lock lock(m);
     st.report.compute_cycles += cycles;
     const noc::SimTime base = cfg.core_model.cycles_to_time(cycles);
-    advance_compute(st, lock,
-                    static_cast<noc::SimTime>(static_cast<double>(base) /
-                                                  freq_scale_of(st.rank) +
-                                              0.5));
+    advance(st, lock,
+            static_cast<noc::SimTime>(static_cast<double>(base) / freq_scale_of(st.rank) +
+                                      0.5));
   }
 
   void op_dram_read(CoreState& st, std::uint64_t bytes) {
@@ -595,14 +420,12 @@ struct SpmdRuntime::Impl {
                   static_cast<std::uint64_t>(st.rank));
       }
     }
-    advance_compute(st, lock, cost, TraceEvent::Kind::Dram);
+    advance(st, lock, cost, TraceEvent::Kind::Dram);
   }
 
   void op_send(CoreState& st, int dst, bio::Bytes payload) {
     check_rank(dst, "send");
     std::unique_lock lock(m);
-    OpGuard guard(st);
-    serialize(st, lock);
     mc_mark_shared(st);  // mutates link state and schedules a delivery
     const std::uint64_t bytes = payload.size() + kMsgHeaderBytes;
     CoreState* d = cores[static_cast<std::size_t>(dst)].get();
@@ -659,33 +482,17 @@ struct SpmdRuntime::Impl {
                      chk_sites.send, st.rank, dst);
       chk->flag_set(st.rank, st.rank, dst, st.vtime, chk_sites.send);
     }
-    // Endpoint occupancy only advances this core's own clock: release the
-    // in-op marker so the park at this yield is window-eligible (the typical
-    // slave runs its next compute kernel right after send returns).
-    guard.done();
     advance(st, lock, network.endpoint_occupancy(bytes), TraceEvent::Kind::Send);
   }
 
   bio::Bytes op_recv(CoreState& st, int src) {
-    // recv touches only this core's own state (its inbox, clock and report):
-    // inboxes are mutated solely by delivery events, no event targeting this
-    // core fires while it is released (released_blocks_event), and a release
-    // below the horizon precedes every still-pending delivery to it — so a
-    // released core sees exactly the inbox the serial scheduler would have
-    // shown it. It may therefore complete — or block — while released;
-    // blocking gives up the release (yield does), endpoint occupancy is
-    // charged via advance_compute so its trace record merges at the right
-    // position.
     check_rank(src, "recv");
     std::unique_lock lock(m);
     for (;;) {
-      while (st.released && st.vtime >= st.horizon && !try_renew(st))
-        park_released(st, lock);
       if (probe_pending(st, src, chk_sites.recv)) {
         std::uint64_t bytes = 0;
         Message msg = take_message(st, src, chk_sites.recv, bytes);
-        advance_compute(st, lock, network.endpoint_occupancy(bytes),
-                        TraceEvent::Kind::Recv);
+        advance(st, lock, network.endpoint_occupancy(bytes), TraceEvent::Kind::Recv);
         return std::move(msg.payload);
       }
       st.wait_src = src;
@@ -703,8 +510,6 @@ struct SpmdRuntime::Impl {
   bool op_probe(CoreState& st, int src) {
     check_rank(src, "probe");
     std::unique_lock lock(m);
-    OpGuard guard(st);
-    serialize(st, lock);
     count_poll(st);
     advance(st, lock, cfg.poll_cost, TraceEvent::Kind::Poll);
     return probe_pending(st, src, chk_sites.probe);
@@ -714,8 +519,6 @@ struct SpmdRuntime::Impl {
     if (srcs.empty()) throw SimError("wait_any: empty source set");
     for (int s : srcs) check_rank(s, "wait_any");
     std::unique_lock lock(m);
-    OpGuard guard(st);
-    serialize(st, lock);
     for (;;) {
       count_poll(st);
       advance(st, lock, cfg.poll_cost, TraceEvent::Kind::Poll);  // one polling sweep
@@ -738,8 +541,6 @@ struct SpmdRuntime::Impl {
                                             noc::SimTime timeout) {
     check_rank(src, "recv_timeout");
     std::unique_lock lock(m);
-    OpGuard guard(st);
-    serialize(st, lock);
     const noc::SimTime deadline = st.vtime + timeout;
     for (;;) {
       if (probe_pending(st, src, chk_sites.recv_timeout)) {
@@ -761,8 +562,6 @@ struct SpmdRuntime::Impl {
     if (srcs.empty()) throw SimError("wait_any_timeout: empty source set");
     for (int s : srcs) check_rank(s, "wait_any_timeout");
     std::unique_lock lock(m);
-    OpGuard guard(st);
-    serialize(st, lock);
     const noc::SimTime deadline = st.vtime + timeout;
     for (;;) {
       count_poll(st);
@@ -779,10 +578,9 @@ struct SpmdRuntime::Impl {
   }
 
   // ---- Raw chk annotations (see CoreCtx::chk_*) ----------------------------
-  // All no-ops when the checker is off. chk forces the serial scheduler, so
-  // a program thread calling these between its blocking operations is the
-  // only thread touching the checker; the lock still guards against the
-  // (never-released) window machinery by construction.
+  // All no-ops when the checker is off. The scheduler admits one thread at a
+  // time, so a program thread calling these between its blocking operations
+  // is the only thread touching the checker.
 
   void op_chk_mpb_write(CoreState& st, int owner, std::uint32_t lo,
                         std::uint32_t len, std::string_view site, int flow_src,
@@ -845,28 +643,18 @@ struct SpmdRuntime::Impl {
   bool op_peer_alive(CoreState& st, int rank) {
     check_rank(rank, "peer_alive");
     std::unique_lock lock(m);
-    // Liveness reads another core's crash state, which only changes when a
-    // crash event fires — serialize so the query observes the same schedule
-    // point as in serial mode.
-    OpGuard guard(st);
-    serialize(st, lock);
     mc_mark_shared(st);  // observes another core's crash state
     return !cores[static_cast<std::size_t>(rank)]->dead;
   }
 
   void op_barrier(CoreState& st) {
     std::unique_lock lock(m);
-    OpGuard guard(st);
-    serialize(st, lock);
     mc_mark_shared(st);  // touches the shared barrier rendezvous
     barrier_time = std::max(barrier_time, st.vtime);
     if (barrier_count + 1 < nranks) {
       ++barrier_count;
       const std::uint64_t epoch = barrier_epoch;
       st.in_barrier = true;
-      // From here on this core only waits and re-reads the (monotone) epoch:
-      // a woken waiter may be resumed by a parallel window and run user code.
-      guard.done();
       while (barrier_epoch == epoch) yield(st, lock, CoreState::Status::Blocked);
     } else {
       // Last arriver releases everyone at the max arrival time + cost.
@@ -893,7 +681,6 @@ struct SpmdRuntime::Impl {
         joined.push_back(st.rank);
         chk->barrier(joined, release);
       }
-      guard.done();  // only the releaser's own park remains
       yield(st, lock, CoreState::Status::Ready);
     }
   }
@@ -910,181 +697,6 @@ struct SpmdRuntime::Impl {
     // The quantum is over (yielded, blocked or finished): report its
     // classification so pending CoreTie watches on this rank resolve.
     if (mc != nullptr) mc->segment(st.rank, !st.mc_shared);
-  }
-
-  // ---- Parallel grant machinery -------------------------------------------
-
-  /// Snapshot every core into the horizon model's terms. Sound while a
-  /// serial operation or released compute is in flight: committed vtimes are
-  /// monotone, and any event scheduled after the snapshot arrives at or past
-  /// the bounds derived from it. Lock must be held.
-  void fill_horizon_input() {
-    hz_cores.resize(static_cast<std::size_t>(nranks));
-    for (std::size_t r = 0; r < hz_cores.size(); ++r) {
-      const CoreState& c = *cores[r];
-      HorizonCore& h = hz_cores[r];
-      h.vtime = c.vtime;
-      h.earliest_event = queue.earliest_for(static_cast<int>(r));
-      h.event_crash_pending = false;
-      if (c.dead)  // before the Done check: a dead core may yet be restarted
-        h.phase = HorizonCore::Phase::Dead;
-      else if (c.status == CoreState::Status::Done)
-        h.phase = HorizonCore::Phase::Done;
-      else if (c.status == CoreState::Status::Blocked)
-        h.phase = c.in_barrier ? HorizonCore::Phase::BarrierBlocked
-                               : HorizonCore::Phase::Blocked;
-      else
-        h.phase = HorizonCore::Phase::Runnable;
-    }
-    for (const PendingEventCrash& ec : event_crashes)
-      if (!ec.applied)
-        hz_cores[static_cast<std::size_t>(ec.rank)].event_crash_pending = true;
-    hz_model = HorizonModel{l_min, cfg.barrier_cost, queue.lookahead()};
-  }
-
-  /// Fresh release horizon for one core (offer validation / self-renewal).
-  noc::SimTime horizon_of(int rank) {
-    fill_horizon_input();
-    return release_horizon(hz_cores, hz_model, static_cast<std::size_t>(rank),
-                           hz_bounds);
-  }
-
-  /// Put `c` on host slot `slot` and let it run released below `horizon`.
-  /// Lock must be held.
-  void wake_grant(CoreState& c, int slot, noc::SimTime horizon) {
-    c.offered = false;
-    c.released = true;
-    c.slot = slot;
-    c.horizon = horizon;
-    ++pool_active;
-    hp_stats.max_width =
-        std::max(hp_stats.max_width, static_cast<std::uint64_t>(pool_active));
-    c.status = CoreState::Status::Running;
-    c.cv.notify_all();
-  }
-
-  /// Pop the next valid, currently-grantable offer: own deque from the back
-  /// (warmest), then the other slots' deques from the front (oldest — a
-  /// steal). Stale entries (granted, dispatched or crashed since queuing)
-  /// are discarded; an entry whose core is no longer below a fresh horizon
-  /// has its offer withdrawn (the scheduler re-offers once the horizon
-  /// grows). Lock must be held.
-  CoreState* pop_offer(int slot, noc::SimTime& horizon_out, bool& stolen) {
-    for (int k = 0; k < pool_width; ++k) {
-      auto& dq = pool_offers[static_cast<std::size_t>((slot + k) % pool_width)];
-      while (!dq.empty()) {
-        CoreState* c = k == 0 ? dq.back() : dq.front();
-        if (k == 0) dq.pop_back(); else dq.pop_front();
-        if (!c->offered || c->status != CoreState::Status::Ready || c->dead)
-          continue;  // superseded since it was queued
-        const noc::SimTime h = horizon_of(c->rank);
-        if (c->vtime < h) {
-          horizon_out = h;
-          stolen = k != 0;
-          return c;
-        }
-        c->offered = false;  // not grantable right now
-      }
-    }
-    return nullptr;
-  }
-
-  /// A released core stops running (parks, blocks, finishes or unwinds):
-  /// hand its host slot to the next grantable offer, or shrink the active
-  /// pool. Safe to call when not released. Lock must be held.
-  void leave_released(CoreState& st) {
-    if (!st.released) return;
-    st.released = false;
-    const int slot = st.slot;
-    st.slot = -1;
-    if (slot < 0) return;
-    if (!draining && !shutdown) {
-      noc::SimTime h = 0;
-      bool stolen = false;
-      if (CoreState* next = pop_offer(slot, h, stolen)) {
-        --pool_active;  // wake_grant re-increments: width is unchanged
-        wake_grant(*next, slot, h);
-        ++hp_stats.handoffs;
-        if (stolen) ++hp_stats.steals;
-        return;
-      }
-    }
-    --pool_active;
-    free_slots.push_back(slot);
-  }
-
-  /// One granting pass: compute every core's release horizon and give each
-  /// grantable Ready core (not mid-operation, clock below its horizon)
-  /// either a free slot — woken immediately — or an offer on a deque for a
-  /// parking core to pick up. Lock must be held.
-  std::size_t offer_grants() {
-    fill_horizon_input();
-    initiation_bounds(hz_cores, hz_model, hz_bounds);
-    release_horizons(hz_cores, hz_model, hz_bounds, hz_horizons);
-    std::size_t granted = 0;
-    for (auto& cp : cores) {
-      CoreState& c = *cp;
-      if (c.status != CoreState::Status::Ready || c.in_op || c.dead ||
-          c.released || c.offered)
-        continue;
-      const noc::SimTime h = hz_horizons[static_cast<std::size_t>(c.rank)];
-      if (c.vtime >= h) continue;
-      ++granted;
-      if (!free_slots.empty()) {
-        const int slot = free_slots.back();
-        free_slots.pop_back();
-        wake_grant(c, slot, h);
-      } else {
-        c.offered = true;
-        pool_offers[offer_rr++ % static_cast<std::size_t>(pool_width)].push_back(&c);
-      }
-    }
-    if (granted > 0) {
-      ++hp_stats.windows;
-      hp_stats.releases += granted;
-    }
-    return granted;
-  }
-
-  /// True while some released core could still commit an action the serial
-  /// schedule orders before a core dispatch at (t, rank) — strict
-  /// lexicographic (vtime, rank) order, the serial pick rule. Lock held.
-  bool released_blocks_core(noc::SimTime t, int rank) const {
-    for (const auto& c : cores)
-      if (c->released && (c->vtime < t || (c->vtime == t && c->rank < rank)))
-        return true;
-    return false;
-  }
-
-  /// True while some released core forbids firing the event at `t` with
-  /// target `target`: a released core below t could still commit
-  /// earlier-ordered work; the event's own target must be parked (the
-  /// callback mutates its state and writes its obs shard); an unapplied
-  /// event-indexed crash makes every fired event a potential killer of its
-  /// named rank; an untargeted event could touch anyone. Lock held.
-  bool released_blocks_event(noc::SimTime t, int target) const {
-    bool any_released = false;
-    for (const auto& c : cores) {
-      if (!c->released) continue;
-      any_released = true;
-      if (c->vtime < t) return true;
-      if (c->rank == target) return true;
-    }
-    if (!any_released) return false;
-    if (target < 0) return true;
-    for (const PendingEventCrash& ec : event_crashes)
-      if (!ec.applied && cores[static_cast<std::size_t>(ec.rank)]->released)
-        return true;
-    return false;
-  }
-
-  /// Park the scheduler until pool state changes: a released core parks,
-  /// blocks, finishes — or commits its clock to or past `below` (the
-  /// commit fast path stays notification-free under that time). Lock held.
-  void sched_wait(std::unique_lock<std::mutex>& lock, noc::SimTime below) {
-    sched_wait_below = below;
-    sched_cv.wait(lock);
-    sched_wait_below = kInf;
   }
 
   std::string state_dump() const {
@@ -1129,7 +741,7 @@ struct SpmdRuntime::Impl {
       if (c->thread.joinable()) c->thread.join();
   }
 
-  /// No runnable core, nothing pending, nobody released: classify the stall
+  /// No runnable core and nothing pending: classify the stall
   /// (program error vs fault-attributable stall vs genuine deadlock), shut
   /// the farm down, and either record `failure` or throw. Lock must be held.
   void report_stall(std::unique_lock<std::mutex>& lock,
@@ -1179,10 +791,12 @@ struct SpmdRuntime::Impl {
     throw DeadlockError("simulation deadlock: all cores blocked\n" + dump);
   }
 
-  /// The legacy one-at-a-time scheduler (threads <= 1, and every chk run):
-  /// kept byte-for-byte, including the chk schedule perturbation. Returns
-  /// with every core Done or `failure` set (report_stall may throw instead).
-  /// Lock must be held.
+  /// The scheduler: one simulated action at a time, always the entity with
+  /// the smallest next timestamp — the earliest pending event, else the
+  /// lowest-rank ready core at the minimum virtual time (events win ties).
+  /// mc and chk may reorder only same-instant ties. Returns with every core
+  /// Done or `failure` set (report_stall may throw instead). Lock must be
+  /// held.
   void run_serial_loop(std::unique_lock<std::mutex>& lock,
                        std::exception_ptr& failure) {
     for (;;) {
@@ -1197,11 +811,10 @@ struct SpmdRuntime::Impl {
       }
       if (all_done) return;
 
-      const noc::SimTime t_evt = queue.empty() ? kInf : queue.next_time();
-      const noc::SimTime t_core = pick != nullptr ? pick->vtime : kInf;
+      const noc::SimTime t_evt = queue.empty() ? noc::kTimeInfinity : queue.next_time();
+      const noc::SimTime t_core = pick != nullptr ? pick->vtime : noc::kTimeInfinity;
 
       if (!queue.empty() && t_evt <= t_core) {
-        flush_local_before(t_evt, -1);  // events outrank same-instant core ops
         if (mc != nullptr && queue.tie_count() > 1) {
           // EventTie decision: several events due at the same instant. The
           // session picks which member of the head group fires; choice 0 is
@@ -1220,139 +833,39 @@ struct SpmdRuntime::Impl {
         report_stall(lock, failure);
         return;
       }
-      if (mc != nullptr) {
-        // CoreTie decision: ready cores tied at the minimum virtual time.
-        // Iteration is rank order, so choice 0 is the canonical lowest-rank
-        // pick. Every tied rank gets a dispatch-segment watch; the node is
-        // pruned as independent only if all watched segments stay local.
-        mc_tied.clear();
-        for (auto& c : cores)
-          if (c->status == CoreState::Status::Ready && c->vtime == pick->vtime)
-            mc_tied.push_back(c.get());
-        if (mc_tied.size() > 1) {
-          mc_ranks.clear();
-          for (CoreState* c : mc_tied) mc_ranks.push_back(c->rank);
-          pick = mc_tied[mc->choose_core_tie(mc_ranks)];
-        }
-      } else if (chk_rng != 0) {
-        // Bounded schedule perturbation (chk.schedule_seed): among ready
-        // cores tied at the minimum virtual time, dispatch one drawn from
-        // the seeded stream instead of always the lowest rank. Only
-        // same-instant ties are reordered — every perturbed schedule is one
-        // the conservative DES already admits — and the draw sequence is a
-        // pure function of the seed, so each seed replays bit-for-bit.
-        std::vector<CoreState*> tied;
+      if (mc != nullptr || chk_rng != 0) {
+        // Ready cores tied at the minimum virtual time, in rank order, so
+        // choice 0 is the canonical lowest-rank pick.
+        tied.clear();
         for (auto& c : cores)
           if (c->status == CoreState::Status::Ready && c->vtime == pick->vtime)
             tied.push_back(c.get());
-        if (tied.size() > 1)
-          pick = tied[static_cast<std::size_t>(chk_shuffle_next(chk_rng) %
-                                               tied.size())];
+        if (tied.size() > 1) {
+          if (mc != nullptr) {
+            // CoreTie decision: every tied rank gets a dispatch-segment
+            // watch; the node is pruned as independent only if all watched
+            // segments stay local. mc takes precedence over chk.
+            mc_ranks.clear();
+            for (CoreState* c : tied) mc_ranks.push_back(c->rank);
+            pick = tied[mc->choose_core_tie(mc_ranks)];
+          } else {
+            // Bounded schedule perturbation (chk.schedule_seed): dispatch a
+            // tied core drawn from the seeded stream instead of always the
+            // lowest rank. Only same-instant ties are reordered — every
+            // perturbed schedule is one the conservative DES already admits
+            // — and the draw sequence is a pure function of the seed, so
+            // each seed replays bit-for-bit.
+            pick = tied[static_cast<std::size_t>(chk_shuffle_next(chk_rng) %
+                                                 tied.size())];
+          }
+        }
       }
-      flush_local_before(pick->vtime, pick->rank);
       dispatch(*pick, lock);
       if (pick->status == CoreState::Status::Done && pick->error) {
         failure = pick->error;
         shutdown_all(lock);
         return;
       }
-    }
-  }
-
-  /// The horizon/work-stealing scheduler (threads > 1). Serial actions —
-  /// events and communication-class dispatches — run in exactly the serial
-  /// schedule's order; between them, cores granted a pool slot run their
-  /// compute below their release horizons on real host threads. The two
-  /// admission predicates (released_blocks_event / released_blocks_core)
-  /// guarantee no released core can still commit work the serial order
-  /// places earlier, which is what keeps every simulated result
-  /// bit-identical to run_serial_loop. Lock must be held.
-  void run_parallel_loop(std::unique_lock<std::mutex>& lock,
-                         std::exception_ptr& failure) {
-    pool_width = std::max(cfg.host.threads, 2);
-    pool_offers.assign(static_cast<std::size_t>(pool_width), {});
-    free_slots.clear();
-    for (int s = pool_width; s-- > 0;) free_slots.push_back(s);
-    l_min = network.min_delivery_delay(kMsgHeaderBytes);
-
-    for (;;) {
-      // Surface a released-mode program failure exactly as the serial
-      // schedule would: stop granting, drain the pool, then pick the error
-      // the serial order reaches first (lowest finish, ties to low rank).
-      CoreState* bad = nullptr;
-      const auto worse = [](const CoreState* a, const CoreState* b) {
-        return b == nullptr || a->report.finish < b->report.finish ||
-               (a->report.finish == b->report.finish && a->rank < b->rank);
-      };
-      for (auto& c : cores)
-        if (c->status == CoreState::Status::Done && c->error && worse(c.get(), bad))
-          bad = c.get();
-      if (bad != nullptr) {
-        draining = true;
-        sched_cv.wait(lock, [&] {
-          return std::none_of(cores.begin(), cores.end(),
-                              [](const auto& c) { return c->released; });
-        });
-        for (auto& c : cores)  // drained cores may have erred even earlier
-          if (c->status == CoreState::Status::Done && c->error && worse(c.get(), bad))
-            bad = c.get();
-        failure = bad->error;
-        shutdown_all(lock);
-        return;
-      }
-
-      bool all_done = true;
-      bool any_released = false;
-      CoreState* pick = nullptr;
-      for (auto& c : cores) {
-        if (c->released) any_released = true;
-        if (c->status == CoreState::Status::Done) continue;
-        all_done = false;
-        if (c->status == CoreState::Status::Ready &&
-            (pick == nullptr || c->vtime < pick->vtime))
-          pick = c.get();
-      }
-      if (all_done) return;
-
-      const noc::SimTime t_evt = queue.empty() ? kInf : queue.next_time();
-
-      if (!queue.empty() && (pick == nullptr || t_evt <= pick->vtime)) {
-        if (released_blocks_event(t_evt, queue.next_target())) {
-          sched_wait(lock, t_evt);
-          continue;
-        }
-        flush_local_before(t_evt, -1);  // events outrank same-instant core ops
-        queue.run_one();
-        apply_event_crashes();
-        reap_dead(lock);
-        continue;  // batched drain: consecutive due events fire back-to-back
-      }
-      if (pick == nullptr) {
-        if (any_released) {  // running compute will park, block or finish
-          sched_wait(lock, kInf);
-          continue;
-        }
-        report_stall(lock, failure);
-        return;
-      }
-
-      // Grant whatever can run ahead (possibly including `pick`).
-      offer_grants();
-      if (pick->released) continue;  // became pool work; re-evaluate
-      if (pick->offered) {
-        // Grantable, but the pool is full: a parking core will hand its slot
-        // over faster than a serial round-trip here. Wait for pool churn.
-        sched_wait(lock, kInf);
-        continue;
-      }
-      // `pick` needs the serial token; admit it only once no released core
-      // can still commit earlier-ordered work.
-      if (released_blocks_core(pick->vtime, pick->rank)) {
-        sched_wait(lock, pick->vtime);
-        continue;
-      }
-      flush_local_before(pick->vtime, pick->rank);
-      dispatch(*pick, lock);
     }
   }
 };
@@ -1439,10 +952,6 @@ const std::vector<TraceEvent>& SpmdRuntime::trace() const noexcept {
   return impl_->trace;
 }
 
-const HostParallelStats& SpmdRuntime::host_parallel_stats() const noexcept {
-  return impl_->hp_stats;
-}
-
 std::shared_ptr<obs::Recorder> SpmdRuntime::obs() const noexcept {
   return impl_->rec;
 }
@@ -1465,7 +974,6 @@ noc::SimTime SpmdRuntime::run(int nranks, const Program& program) {
   if (im.used) throw SimError("run: SpmdRuntime is single-use; create a new instance");
   im.used = true;
   im.nranks = nranks;
-  im.parallel = im.cfg.host.threads > 1;
 
   if (im.cfg.chk.active()) {
     im.chk = std::make_shared<chk::Checker>(im.cfg.chk, nranks,
@@ -1477,21 +985,14 @@ noc::SimTime SpmdRuntime::run(int nranks, const Program& program) {
     im.chk_sites.probe = im.chk->site("scc.probe");
     im.chk_sites.wait_any = im.chk->site("scc.wait_any");
     im.chk_sites.wait_any_timeout = im.chk->site("scc.wait_any_timeout");
-    // Every operation is a checker interception point, so there is no
-    // compute-only stretch left for a parallel window to overlap; forcing
-    // the serial scheduler keeps the checker lock-free, and simulated
-    // results are identical either way (see HostParallelism).
-    im.parallel = false;
     im.chk_rng = im.cfg.chk.schedule_seed;
   }
 
   if (im.cfg.mc) {
-    // Every scheduling tie is a decision point the session must see in
-    // serial order, so mc forces the serial scheduler exactly as chk does;
-    // a session that always answers 0 leaves every simulated result
-    // bit-identical to an mc-off run.
+    // Every scheduling tie becomes a decision point; a session that always
+    // answers 0 leaves every simulated result bit-identical to an mc-off
+    // run.
     im.mc = im.cfg.mc.get();
-    im.parallel = false;
   }
 
   if (im.cfg.obs.active()) {
@@ -1518,7 +1019,8 @@ noc::SimTime SpmdRuntime::run(int nranks, const Program& program) {
     im.msg_faults[{f.src, f.dst, f.nth}] = f.kind;
   }
   for (const FaultPlan::Stall& s : im.cfg.faults.stalls) {
-    if (s.rank >= nranks) throw SimError("fault plan: stall rank out of range");
+    if (s.rank < -1 || s.rank >= nranks)
+      throw SimError("fault plan: stall rank out of range");
     if (s.slowdown <= 0.0) throw SimError("fault plan: stall slowdown must be positive");
     if (s.until < s.from) throw SimError("fault plan: stall window ends before it starts");
   }
@@ -1559,7 +1061,6 @@ noc::SimTime SpmdRuntime::run(int nranks, const Program& program) {
           return st.status == CoreState::Status::Running || impl.shutdown || st.dead;
         });
         if (impl.shutdown || st.dead) {
-          st.released = false;
           st.status = CoreState::Status::Done;
           st.report.finish = st.vtime;
           impl.sched_cv.notify_all();
@@ -1577,7 +1078,6 @@ noc::SimTime SpmdRuntime::run(int nranks, const Program& program) {
         st.error = std::current_exception();
       }
       std::unique_lock lock(impl.m);
-      impl.leave_released(st);  // a released program may finish mid-grant
       st.status = CoreState::Status::Done;
       st.report.finish = st.vtime;
       impl.sched_cv.notify_all();
@@ -1603,10 +1103,6 @@ noc::SimTime SpmdRuntime::run(int nranks, const Program& program) {
           victim.in_barrier = false;
           victim.wait_src = CoreState::kWaitNone;
           victim.wait_set.clear();
-          victim.released = false;
-          victim.offered = false;
-          victim.slot = -1;
-          victim.in_op = false;
           ++victim.wait_epoch;  // stale timers from the previous life are void
           victim.vtime = std::max(victim.vtime, at);
           victim.status = CoreState::Status::Ready;
@@ -1631,11 +1127,7 @@ noc::SimTime SpmdRuntime::run(int nranks, const Program& program) {
     // after_events == 0 means "crash before anything fires".
     im.apply_event_crashes();
     im.reap_dead(lock);
-    if (im.parallel)
-      im.run_parallel_loop(lock, failure);
-    else
-      im.run_serial_loop(lock, failure);
-    if (!failure) im.flush_local_all();
+    im.run_serial_loop(lock, failure);
   }
   im.join_all();
 
@@ -1646,9 +1138,8 @@ noc::SimTime SpmdRuntime::run(int nranks, const Program& program) {
   if (failure) std::rethrow_exception(failure);
 
   if (im.rec) {
-    // Import the (already deterministically merged) activity trace as the
-    // per-core lanes. Appending in global trace order keeps each shard's
-    // sequence consistent with the serial schedule.
+    // Import the activity trace as the per-core lanes. Appending in global
+    // trace order keeps each shard's sequence consistent with the schedule.
     const obs::Std& ids = im.rec->std_ids();
     for (const TraceEvent& ev : im.trace) {
       obs::NameId name = ids.n_compute;

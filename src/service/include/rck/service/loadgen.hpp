@@ -7,8 +7,8 @@
 // is fixed — mt19937_64 with hand-rolled uniform doubles, never the
 // standard-library distributions, whose outputs differ across standard
 // libraries — so a (seed, options, database) triple produces the same trace
-// on every platform. Benchmarks and the serial-vs-host-parallel identity
-// tests both lean on that.
+// on every platform. Benchmarks and the host-width identity tests both lean
+// on that.
 #pragma once
 
 #include <cstdint>

@@ -25,8 +25,8 @@
 // Observability: the Service owns one obs::Recorder for its whole lifetime
 // (per-round runtime recorders are disabled so rounds cannot clobber each
 // other). It records service.* counters, per-query latency and per-round
-// histograms, and a queue-depth gauge; obs_json() is byte-stable, so serial
-// and host-parallel service runs can be compared with cmp.
+// histograms, and a queue-depth gauge; obs_json() is byte-stable, so service
+// runs at different host-pool widths can be compared with cmp.
 //
 // Error taxonomy: "rck.service.invalid" (ServiceError) for bad databases or
 // malformed queries at submit; "rck.service.overload" (OverloadError) when

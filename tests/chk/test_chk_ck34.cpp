@@ -83,8 +83,8 @@ TEST_F(ChkCk34, ObsBytesAreIdenticalUnderChk) {
 }
 
 TEST_F(ChkCk34, HostParallelConfigStaysCleanAndIdentical) {
-  // chk forces the serial scheduler underneath, so a host-parallel config
-  // must yield the same simulated results with zero races.
+  // The host pool only pre-executes kernels, so a 4-wide config must yield
+  // the same simulated results with zero races.
   const RunResult serial = run_with(true);
   const RunResult threaded = run_with(true, 0, false, /*host_threads=*/4);
   ASSERT_NE(threaded.chk, nullptr);

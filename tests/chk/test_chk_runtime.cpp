@@ -81,14 +81,6 @@ TEST(ChkRuntime, EnablingChkDoesNotPerturbTheSimulation) {
   EXPECT_EQ(plain.events_fired(), checked.events_fired());
 }
 
-TEST(ChkRuntime, ChkForcesSerialSchedulerWithIdenticalResults) {
-  scc::RuntimeConfig par = chk_cfg();
-  par.host.threads = 4;  // chk forces the serial scheduler underneath
-  scc::SpmdRuntime a(chk_cfg()), b(par);
-  EXPECT_EQ(a.run(4, echo_program), b.run(4, echo_program));
-  EXPECT_EQ(a.chk()->stats(), b.chk()->stats());
-}
-
 // Known-race skeleton 1: read before the publishing flag is tested.
 TEST(ChkRuntime, SeededReadBeforeFlagIsReported) {
   scc::SpmdRuntime rt(chk_cfg());

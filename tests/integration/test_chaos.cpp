@@ -8,7 +8,7 @@
 //   * the final all-vs-all matrix (scores keyed by (i, j), worker excluded)
 //     is byte-identical to the fault-free run's matrix;
 //   * the same seed replays bit-identically (makespan, results, FarmReport),
-//     under both the serial scheduler and --host-threads N;
+//     at --host-threads 1 and N;
 //   * the documented degraded-completion contract: when every slave allowed
 //     to run the remaining jobs is dead, the run throws FarmFailedError
 //     ("rck.skel.farm_failed") rather than returning a partial matrix.
@@ -198,7 +198,7 @@ TEST_F(TinyChaos, HostParallelReplayMatchesSerial) {
 
 TEST_F(TinyChaos, CleanMasterFtRunIsBitIdenticalAcrossSchedulers) {
   // No faults at all: the checkpoint/heartbeat machinery itself must be
-  // deterministic down to the obs byte stream, serial vs host-parallel.
+  // deterministic down to the obs byte stream, at host widths 1 and 4.
   RunConfig serial_cfg = config(1);
   RunConfig parallel_cfg = config(4);
   serial_cfg.with_collect();
@@ -272,7 +272,7 @@ TEST_F(Ck34Chaos, MasterCrashMidFarmPreservesTheMatrix) {
   EXPECT_GT(a.farm_report.resumed_jobs, 0u);
   EXPECT_EQ(matrix_of(a), matrix_of(ref));
 
-  // Replay-twice determinism at paper scale, host-parallel included.
+  // Replay-twice determinism at paper scale, a 4-wide host pool included.
   RunConfig par = cfg;
   par.with_host_threads(4);
   const RunResult b = rck::run(*dataset_, par);

@@ -100,48 +100,82 @@ TEST(EventQueue, LargeVolumeStaysOrdered) {
   EXPECT_EQ(q.fired(), 10000u);
 }
 
-TEST(EventQueueTargets, EarliestForTracksPerEntityMinimum) {
+// The head tie group is what rck::mc's same-instant decisions and its
+// commutation check (every member's target and EventClass) are built on.
+TEST(EventQueueTies, TiedReturnsOnlyTheHeadGroupInSequenceOrder) {
   EventQueue q;
-  q.schedule_at(30, [] {}, /*target=*/0);
-  q.schedule_at(10, [] {}, /*target=*/1);
-  q.schedule_at(50, [] {}, /*target=*/1);
-  EXPECT_EQ(q.earliest_for(0), 30u);
-  EXPECT_EQ(q.earliest_for(1), 10u);
-  EXPECT_EQ(q.earliest_for(2), kTimeInfinity);  // nothing can touch entity 2
-  EXPECT_EQ(q.lookahead(), 10u);
-  EXPECT_EQ(q.next_target(), 1);
+  std::vector<EventQueue::TieRef> out{EventQueue::TieRef{}};  // stale entry
+  q.tied(out);
+  EXPECT_TRUE(out.empty());
+  EXPECT_EQ(q.tie_count(), 0u);
+
+  q.schedule_at(20, [] {}, 2, EventClass::Delivery);
+  const std::uint64_t timer = q.schedule_at(10, [] {}, 1, EventClass::Timer);
+  const std::uint64_t generic = q.schedule_at(10, [] {});
+  q.schedule_at(15, [] {}, 0, EventClass::Delivery);
+  const std::uint64_t crash = q.schedule_at(10, [] {}, 3, EventClass::Crash);
+
+  q.tied(out);
+  ASSERT_EQ(out.size(), 3u);
+  EXPECT_EQ(q.tie_count(), 3u);
+  EXPECT_EQ(out[0].seq, timer);
+  EXPECT_EQ(out[0].target, 1);
+  EXPECT_EQ(out[0].cls, EventClass::Timer);
+  EXPECT_EQ(out[1].seq, generic);
+  EXPECT_EQ(out[1].target, EventQueue::kUntargeted);
+  EXPECT_EQ(out[1].cls, EventClass::Generic);
+  EXPECT_EQ(out[2].seq, crash);
+  EXPECT_EQ(out[2].target, 3);
+  EXPECT_EQ(out[2].cls, EventClass::Crash);
 }
 
-TEST(EventQueueTargets, UntargetedEventsAffectEveryEntity) {
+TEST(EventQueueTies, RunNthFiresTheChosenMemberAndKeepsTheRestInOrder) {
   EventQueue q;
-  q.schedule_at(40, [] {}, /*target=*/3);
-  q.schedule_at(25, [] {});  // kUntargeted: may touch anything
-  EXPECT_EQ(q.earliest_for(3), 25u);
-  EXPECT_EQ(q.earliest_for(7), 25u);
-  EXPECT_EQ(q.next_target(), EventQueue::kUntargeted);
-}
+  std::vector<int> order;
+  std::vector<std::uint64_t> seqs;
+  for (int k = 0; k < 4; ++k)
+    seqs.push_back(q.schedule_at(
+        7, [&order, k] { order.push_back(k); }, k, EventClass::Delivery));
+  q.schedule_at(9, [&order] { order.push_back(9); });
 
-TEST(EventQueueTargets, FiringErasesTheTargetBookkeeping) {
-  EventQueue q;
-  q.schedule_at(10, [] {}, 0);
-  q.schedule_at(20, [] {}, 0);
-  q.schedule_at(15, [] {});
-  q.run_one();  // fires the t=10 event targeting 0
-  EXPECT_EQ(q.earliest_for(0), 15u);  // untargeted at 15 now leads
-  q.run_one();  // fires the untargeted t=15 event
-  EXPECT_EQ(q.earliest_for(0), 20u);
-  EXPECT_EQ(q.earliest_for(1), kTimeInfinity);
+  q.run_nth(2);
+  EXPECT_EQ(order, (std::vector<int>{2}));
+  EXPECT_EQ(q.now(), 7u);
+  EXPECT_EQ(q.fired(), 1u);
+  EXPECT_EQ(q.pending(), 4u);
+
+  std::vector<EventQueue::TieRef> out;
+  q.tied(out);
+  ASSERT_EQ(out.size(), 3u);
+  EXPECT_EQ(out[0].seq, seqs[0]);
+  EXPECT_EQ(out[1].seq, seqs[1]);
+  EXPECT_EQ(out[2].seq, seqs[3]);
+  EXPECT_EQ(out[2].target, 3);
+
   q.run();
-  EXPECT_EQ(q.earliest_for(0), kTimeInfinity);
-  EXPECT_EQ(q.lookahead(), kTimeInfinity);
+  EXPECT_EQ(order, (std::vector<int>{2, 0, 1, 3, 9}));
+  EXPECT_EQ(q.fired(), 5u);
+  EXPECT_EQ(q.now(), 9u);
 }
 
-TEST(EventQueueTargets, EventsSchedulingTargetedEventsStayConsistent) {
+TEST(EventQueueTies, RunNthRejectsIndicesPastTheGroupAndEmptyQueues) {
   EventQueue q;
-  q.schedule_at(5, [&] { q.schedule_after(10, [] {}, 2); }, 1);
-  q.run_one();
-  EXPECT_EQ(q.earliest_for(2), 15u);
-  EXPECT_EQ(q.next_target(), 2);
+  EXPECT_THROW(q.run_nth(0), rck::noc::NocError);
+
+  int fired = 0;
+  q.schedule_at(5, [&fired] { ++fired; });
+  q.schedule_at(5, [&fired] { ++fired; });
+  q.schedule_at(6, [&fired] { ++fired; });  // not part of the head group
+  EXPECT_THROW(q.run_nth(2), rck::noc::NocError);
+  EXPECT_THROW(q.run_nth(17), rck::noc::NocError);
+  // A rejected index leaves the queue untouched.
+  EXPECT_EQ(fired, 0);
+  EXPECT_EQ(q.fired(), 0u);
+  EXPECT_EQ(q.pending(), 3u);
+  EXPECT_EQ(q.now(), 0u);
+  q.run_nth(1);
+  EXPECT_EQ(fired, 1);
+  EXPECT_EQ(q.tie_count(), 1u);
 }
 
 TEST(SimTimeConversion, RoundTrips) {

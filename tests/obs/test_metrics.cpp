@@ -31,7 +31,9 @@ TEST(Histogram, BucketEdges) {
     const auto [lo, hi] = H::bucket_range(H::bucket_of(v));
     EXPECT_EQ(lo, v);
     EXPECT_TRUE(v < hi);
-    if (v > 1) EXPECT_EQ(H::bucket_of(v - 1), H::bucket_of(v) - 1);
+    if (v > 1) {
+      EXPECT_EQ(H::bucket_of(v - 1), H::bucket_of(v) - 1);
+    }
   }
   EXPECT_EQ(H::bucket_range(0), (std::pair<std::uint64_t, std::uint64_t>{0, 1}));
   EXPECT_EQ(H::bucket_range(64).second, UINT64_MAX);

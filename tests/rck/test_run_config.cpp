@@ -69,6 +69,19 @@ TEST(RunConfig, RejectsMasterCrashAndOutOfChipFaults) {
   EXPECT_TRUE(has_issue(cfg.validate(), "runtime.faults.crashes[0].rank"));
 }
 
+TEST(RunConfig, RejectsStallRanksOutsideTheChip) {
+  RunConfig cfg;
+  scc::FaultPlan plan;
+  plan.stalls.push_back({-1, 0, 1'000'000, 4.0});  // -1 = every rank: fine
+  plan.stalls.push_back({-7, 0, 1'000'000, 4.0});
+  plan.stalls.push_back({cfg.runtime.chip.core_count(), 0, 1'000'000, 4.0});
+  cfg.with_faults(plan);
+  const auto issues = cfg.validate();
+  EXPECT_FALSE(has_issue(issues, "runtime.faults.stalls[0].rank"));
+  EXPECT_TRUE(has_issue(issues, "runtime.faults.stalls[1].rank"));
+  EXPECT_TRUE(has_issue(issues, "runtime.faults.stalls[2].rank"));
+}
+
 TEST(RunConfig, FaultPlanValidatesFtKnobsEvenWithoutExplicitFt) {
   RunConfig cfg;
   scc::FaultPlan plan;

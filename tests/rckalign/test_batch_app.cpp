@@ -104,8 +104,8 @@ TEST_F(BatchAppTest, BatchedRunDeterministic) {
 }
 
 TEST_F(BatchAppTest, BatchedBitIdenticalUnderHostThreads) {
-  // Host-parallel scheduling must not perturb batched runs: same makespan,
-  // same event count, same rows (workers included) as the serial scheduler.
+  // A wider pre-execution pool must not perturb batched runs: same makespan,
+  // same event count, same rows (workers included) as one host thread.
   RckAlignOptions serial = live(4, 4);
   RckAlignOptions threaded = live(4, 4);
   threaded.runtime.host.threads = 3;

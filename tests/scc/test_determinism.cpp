@@ -1,12 +1,13 @@
-// Determinism regression suite for host-parallel execution.
+// Determinism regression suite for the farm drivers' host pool.
 //
 // The contract under test (see DESIGN.md, "Host-parallel execution"): with
-// RuntimeConfig::host.threads > 1 the scheduler may release several program
-// threads at once, but every *simulated* observable — makespan, traces,
+// RuntimeConfig::host.threads > 1 a driver pre-executes its comparisons on
+// several host workers, but every *simulated* observable — makespan, traces,
 // CoreReports, network statistics, event counts, farm bookkeeping, fault
-// replays — must be byte-identical to the serial scheduler. These tests run
-// the same workloads in both modes and compare everything we can observe,
-// including the paper's CK34 dataset end-to-end and fault-plan replays.
+// replays, obs bytes — must be byte-identical to a one-worker run. These
+// tests run the paper's CK34 dataset end to end at several widths, with and
+// without fault plans, and compare everything they can observe. Raw
+// SpmdRuntime programs are pinned in test_serial_replay.cpp.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -23,148 +24,7 @@
 namespace rck::scc {
 namespace {
 
-constexpr int kHostThreads = 4;  // parallel-mode width used throughout
-
-// ---------------------------------------------------------------------------
-// Runtime-level fixture: a synthetic farm-shaped program (mixed compute,
-// send/recv, wait_any, barrier) whose every observable is snapshotted.
-
-struct RunSnapshot {
-  noc::SimTime makespan = 0;
-  std::vector<CoreReport> reports;
-  std::vector<TraceEvent> trace;
-  noc::NetworkStats net;
-  std::uint64_t events = 0;
-
-  bool operator==(const RunSnapshot&) const = default;
-};
-
-RunSnapshot run_program(int nranks, const Program& program, RuntimeConfig cfg) {
-  cfg.enable_trace = true;
-  SpmdRuntime rt(cfg);
-  RunSnapshot s;
-  s.makespan = rt.run(nranks, program);
-  s.reports = rt.core_reports();
-  s.trace = rt.trace();
-  s.net = rt.network_stats();
-  s.events = rt.events_fired();
-  return s;
-}
-
-// A little master-slaves round: rank 0 hands each slave `rounds` payloads,
-// slaves "compute" an amount derived from the payload and answer; a barrier
-// closes each round. Compute dominates, so parallel windows actually open.
-Program mini_farm(int rounds) {
-  return [rounds](CoreCtx& ctx) {
-    const int n = ctx.nranks();
-    for (int r = 0; r < rounds; ++r) {
-      if (ctx.rank() == 0) {
-        for (int dst = 1; dst < n; ++dst) {
-          bio::Bytes job{static_cast<std::byte>(dst), static_cast<std::byte>(r)};
-          ctx.send(dst, job);
-        }
-        std::vector<int> srcs;
-        for (int src = 1; src < n; ++src) srcs.push_back(src);
-        for (int k = 1; k < n; ++k) {
-          const int who = ctx.wait_any(srcs);
-          (void)ctx.recv(who);
-        }
-      } else {
-        const bio::Bytes job = ctx.recv(0);
-        // Uneven compute so cores drift apart in virtual time.
-        const std::uint64_t work =
-            50'000 + 20'000 * static_cast<std::uint64_t>(job[0]) +
-            7'000 * static_cast<std::uint64_t>(job[1]);
-        ctx.charge_cycles(work);
-        ctx.dram_read(4096 * static_cast<std::uint64_t>(ctx.rank()));
-        ctx.send(0, bio::Bytes{job[0]});
-      }
-      ctx.barrier();
-    }
-  };
-}
-
-RuntimeConfig parallel_cfg() {
-  RuntimeConfig cfg;
-  cfg.host.threads = kHostThreads;
-  return cfg;
-}
-
-TEST(HostParallelDeterminism, MiniFarmMatchesSerialBitForBit) {
-  const RunSnapshot serial = run_program(6, mini_farm(4), RuntimeConfig{});
-  const RunSnapshot parallel = run_program(6, mini_farm(4), parallel_cfg());
-  EXPECT_EQ(serial, parallel);
-}
-
-TEST(HostParallelDeterminism, ParallelWindowsActuallyOpen) {
-  RuntimeConfig cfg = parallel_cfg();
-  cfg.enable_trace = true;
-  SpmdRuntime rt(cfg);
-  rt.run(6, mini_farm(4));
-  const HostParallelStats& hp = rt.host_parallel_stats();
-  EXPECT_GT(hp.windows, 0u);
-  EXPECT_GT(hp.local_ops, 0u);
-  EXPECT_GE(hp.max_width, 2u);
-  EXPECT_GE(hp.releases, hp.windows);
-}
-
-TEST(HostParallelDeterminism, SerialModeKeepsStatsZero) {
-  SpmdRuntime rt(RuntimeConfig{});
-  rt.run(4, mini_farm(2));
-  EXPECT_EQ(rt.host_parallel_stats(), HostParallelStats{});
-}
-
-TEST(HostParallelDeterminism, ReplayTwiceIsIdenticalInEachMode) {
-  for (const bool par : {false, true}) {
-    RuntimeConfig cfg;
-    if (par) cfg.host.threads = kHostThreads;
-    const RunSnapshot a = run_program(5, mini_farm(3), cfg);
-    const RunSnapshot b = run_program(5, mini_farm(3), cfg);
-    EXPECT_EQ(a, b) << (par ? "parallel" : "serial") << " replay diverged";
-  }
-}
-
-TEST(HostParallelDeterminism, FaultPlanReplaysIdentically) {
-  // Crash one slave mid-run, corrupt a frame, stall DRAM on another: the
-  // fault triggers bound the lookahead horizon, so the parallel scheduler
-  // must reproduce the exact same degraded execution.
-  RuntimeConfig base;
-  base.faults.crashes.push_back({3, noc::kPsPerMs / 2});
-  base.faults.stalls.push_back({2, 0, noc::kPsPerMs, 8.0});
-
-  // The program must survive a dead peer: timeouts instead of blocking recv.
-  const Program program = [](CoreCtx& ctx) {
-    const int n = ctx.nranks();
-    if (ctx.rank() == 0) {
-      for (int r = 0; r < 6; ++r) {
-        for (int dst = 1; dst < n; ++dst) {
-          if (!ctx.peer_alive(dst)) continue;
-          ctx.send(dst, bio::Bytes{static_cast<std::byte>(r)});
-        }
-        for (int src = 1; src < n; ++src) {
-          if (!ctx.peer_alive(src)) continue;
-          (void)ctx.recv_timeout(src, 2 * noc::kPsPerMs);
-        }
-      }
-    } else {
-      for (int r = 0; r < 6; ++r) {
-        const auto job = ctx.recv_timeout(0, 4 * noc::kPsPerMs);
-        if (!job) return;
-        ctx.charge_cycles(80'000 + 11'000 * static_cast<std::uint64_t>(ctx.rank()));
-        ctx.dram_read(32768);
-        ctx.send(0, bio::Bytes{(*job)[0]});
-      }
-    }
-  };
-
-  RuntimeConfig par = base;
-  par.host.threads = kHostThreads;
-  const RunSnapshot serial = run_program(5, program, base);
-  const RunSnapshot parallel = run_program(5, program, par);
-  EXPECT_EQ(serial, parallel);
-  ASSERT_GE(serial.reports.size(), 4u);
-  EXPECT_TRUE(serial.reports[3].crashed);  // the fault actually fired
-}
+constexpr int kHostThreads = 4;  // pool width compared against one worker
 
 // ---------------------------------------------------------------------------
 // Application-level fixture: the paper's CK34 all-vs-all, end to end.
@@ -247,13 +107,13 @@ TEST_F(Ck34Determinism, FaultPlanEndToEndBitIdentical) {
   EXPECT_EQ(serial.results.size(), 34u * 33u / 2u);
 }
 
-// Thread-count matrix: serial-vs-parallel and replay-twice byte-identity at
+// Thread-count matrix: one-worker-vs-pool and replay-twice byte-identity at
 // {2, 4, 8} host threads, composed with everything that constrains the
 // scheduler at once — a chaos FaultPlan (timed master crash under master_ft,
 // slave crash + restart, an event-indexed crash, message corruption, a DRAM
 // stall) and obs sinks enabled. The obs recorder bytes (Chrome trace JSON +
-// metrics snapshot) are compared verbatim: any scheduler that reorders a
-// simulated observable shows up as a byte diff here before it ships.
+// metrics snapshot) are compared verbatim: any change that lets the host
+// width reorder a simulated observable shows up as a byte diff here.
 TEST_F(Ck34Determinism, ThreadMatrixChaosMasterFtObsBitIdentical) {
   constexpr int kSlaves = 6;
 

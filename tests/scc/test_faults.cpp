@@ -343,6 +343,15 @@ TEST(Faults, InvalidPlansAreRejected) {
   }
 }
 
+TEST(Faults, StallRankBelowMinusOneIsRejected) {
+  // -1 is the only "every rank" spelling; any other negative rank used to
+  // stall the whole chip silently.
+  FaultPlan plan;
+  plan.stalls.push_back({-7, 0, noc::kPsPerMs, 2.0});
+  SpmdRuntime rt(with_faults(plan));
+  EXPECT_THROW(rt.run(2, [](CoreCtx& c) { c.dram_read(64); }), SimError);
+}
+
 // The acceptance criterion: the same FaultPlan + program replays
 // bit-for-bit, including every recovery decision visible in the reports.
 TEST(Faults, DeterministicReplay) {

@@ -3,9 +3,9 @@
 //
 // The two load-bearing properties here are the incremental-add contract
 // (adding one structure to an N-entry database issues exactly N comparisons
-// and lands a matrix bit-identical to a from-scratch build) and the
-// serial-vs-host-parallel byte identity of the service's observable output
-// (obs JSON and every result document).
+// and lands a matrix bit-identical to a from-scratch build) and the byte
+// identity of the service's observable output (obs JSON and every result
+// document) across host-pool widths.
 #include "rck/service/service.hpp"
 
 #include <gtest/gtest.h>
