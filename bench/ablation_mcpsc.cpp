@@ -26,12 +26,12 @@ int main() {
   // RMSD is far cheaper than TM-align, so the optimum gives most cores to
   // TM-align; sweep to find it.
   for (int tm_cores : {24, 32, 38, 42, 44, 45, 46}) {
-    rckalign::McPscOptions opts;
-    opts.tmalign_slaves = tm_cores;
-    opts.rmsd_slaves = 47 - tm_cores;
+    rckalign::MultiMethodOptions opts;
     opts.runtime = harness::default_runtime();
     opts.cache = &ctx.ck34_cache;
-    const rckalign::McPscRun run = rckalign::run_mcpsc(ctx.ck34, opts);
+    opts.groups = {{rckalign::Method::TmAlign, tm_cores},
+                   {rckalign::Method::GaplessRmsd, 47 - tm_cores}};
+    const rckalign::MultiMethodRun run = rckalign::run_multi_method(ctx.ck34, opts);
     const double t = noc::to_seconds(run.makespan);
     if (t < best) {
       best = t;

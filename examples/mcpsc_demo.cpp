@@ -19,19 +19,20 @@ int main() {
   const std::vector<bio::Protein> dataset = bio::build_dataset(bio::tiny_spec());
   std::printf("MC-PSC demo: %zu chains, both criteria, one chip\n", dataset.size());
 
-  rckalign::McPscOptions opts;
-  opts.tmalign_slaves = 5;  // heavy method gets most cores
-  opts.rmsd_slaves = 2;
-  const rckalign::McPscRun run = rckalign::run_mcpsc(dataset, opts);
+  rckalign::MultiMethodOptions opts;
+  opts.groups = {{rckalign::Method::TmAlign, 5},  // heavy method gets most cores
+                 {rckalign::Method::GaplessRmsd, 2}};
+  const rckalign::MultiMethodRun run = rckalign::run_multi_method(dataset, opts);
 
   std::printf("simulated makespan: %.2f s (%d TM-align cores + %d RMSD cores)\n\n",
-              noc::to_seconds(run.makespan), opts.tmalign_slaves, opts.rmsd_slaves);
+              noc::to_seconds(run.makespan), opts.groups[0].slaves,
+              opts.groups[1].slaves);
 
   // Join the two result streams by pair.
   std::map<std::pair<std::uint32_t, std::uint32_t>, const rckalign::PairRow*> rmsd_by_pair;
-  for (const rckalign::PairRow& r : run.rmsd_results) rmsd_by_pair[{r.i, r.j}] = &r;
+  for (const rckalign::PairRow& r : run.results[1]) rmsd_by_pair[{r.i, r.j}] = &r;
 
-  std::vector<rckalign::PairRow> ranked = run.tmalign_results;
+  std::vector<rckalign::PairRow> ranked = run.results[0];
   std::sort(ranked.begin(), ranked.end(), [](const auto& a, const auto& b) {
     return std::max(a.tm_norm_a, a.tm_norm_b) > std::max(b.tm_norm_a, b.tm_norm_b);
   });

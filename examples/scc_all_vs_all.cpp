@@ -122,6 +122,13 @@ int main(int argc, char** argv) {
 
   const std::vector<bio::Protein> dataset = bio::build_dataset(spec);
 
+  // Race-detector flags, shared by the query path and the all-vs-all run.
+  const auto with_chk_flags = [&](RunConfig& c) {
+    if (chk_on) c.with_chk();
+    if (chk_seed != 0) c.with_chk_seed(static_cast<std::uint64_t>(chk_seed));
+    if (!chk_report.empty()) c.with_chk_report(chk_report);
+  };
+
   // -- query / service modes (Query API; no all-vs-all cache needed) -----
   if (!query_pdb.empty() || k_vs_all > 0 || service_trace > 0) {
     RunConfig qcfg;
@@ -192,6 +199,7 @@ int main(int argc, char** argv) {
                            "probe/k" + std::to_string(k), rng));
         q = Query::k_vs_all(std::move(probes), static_cast<std::size_t>(top_k));
       }
+      with_chk_flags(qcfg);
       const QueryResult res = run_query(dataset, q, qcfg);
       std::printf("%s query vs %zu chains: %.2f simulated s, top %d per "
                   "probe:\n",
@@ -202,6 +210,8 @@ int main(int argc, char** argv) {
                     "(worker %d)\n",
                     h.probe, dataset[h.entry].name().c_str(), h.tm_query,
                     h.rmsd, h.aligned_length, h.worker);
+      if (!chk_report.empty())
+        std::printf("chk report written to %s\n", chk_report.c_str());
       return 0;
     } catch (const Error& e) {
       std::fprintf(stderr, "%s\n", e.what());
@@ -251,9 +261,7 @@ int main(int argc, char** argv) {
         0, static_cast<noc::SimTime>(crash_master_ms *
                                      static_cast<double>(noc::kPsPerMs))});
   }
-  if (chk_on) cfg.with_chk();
-  if (chk_seed != 0) cfg.with_chk_seed(static_cast<std::uint64_t>(chk_seed));
-  if (!chk_report.empty()) cfg.with_chk_report(chk_report);
+  with_chk_flags(cfg);
 
   if (mc_on || !mc_replay_path.empty()) {
     cfg.with_mc()

@@ -112,7 +112,8 @@ struct RunConfig {
   /// cycle charges are bit-identical to K = 1. Plain farm only —
   /// incompatible with fault_tolerant / master_ft / a non-empty fault plan.
   std::size_t batch = 1;
-  /// Optional precomputed pair results (not owned; may be null).
+  /// Optional precomputed TM-align results of the dataset (not owned; may
+  /// be null). Used by rck::run() only.
   const rckalign::PairCache* cache = nullptr;
   /// Fault-tolerant farm (leases, retry, blacklist). Forced on whenever
   /// `runtime.faults` is non-empty.
@@ -188,22 +189,24 @@ struct RunConfig {
   RunConfig& with_protocol_mutant(rckskel::ProtocolMutant m) { ft.mutant = m; return *this; }
 
   /// Check the whole configuration; empty result = valid. Dataset-dependent
-  /// checks (cache/dataset match, >= 2 chains) stay in run_rckalign, which
-  /// sees the dataset.
+  /// checks (cache/dataset match, >= 2 chains) stay in the rckalign
+  /// drivers, which see the dataset.
   std::vector<ConfigIssue> validate() const;
 
   /// validate(), throwing ConfigError ("rck.config.invalid") on any issue.
   /// Returns *this so call sites can chain into to_options()/run().
   const RunConfig& validated() const;
 
-  /// Lower to the legacy options struct (fault_tolerant forced on when the
-  /// fault plan is non-empty; obs copied into runtime.obs). Uses the first
-  /// method — rck::run() rejects multi-method configurations up front.
+  /// Lower to run_rckalign()'s options: to_pairs_options() plus `cache`
+  /// and the first method — rck::run() rejects multi-method configurations
+  /// up front.
   rckalign::RckAlignOptions to_options() const;
 
-  /// Lower to the pair-set options consumed by rckalign::run_pairs() —
-  /// the execution layer under run_query() and the alignment service.
-  /// Same obs/chk propagation rules as to_options().
+  /// Lower to the pair-set options consumed by rckalign::run_pairs(), the
+  /// one flat-farm program (fault_tolerant forced on when the fault plan is
+  /// non-empty; obs and chk copied into the runtime). `cache` stays null:
+  /// the structure tables of run_query() and the alignment service are not
+  /// the cached dataset.
   rckalign::PairsOptions to_pairs_options() const;
 };
 
@@ -211,7 +214,8 @@ struct RunConfig {
 /// run struct already carries reports, traces and the obs recorder).
 using RunResult = rckalign::RckAlignRun;
 
-/// Validate `cfg`, execute the all-vs-all task, flush configured obs sinks.
+/// Validate `cfg`, execute the all-vs-all task, flush configured obs sinks
+/// and write the chk report when cfg.chk.report_path is set.
 RunResult run(const std::vector<bio::Protein>& dataset, const RunConfig& cfg);
 
 /// Outcome of one bounded exploration (or replay) of `cfg`'s schedule tree.
@@ -266,8 +270,9 @@ void rank_query_hits(std::vector<QueryHit>& hits,
 
 /// Validate `cfg` and the query shape (throwing ConfigError listing every
 /// issue), execute the query's comparisons over the database through
-/// rckalign::run_pairs(), flush configured obs sinks, and return the
-/// ranked result. The database is untouched; probes ride inside `q`.
+/// rckalign::run_pairs(), flush configured obs sinks, write the chk report
+/// when cfg.chk.report_path is set, and return the ranked result. The
+/// database is untouched; probes ride inside `q`.
 QueryResult run_query(const std::vector<bio::Protein>& database,
                       const Query& q, const RunConfig& cfg);
 

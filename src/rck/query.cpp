@@ -6,6 +6,8 @@
 #include "rck/rck.hpp"
 #include "rck/rckalign/one_vs_all.hpp"
 
+#include "finish_run.hpp"
+
 namespace rck {
 
 std::string_view query_kind_name(QueryKind k) noexcept {
@@ -174,7 +176,7 @@ QueryResult run_query(const std::vector<bio::Protein>& database,
 
   rckalign::PairsRun run =
       rckalign::run_pairs(structures, specs, cfg.to_pairs_options());
-  obs::flush(run.obs);
+  detail::finish_run(cfg, run.obs, run.chk.get());
 
   QueryResult res;
   res.kind = q.kind;

@@ -1,5 +1,7 @@
 #include "rck/rck.hpp"
 
+#include "finish_run.hpp"
+
 namespace rck {
 
 namespace {
@@ -195,19 +197,10 @@ const RunConfig& RunConfig::validated() const {
 }
 
 rckalign::RckAlignOptions RunConfig::to_options() const {
-  rckalign::RckAlignOptions opts;
-  opts.slave_count = slave_count;
-  opts.runtime = runtime;
-  opts.runtime.obs = obs;
+  rckalign::RckAlignOptions opts{
+      to_pairs_options(),
+      methods.empty() ? rckalign::Method::TmAlign : methods.front()};
   opts.cache = cache;
-  opts.method = methods.empty() ? rckalign::Method::TmAlign : methods.front();
-  opts.lpt = lpt;
-  opts.batch = batch;
-  opts.fault_tolerant = fault_tolerant || !runtime.faults.empty();
-  opts.ft = ft;
-  opts.master_ft = master_ft;
-  opts.mft = mft;
-  opts.runtime.chk = chk;
   return opts;
 }
 
@@ -239,11 +232,7 @@ RunResult run(const std::vector<bio::Protein>& dataset, const RunConfig& cfg) {
         "service for multi-method fan-out"}});
   }
   RunResult out = rckalign::run_rckalign(dataset, cfg.to_options());
-  obs::flush(out.obs);
-  // The report document is written even when clean, so callers (and CI
-  // artifact steps) can always rely on the file existing after the run.
-  if (out.chk != nullptr && !cfg.chk.report_path.empty())
-    chk::write_report(*out.chk, cfg.chk.report_path);
+  detail::finish_run(cfg, out.obs, out.chk.get());
   return out;
 }
 

@@ -1,7 +1,6 @@
 #include "rck/rckalign/blocked.hpp"
 
 #include <numeric>
-#include <stdexcept>
 
 #include "rck/rcce/rcce.hpp"
 #include "rck/rckalign/error.hpp"
@@ -59,9 +58,9 @@ BlockedRun run_rckalign_blocked(const std::vector<bio::Protein>& dataset,
   BlockedRun run;
   run.blocks = static_cast<int>(blocks.size());
   scc::SpmdRuntime rt(opts.runtime);
-  const Method methods[] = {Method::TmAlign};
+  const std::vector<const bio::Protein*> structures = detail::structure_table(dataset);
   const OutcomeTable outcomes =
-      detail::pre_execute_all_pairs(dataset, methods, opts.runtime, cache);
+      detail::pre_execute_all_pairs(dataset, opts.runtime, cache);
 
   const auto program = [&](scc::CoreCtx& ctx) {
     rcce::Comm comm(ctx);
@@ -101,22 +100,16 @@ BlockedRun run_rckalign_blocked(const std::vector<bio::Protein>& dataset,
           ensure_loaded(static_cast<int>(bi));
           if (bj != bi) ensure_loaded(static_cast<int>(bj));
 
-          std::vector<rckskel::Job> jobs;
+          std::vector<PairSpec> specs;
           for (std::uint32_t i = blocks[bi].first; i < blocks[bi].second; ++i) {
             const std::uint32_t j_begin = bi == bj ? i + 1 : blocks[bj].first;
-            for (std::uint32_t j = j_begin; j < blocks[bj].second; ++j) {
-              rckskel::Job job;
-              job.id = next_job_id++;
-              job.payload =
-                  encode_pair_job(i, j, Method::TmAlign, dataset[i], dataset[j]);
-              job.cost_hint = cache != nullptr
-                                  ? cache->pair_cycles(i, j, model)
-                                  : static_cast<std::uint64_t>(dataset[i].size()) *
-                                        dataset[j].size();
-              jobs.push_back(std::move(job));
-            }
+            for (std::uint32_t j = j_begin; j < blocks[bj].second; ++j)
+              specs.push_back(PairSpec{i, j, Method::TmAlign});
           }
-          if (jobs.empty()) continue;
+          if (specs.empty()) continue;
+          std::vector<rckskel::Job> jobs =
+              detail::make_pair_jobs(structures, specs, {}, cache, model, next_job_id);
+          next_job_id += specs.size();
 
           rckskel::FarmOptions fopts;
           fopts.lpt_order = opts.lpt;
@@ -126,10 +119,8 @@ BlockedRun run_rckalign_blocked(const std::vector<bio::Protein>& dataset,
           first_round = false;
           const rckskel::Task task = rckskel::Task::make_par(slaves, std::move(jobs));
           for (rckskel::JobResult& jr : rckskel::farm(comm, task, fopts)) {
-            const PairOutcome o = decode_outcome(std::move(jr.payload));
-            run.results.push_back(PairRow{o.i, o.j, o.tm_norm_a, o.tm_norm_b, o.rmsd,
-                                          o.seq_identity, o.aligned_length,
-                                          jr.worker});
+            run.results.push_back(
+                detail::to_pair_row(decode_outcome(std::move(jr.payload)), jr.worker));
           }
         }
       }

@@ -1,7 +1,6 @@
 #include "rck/rckalign/extensions.hpp"
 
 #include <numeric>
-#include <stdexcept>
 
 #include "rck/rcce/rcce.hpp"
 #include "rck/rckalign/error.hpp"
@@ -11,156 +10,37 @@
 
 namespace rck::rckalign {
 
-namespace {
-
-
-PairRow to_row(const PairOutcome& o, int worker) {
-  return PairRow{o.i,  o.j,           o.tm_norm_a,      o.tm_norm_b,
-                 o.rmsd, o.seq_identity, o.aligned_length, worker};
-}
-
-std::vector<rckskel::Job> make_jobs(const std::vector<bio::Protein>& dataset,
-                                    Method method, const PairCache* cache,
-                                    const scc::CoreTimingModel& model,
-                                    std::uint64_t id_base) {
-  const auto pairs = all_pairs(dataset.size());
-  std::vector<rckskel::Job> jobs;
-  jobs.reserve(pairs.size());
-  for (std::size_t k = 0; k < pairs.size(); ++k) {
-    const auto [i, j] = pairs[k];
-    rckskel::Job job;
-    job.id = id_base + k;
-    job.payload = encode_pair_job(i, j, method, dataset[i], dataset[j]);
-    job.cost_hint = (method == Method::TmAlign && cache != nullptr)
-                        ? cache->pair_cycles(i, j, model)
-                        : static_cast<std::uint64_t>(dataset[i].size()) * dataset[j].size();
-    jobs.push_back(std::move(job));
-  }
-  return jobs;
-}
-
-}  // namespace
-
-McPscRun run_mcpsc(const std::vector<bio::Protein>& dataset, const McPscOptions& opts) {
-  if (dataset.size() < 2) throw AlignError("run_mcpsc: need >= 2 chains");
-  const int total_slaves = opts.tmalign_slaves + opts.rmsd_slaves;
-  if (opts.tmalign_slaves < 1 || opts.rmsd_slaves < 1 ||
-      total_slaves + 1 > opts.runtime.chip.core_count())
-    throw AlignError("run_mcpsc: bad slave partition");
-  if (opts.cache != nullptr && opts.cache->chain_count() != dataset.size())
-    throw AlignError("run_mcpsc: cache/dataset mismatch");
-
-  McPscRun run;
-  scc::SpmdRuntime rt(opts.runtime);
-  const PairCache* cache = opts.cache;
-  const Method methods[] = {Method::TmAlign, Method::GaplessRmsd};
-  const OutcomeTable outcomes =
-      detail::pre_execute_all_pairs(dataset, methods, opts.runtime, cache);
-
-  const auto program = [&](scc::CoreCtx& ctx) {
-    rcce::Comm comm(ctx);
-    constexpr int kMaster = 0;
-    if (comm.ue() == kMaster) {
-      std::uint64_t dataset_bytes = 0;
-      for (const bio::Protein& p : dataset) dataset_bytes += p.wire_size();
-      comm.charge_dram_read(dataset_bytes);
-
-      std::vector<int> tm_ues(static_cast<std::size_t>(opts.tmalign_slaves));
-      std::iota(tm_ues.begin(), tm_ues.end(), 1);
-      std::vector<int> rmsd_ues(static_cast<std::size_t>(opts.rmsd_slaves));
-      std::iota(rmsd_ues.begin(), rmsd_ues.end(), 1 + opts.tmalign_slaves);
-
-      const std::size_t npairs = all_pairs(dataset.size()).size();
-      std::vector<rckskel::Task> children;
-      children.push_back(rckskel::Task::make_par(
-          tm_ues, make_jobs(dataset, Method::TmAlign, cache, ctx.timing(), 0)));
-      children.push_back(rckskel::Task::make_par(
-          rmsd_ues, make_jobs(dataset, Method::GaplessRmsd, cache, ctx.timing(), npairs)));
-      const rckskel::Task task =
-          rckskel::Task::make_group(rckskel::Task::Mode::Par, {}, std::move(children));
-
-      rckskel::FarmOptions fopts;
-      fopts.lpt_order = opts.lpt;
-      std::vector<rckskel::JobResult> collected = rckskel::farm(comm, task, fopts);
-      for (rckskel::JobResult& jr : collected) {
-        const PairOutcome o = decode_outcome(std::move(jr.payload));
-        if (o.method == Method::TmAlign)
-          run.tmalign_results.push_back(to_row(o, jr.worker));
-        else
-          run.rmsd_results.push_back(to_row(o, jr.worker));
-      }
-    } else {
-      rckskel::farm_slave(comm, kMaster, detail::pair_worker(outcomes));
-    }
-  };
-
-  run.makespan = rt.run(total_slaves + 1, program);
-  run.core_reports = rt.core_reports();
-  return run;
-}
-
 MultiMethodRun run_multi_method(const std::vector<bio::Protein>& dataset,
                                 const MultiMethodOptions& opts) {
   if (dataset.size() < 2)
     throw AlignError("run_multi_method: need >= 2 chains");
   if (opts.groups.empty())
     throw AlignError("run_multi_method: no method groups");
-  int total_slaves = 0;
+
+  // Method-major specs: group g's pairs are specs [g * npairs, (g+1) * npairs).
+  const std::size_t npairs = all_pairs(dataset.size()).size();
+  PairsOptions popts;
+  popts.slave_count = 0;
+  popts.runtime = opts.runtime;
+  popts.cache = opts.cache;
+  popts.lpt = opts.lpt;
+  std::vector<PairSpec> specs;
+  std::vector<SlaveGroup> partition;
   for (const MethodGroup& g : opts.groups) {
     if (g.slaves < 1) throw AlignError("run_multi_method: empty group");
-    total_slaves += g.slaves;
+    popts.slave_count += g.slaves;
+    partition.push_back(SlaveGroup{g.slaves, npairs});
+    const std::vector<PairSpec> group = detail::all_pair_specs(dataset.size(), g.method);
+    specs.insert(specs.end(), group.begin(), group.end());
   }
-  if (total_slaves + 1 > opts.runtime.chip.core_count())
-    throw AlignError("run_multi_method: does not fit on chip");
-  if (opts.cache != nullptr && opts.cache->chain_count() != dataset.size())
-    throw AlignError("run_multi_method: cache/dataset mismatch");
+  PairsRun pr = run_pairs(detail::structure_table(dataset), specs, popts, {}, partition);
 
   MultiMethodRun run;
+  run.makespan = pr.makespan;
   run.results.resize(opts.groups.size());
-  scc::SpmdRuntime rt(opts.runtime);
-  const PairCache* cache = opts.cache;
-  std::vector<Method> methods;
-  for (const MethodGroup& g : opts.groups) methods.push_back(g.method);
-  const OutcomeTable outcomes =
-      detail::pre_execute_all_pairs(dataset, methods, opts.runtime, cache);
-
-  const std::size_t npairs = all_pairs(dataset.size()).size();
-
-  const auto program = [&](scc::CoreCtx& ctx) {
-    rcce::Comm comm(ctx);
-    constexpr int kMaster = 0;
-    if (comm.ue() == kMaster) {
-      std::uint64_t dataset_bytes = 0;
-      for (const bio::Protein& p : dataset) dataset_bytes += p.wire_size();
-      comm.charge_dram_read(dataset_bytes);
-
-      std::vector<rckskel::Task> children;
-      int next_ue = 1;
-      for (std::size_t g = 0; g < opts.groups.size(); ++g) {
-        std::vector<int> ues(static_cast<std::size_t>(opts.groups[g].slaves));
-        std::iota(ues.begin(), ues.end(), next_ue);
-        next_ue += opts.groups[g].slaves;
-        children.push_back(rckskel::Task::make_par(
-            std::move(ues), make_jobs(dataset, opts.groups[g].method, cache,
-                                      ctx.timing(), g * npairs)));
-      }
-      const rckskel::Task task =
-          rckskel::Task::make_group(rckskel::Task::Mode::Par, {}, std::move(children));
-
-      rckskel::FarmOptions fopts;
-      fopts.lpt_order = opts.lpt;
-      for (rckskel::JobResult& jr : rckskel::farm(comm, task, fopts)) {
-        const std::size_t g = jr.id / npairs;
-        const PairOutcome o = decode_outcome(std::move(jr.payload));
-        run.results[g].push_back(to_row(o, jr.worker));
-      }
-    } else {
-      rckskel::farm_slave(comm, kMaster, detail::pair_worker(outcomes));
-    }
-  };
-
-  run.makespan = rt.run(total_slaves + 1, program);
-  run.core_reports = rt.core_reports();
+  for (const PairsRow& r : pr.rows)
+    run.results[r.spec / npairs].push_back(detail::to_pair_row(r));
+  run.core_reports = std::move(pr.core_reports);
   return run;
 }
 
@@ -254,9 +134,8 @@ HierarchyRun run_hierarchical(const std::vector<bio::Protein>& dataset,
   HierarchyRun run;
   scc::SpmdRuntime rt(opts.runtime);
   const PairCache* cache = opts.cache;
-  const Method methods[] = {Method::TmAlign};
   const OutcomeTable outcomes =
-      detail::pre_execute_all_pairs(dataset, methods, opts.runtime, cache);
+      detail::pre_execute_all_pairs(dataset, opts.runtime, cache);
 
   const auto program = [&](scc::CoreCtx& ctx) {
     rcce::Comm comm(ctx);
@@ -267,8 +146,10 @@ HierarchyRun run_hierarchical(const std::vector<bio::Protein>& dataset,
       for (const bio::Protein& p : dataset) dataset_bytes += p.wire_size();
       comm.charge_dram_read(dataset_bytes);
 
-      const std::vector<rckskel::Job> jobs =
-          make_jobs(dataset, Method::TmAlign, cache, ctx.timing(), 0);
+      const std::vector<rckskel::Job> jobs = detail::make_pair_jobs(
+          detail::structure_table(dataset),
+          detail::all_pair_specs(dataset.size(), Method::TmAlign), {}, cache,
+          ctx.timing());
 
       // Batching strategy. A group master serves one batch at a time and
       // returns only when the whole batch finished, so small batches create
@@ -319,8 +200,8 @@ HierarchyRun run_hierarchical(const std::vector<bio::Protein>& dataset,
       std::vector<rckskel::JobResult> collected = rckskel::farm(comm, task, {});
       for (rckskel::JobResult& batch_res : collected) {
         for (rckskel::JobResult& jr : unpack_results(batch_res.payload)) {
-          const PairOutcome o = decode_outcome(std::move(jr.payload));
-          run.results.push_back(to_row(o, jr.worker));
+          run.results.push_back(
+              detail::to_pair_row(decode_outcome(std::move(jr.payload)), jr.worker));
         }
       }
     } else if (ue <= g) {

@@ -5,7 +5,8 @@
 // Figures 3-4: the master (first core given to the program) loads every
 // structure, creates one job per unordered pair, and dispatches jobs to
 // slave cores, collecting results by round-robin polling; slaves loop
-// (receive pair -> compare -> return scores) until TERMINATE.
+// (receive pair -> compare -> return scores) until TERMINATE. run_rckalign()
+// is that farm over the all-pairs spec list, executed by run_pairs().
 //
 // Also here: the serial baseline runner (one core, structures pre-loaded,
 // matching the paper's modified single-core TM-align).
@@ -19,55 +20,22 @@
 #include "rck/noc/network.hpp"
 #include "rck/rckalign/codec.hpp"
 #include "rck/rckalign/cost_cache.hpp"
+#include "rck/rckalign/pairs.hpp"
 #include "rck/rckskel/skeletons.hpp"
 #include "rck/scc/runtime.hpp"
 
 namespace rck::rckalign {
 
-/// Low-level option bundle for run_rckalign().
+/// Low-level option bundle for run_rckalign(): the pair-set farm options
+/// plus the one comparison method every job runs. `cache` must be built for
+/// the dataset.
 ///
 /// Prefer the consolidated rck::RunConfig (rck/rck.hpp), which validates its
 /// fields and lowers to this struct via to_options(); RckAlignOptions remains
 /// as the underlying form and for callers that need no validation.
-struct RckAlignOptions {
-  /// Number of slave cores (the paper sweeps 1..47); rank 0 is the master.
-  int slave_count = 47;
-  /// Chip / network / core-model configuration for the simulation.
-  scc::RuntimeConfig runtime{};
-  /// Pairwise results + costs computed up front, replayed for TM-align
-  /// jobs. If null (or for other methods), the run pre-executes its
-  /// comparisons on a host pool of runtime.host.threads workers before the
-  /// simulation starts; either way slaves only replay charges.
-  const PairCache* cache = nullptr;
+struct RckAlignOptions : PairsOptions {
   /// Comparison method for all jobs.
   Method method = Method::TmAlign;
-  /// LPT (longest-first) job ordering; the paper used FIFO.
-  bool lpt = false;
-  /// Farm grant size: jobs handed to a slave per round trip. With K > 1 the
-  /// plain farm sends BATCH frames, served by farm_slave_batch job by job,
-  /// which cuts master round trips in simulated time. Per-job results and
-  /// cycle charges are bit-identical to K = 1; only the dispatch schedule
-  /// changes. Requires the plain farm: incompatible with fault_tolerant /
-  /// master_ft, which lease and retry individual jobs.
-  std::size_t batch = 1;
-  /// Use the fault-tolerant farm (leases, retry, blacklist) instead of the
-  /// paper's plain FARM. Required whenever runtime.faults is non-empty, and
-  /// harmless without faults (simulated makespan is within lease-bookkeeping
-  /// noise of the plain farm).
-  bool fault_tolerant = false;
-  /// Resilience knobs for the fault-tolerant farm (leases, retries,
-  /// timeouts); base.lpt_order is overridden by `lpt` above.
-  rckskel::FaultTolerantFarmOptions ft{};
-  /// Survive the master too: run the checkpointed farm master (periodic
-  /// snapshots + heartbeats replicated to a standby) with the standby on
-  /// rank slave_count + 1. Implies fault_tolerant; requires
-  /// slave_count + 2 cores on the chip. The final matrix is byte-identical
-  /// to the fault-free run even when the master crashes mid-farm.
-  bool master_ft = false;
-  /// Checkpoint cadence and heartbeat knobs for master_ft. The embedded
-  /// mft.ft is overwritten by `ft` above (with standby_ue auto-derived as
-  /// slave_count + 1), so only the master-ft-specific fields matter here.
-  rckskel::MasterFtOptions mft{};
 };
 
 /// One collected pairwise result.
@@ -105,9 +73,8 @@ struct RckAlignRun {
   std::shared_ptr<chk::Checker> chk;
 };
 
-/// Run the all-vs-all task over `dataset` on the simulated SCC: pre-execute
-/// the comparisons on opts.runtime.host.threads host workers, then simulate
-/// the farm on the serial scheduler.
+/// Run the all-vs-all task over `dataset` on the simulated SCC: run_pairs()
+/// over all_pairs() in FIFO order, with the dataset as the structure table.
 RckAlignRun run_rckalign(const std::vector<bio::Protein>& dataset,
                          const RckAlignOptions& opts);
 

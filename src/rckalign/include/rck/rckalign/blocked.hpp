@@ -26,7 +26,7 @@ struct BlockedOptions {
   /// that any two blocks fit. 0 means "everything fits" (degenerates to
   /// one block = the plain algorithm).
   std::uint64_t master_memory_bytes = 0;
-  /// Farm grant size (see RckAlignOptions::batch): K > 1 hands each slave
+  /// Farm grant size (see PairsOptions::batch): K > 1 hands each slave
   /// K jobs per round trip. Bit-identical per-job results/cycles; 0 is
   /// invalid.
   std::size_t batch = 1;

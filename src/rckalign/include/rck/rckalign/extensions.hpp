@@ -3,9 +3,11 @@
 //  1. Multi-criteria PSC (MC-PSC): "all slave processes are not required to
 //     run the same PSC algorithm ... different slave processes can be
 //     running different algorithms on the same data received from the
-//     master". run_mcpsc() partitions the slave cores between TM-align and
-//     a gapless-RMSD method and farms both job streams from one master,
-//     using the per-subtask UE restriction of the rckskel task tree.
+//     master". run_multi_method() partitions the slave cores between any
+//     number of methods and farms every method's all-vs-all job stream from
+//     one master, using the per-subtask UE restriction of the rckskel task
+//     tree; the paper's two-criteria case is two groups (TM-align and
+//     gapless RMSD). It is run_pairs() with one slave group per method.
 //
 //  2. Hierarchical masters: "this can be tackled by implementing a
 //     hierarchy of master processes such that a master does not become a
@@ -22,27 +24,10 @@
 
 namespace rck::rckalign {
 
-struct McPscOptions {
-  scc::RuntimeConfig runtime{};
-  int tmalign_slaves = 32;  ///< cores running TM-align jobs
-  int rmsd_slaves = 15;     ///< cores running gapless-RMSD jobs
-  const PairCache* cache = nullptr;  ///< TM-align costs/results (optional)
-  bool lpt = false;
-};
-
-struct McPscRun {
-  noc::SimTime makespan = 0;
-  std::vector<PairRow> tmalign_results;
-  std::vector<PairRow> rmsd_results;  ///< tm fields zero; rmsd/aligned valid
-  std::vector<scc::CoreReport> core_reports;
-};
-
-/// All-vs-all under two criteria at once on one chip.
-McPscRun run_mcpsc(const std::vector<bio::Protein>& dataset, const McPscOptions& opts);
-
-/// Generalized MC-PSC: any number of methods, each with its own dedicated
-/// slave-core group (the paper: "partition of cores to different tasks is
-/// implementation specific ... facilitated using the library").
+/// MC-PSC: any number of methods, each with its own dedicated slave-core
+/// group (the paper: "partition of cores to different tasks is
+/// implementation specific ... facilitated using the library"). Groups take
+/// consecutive slave ranks from 1 in order.
 struct MethodGroup {
   Method method = Method::TmAlign;
   int slaves = 1;
@@ -62,6 +47,7 @@ struct MultiMethodRun {
   std::vector<scc::CoreReport> core_reports;
 };
 
+/// All-vs-all under every group's method at once on one chip.
 MultiMethodRun run_multi_method(const std::vector<bio::Protein>& dataset,
                                 const MultiMethodOptions& opts);
 

@@ -29,7 +29,7 @@ struct OneVsAllOptions {
   /// Methods to run per database entry (Algorithm 1's set M).
   std::vector<Method> methods{Method::TmAlign};
   bool lpt = false;
-  /// Farm grant size (see RckAlignOptions::batch): K > 1 hands each slave
+  /// Farm grant size (see PairsOptions::batch): K > 1 hands each slave
   /// K jobs per round trip. Bit-identical per-job results/cycles; 0 is
   /// invalid.
   std::size_t batch = 1;

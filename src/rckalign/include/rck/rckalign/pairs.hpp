@@ -1,13 +1,14 @@
-// Generic pair-set execution: the one farm path under every query shape.
+// Generic pair-set execution: the one flat-farm program.
 //
-// run_rckalign() farms the all-vs-all pair list; run_one_vs_all() farms a
-// query row; the alignment service (src/service) farms whatever mix of pair
-// / one-vs-all / k-vs-all queries a round coalesced. All three are the same
-// machine — a list of (a, b, method) comparisons over a shared structure
-// table, dispatched to slaves through a FARM skeleton — so run_pairs() is
-// that machine, extracted: callers describe the comparisons as PairSpec
-// indices into a structure table and get back one row per spec, with the
-// full farm/fault-tolerance option surface of run_rckalign available.
+// The paper builds rckAlign from one rckskel FARM: a master loads the
+// structures, turns pairs into jobs and farms them to slaves. Every flat
+// farm in this code base is that program over a different job list, so
+// run_pairs() is the only one: callers describe the comparisons as PairSpec
+// indices into a structure table and get back one row per spec.
+// run_rckalign() farms the all-vs-all pair list, run_multi_method() (MC-PSC)
+// the same list once per method with the slaves partitioned between
+// methods, run_query() / run_one_vs_all() a query's rows, and the alignment
+// service (src/service) whatever mix of queries a round coalesced.
 //
 // The structure table is spans of pointers (not values) so a long-running
 // caller can keep its database resident and append transient probes without
@@ -19,31 +20,66 @@
 #include <cstdint>
 #include <memory>
 #include <span>
+#include <string>
 #include <vector>
 
 #include "rck/bio/protein.hpp"
 #include "rck/noc/network.hpp"
 #include "rck/rckalign/codec.hpp"
+#include "rck/rckalign/cost_cache.hpp"
 #include "rck/rckskel/skeletons.hpp"
 #include "rck/scc/runtime.hpp"
 
 namespace rck::rckalign {
 
-/// Farm configuration for a pair-set run: the scheduling/resilience subset
-/// of RckAlignOptions (no cache — pair sets are for live queries; cached
-/// replay stays with run_rckalign). Prefer deriving this from a validated
-/// rck::RunConfig via RunConfig::to_pairs_options().
+/// Farm configuration for a pair-set run. Prefer deriving this from a
+/// validated rck::RunConfig via RunConfig::to_pairs_options().
 struct PairsOptions {
+  /// Number of slave cores (the paper sweeps 1..47); rank 0 is the master.
   int slave_count = 47;
+  /// Chip / network / core-model configuration for the simulation.
   scc::RuntimeConfig runtime{};
+  /// TM-align outcomes + exact costs of the structure table, computed up
+  /// front (chain_count() must equal the table size, and TM-align specs
+  /// must have a < b). TM-align specs are served from it instead of being
+  /// pre-executed, and take its cycle count as their cost hint; every other
+  /// spec keeps the L1*L2 proxy hint, cached or not.
+  const PairCache* cache = nullptr;
+  /// LPT (longest-first) job ordering by cost hint; the paper used FIFO.
   bool lpt = false;
-  /// Farm grant size; K > 1 hands each slave K jobs per round trip
-  /// (bit-identical results). Plain farm only, as in RckAlignOptions.
+  /// Farm grant size: jobs handed to a slave per round trip. With K > 1 the
+  /// plain farm sends BATCH frames, served by farm_slave_batch job by job,
+  /// which cuts master round trips in simulated time. Per-job results and
+  /// cycle charges are bit-identical to K = 1; only the dispatch schedule
+  /// changes. Requires the plain farm: incompatible with fault_tolerant /
+  /// master_ft, which lease and retry individual jobs.
   std::size_t batch = 1;
+  /// Use the fault-tolerant farm (leases, retry, blacklist) instead of the
+  /// paper's plain FARM. Required whenever runtime.faults is non-empty, and
+  /// harmless without faults (simulated makespan is within lease-bookkeeping
+  /// noise of the plain farm). A lease derived from the cost hint is only
+  /// sized in cycles for cached TM-align specs; set ft.lease otherwise.
   bool fault_tolerant = false;
+  /// Resilience knobs for the fault-tolerant farm (leases, retries,
+  /// timeouts); base.lpt_order is overridden by `lpt` above.
   rckskel::FaultTolerantFarmOptions ft{};
+  /// Survive the master too: run the checkpointed farm master (periodic
+  /// snapshots + heartbeats replicated to a standby) with the standby on
+  /// rank slave_count + 1. Implies fault_tolerant; requires
+  /// slave_count + 2 cores on the chip. The final rows are byte-identical
+  /// to the fault-free run even when the master crashes mid-farm.
   bool master_ft = false;
+  /// Checkpoint cadence and heartbeat knobs for master_ft. The embedded
+  /// mft.ft is overwritten by `ft` above (with standby_ue auto-derived as
+  /// slave_count + 1), so only the master-ft-specific fields matter here.
   rckskel::MasterFtOptions mft{};
+};
+
+/// One group of a partitioned run: the next `slaves` slave ranks serve the
+/// next `specs` specs, and only those.
+struct SlaveGroup {
+  int slaves = 1;
+  std::size_t specs = 0;
 };
 
 /// One completed comparison. `spec` is the index of the PairSpec that
@@ -67,17 +103,24 @@ struct PairsRow {
 
 /// Outcome of one pair-set execution.
 struct PairsRun {
-  noc::SimTime makespan = 0;
+  noc::SimTime makespan = 0;  ///< simulated wall-clock of the whole task
   std::vector<PairsRow> rows;  ///< one per spec, in collection order
   std::vector<scc::CoreReport> core_reports;
   noc::NetworkStats network;
+  std::uint64_t events = 0;
+  /// Activity trace and link-utilization heatmap (populated when
+  /// opts.runtime.enable_trace or obs is set).
+  std::vector<scc::TraceEvent> trace;
+  std::string link_heatmap;
   rckskel::FarmReport farm_report{};  ///< populated under the FT farms
-  /// Observability recorder (null unless opts.runtime.obs is active).
+  /// Observability recorder (null unless opts.runtime.obs is active). Kept
+  /// alive past the runtime so sinks and tests can read metrics + trace.
   std::shared_ptr<obs::Recorder> obs;
-  /// Race checker (null unless opts.runtime.chk is active).
+  /// Race checker (null unless opts.runtime.chk is active). Kept alive past
+  /// the runtime so callers can inspect reports() / write report_json().
   std::shared_ptr<chk::Checker> chk;
   /// Distinct (a, b, method) comparisons pre-executed for this run; duplicate
-  /// specs share one.
+  /// specs share one, and cached TM-align specs need none.
   std::size_t kernels = 0;
 };
 
@@ -89,11 +132,14 @@ struct PairsRun {
 /// when non-empty, must parallel `structures`; a non-null wires[k] is the
 /// bio::serialize() bytes of *structures[k] and is used verbatim when
 /// encoding job payloads (null entries fall back to serializing on the
-/// spot). Throws AlignError on out-of-range spec indices, a null structure
-/// referenced by a spec, bad slave/batch counts, or a mismatched wires
-/// table.
+/// spot). An empty `partition` lets every slave serve every spec; otherwise
+/// its groups cover the slaves (ranks 1..slave_count) and the specs in
+/// order. Throws AlignError on out-of-range spec indices, a null structure
+/// referenced by a spec, bad slave/batch counts, a mismatched wires table,
+/// cache or partition.
 PairsRun run_pairs(std::span<const bio::Protein* const> structures,
                    std::span<const PairSpec> specs, const PairsOptions& opts,
-                   std::span<const bio::Bytes* const> wires = {});
+                   std::span<const bio::Bytes* const> wires = {},
+                   std::span<const SlaveGroup> partition = {});
 
 }  // namespace rck::rckalign

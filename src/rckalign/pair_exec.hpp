@@ -5,9 +5,9 @@
 // farm on a host pool before its simulation starts (OutcomeTable::build),
 // then simulates on the serial scheduler: a slave decodes a job's key, looks
 // up the outcome, charges its cycles and replies. Shared by the flat farm
-// (app.cpp), run_pairs (pairs.cpp), the blocked farm (blocked.cpp) and the
-// MC-PSC / hierarchy extensions (extensions.cpp). Not part of the public
-// API (lives next to the sources, not under include/).
+// (pairs.cpp) and its all-vs-all shims (app.cpp, extensions.cpp), the
+// blocked farm (blocked.cpp) and the hierarchy (extensions.cpp). Not part
+// of the public API (lives next to the sources, not under include/).
 #pragma once
 
 #include <algorithm>
@@ -18,6 +18,7 @@
 #include "rck/rckalign/app.hpp"
 #include "rck/rckalign/codec.hpp"
 #include "rck/rckalign/cost_cache.hpp"
+#include "rck/rckalign/pairs.hpp"
 #include "rck/rckskel/skeletons.hpp"
 
 namespace rck::rckalign::detail {
@@ -27,21 +28,75 @@ inline int pool_threads(const scc::RuntimeConfig& rt) {
   return std::max(1, rt.host.threads);
 }
 
-/// Pre-execute every unordered pair of `dataset` (all_pairs order) under
-/// each of `methods`, serving TM-align from `cache` when one is given.
-inline OutcomeTable pre_execute_all_pairs(const std::vector<bio::Protein>& dataset,
-                                          std::span<const Method> methods,
-                                          const scc::RuntimeConfig& rt,
-                                          const PairCache* cache) {
+/// The structure table of an all-vs-all run: the dataset in place.
+inline std::vector<const bio::Protein*> structure_table(
+    const std::vector<bio::Protein>& dataset) {
   std::vector<const bio::Protein*> structures;
   structures.reserve(dataset.size());
   for (const bio::Protein& p : dataset) structures.push_back(&p);
-  const auto pairs = all_pairs(dataset.size());
-  std::vector<PairSpec> keys;
-  keys.reserve(pairs.size() * methods.size());
-  for (const Method m : methods)
-    for (const auto& [i, j] : pairs) keys.push_back(PairSpec{i, j, m});
-  return OutcomeTable::build(structures, std::move(keys), pool_threads(rt), cache);
+  return structures;
+}
+
+/// Every unordered pair of an n-chain dataset under `method`, in the
+/// master's FIFO (all_pairs) order.
+inline std::vector<PairSpec> all_pair_specs(std::size_t n, Method method) {
+  const auto pairs = all_pairs(n);
+  std::vector<PairSpec> specs;
+  specs.reserve(pairs.size());
+  for (const auto& [i, j] : pairs) specs.push_back(PairSpec{i, j, method});
+  return specs;
+}
+
+/// A pair-set row as an all-vs-all row.
+inline PairRow to_pair_row(const PairsRow& r) {
+  return PairRow{r.a,    r.b,          r.tm_norm_a,      r.tm_norm_b,
+                 r.rmsd, r.seq_identity, r.aligned_length, r.worker};
+}
+
+/// A decoded outcome, produced by slave `worker`, as an all-vs-all row.
+inline PairRow to_pair_row(const PairOutcome& o, int worker) {
+  return PairRow{o.i,    o.j,          o.tm_norm_a,      o.tm_norm_b,
+                 o.rmsd, o.seq_identity, o.aligned_length, worker};
+}
+
+/// One farm job per spec, ids from `first_id` in spec order. Non-null
+/// wires[s.a] and wires[s.b] (see run_pairs) are encoded instead of
+/// serializing the structures; the payload bytes are the same. Cost hint,
+/// for LPT order and derived leases: exact cycles for a TM-align spec when
+/// `cache` is given, else the O(L1*L2) proxy.
+inline std::vector<rckskel::Job> make_pair_jobs(
+    std::span<const bio::Protein* const> structures, std::span<const PairSpec> specs,
+    std::span<const bio::Bytes* const> wires, const PairCache* cache,
+    const scc::CoreTimingModel& model, std::uint64_t first_id = 0) {
+  std::vector<rckskel::Job> jobs;
+  jobs.reserve(specs.size());
+  std::uint64_t id = first_id;
+  for (const PairSpec& s : specs) {
+    const bio::Protein& a = *structures[s.a];
+    const bio::Protein& b = *structures[s.b];
+    const bio::Bytes* aw = wires.empty() ? nullptr : wires[s.a];
+    const bio::Bytes* bw = wires.empty() ? nullptr : wires[s.b];
+    rckskel::Job job;
+    job.id = id++;
+    job.payload = aw != nullptr && bw != nullptr
+                      ? encode_pair_job(s.a, s.b, s.method, *aw, *bw)
+                      : encode_pair_job(s.a, s.b, s.method, a, b);
+    job.cost_hint = cache != nullptr && s.method == Method::TmAlign
+                        ? cache->pair_cycles(s.a, s.b, model)
+                        : static_cast<std::uint64_t>(a.size()) * b.size();
+    jobs.push_back(std::move(job));
+  }
+  return jobs;
+}
+
+/// Pre-execute every unordered pair of `dataset` under TM-align, serving
+/// from `cache` when one is given.
+inline OutcomeTable pre_execute_all_pairs(const std::vector<bio::Protein>& dataset,
+                                          const scc::RuntimeConfig& rt,
+                                          const PairCache* cache) {
+  return OutcomeTable::build(structure_table(dataset),
+                             all_pair_specs(dataset.size(), Method::TmAlign),
+                             pool_threads(rt), cache);
 }
 
 /// Serve one job: look up its pre-executed outcome, charge the simulated

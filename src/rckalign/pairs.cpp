@@ -1,9 +1,11 @@
 #include "rck/rckalign/pairs.hpp"
 
+#include <iterator>
 #include <numeric>
 #include <optional>
 #include <utility>
 
+#include "rck/noc/heatmap.hpp"
 #include "rck/rcce/rcce.hpp"
 #include "rck/rckalign/error.hpp"
 
@@ -15,9 +17,12 @@ namespace {
 
 void validate_inputs(std::span<const bio::Protein* const> structures,
                      std::span<const PairSpec> specs, const PairsOptions& opts,
-                     std::span<const bio::Bytes* const> wires) {
+                     std::span<const bio::Bytes* const> wires,
+                     std::span<const SlaveGroup> partition) {
   if (!wires.empty() && wires.size() != structures.size())
     throw AlignError("run_pairs: wires table must parallel structures");
+  if (opts.cache != nullptr && opts.cache->chain_count() != structures.size())
+    throw AlignError("run_pairs: cache built for a different structure table");
   for (std::size_t k = 0; k < specs.size(); ++k) {
     const PairSpec& s = specs[k];
     if (s.a >= structures.size() || s.b >= structures.size())
@@ -26,6 +31,9 @@ void validate_inputs(std::span<const bio::Protein* const> structures,
     if (structures[s.a] == nullptr || structures[s.b] == nullptr)
       throw AlignError("run_pairs: spec " + std::to_string(k) +
                        " references a null structure");
+    if (opts.cache != nullptr && s.method == Method::TmAlign && s.a >= s.b)
+      throw AlignError("run_pairs: spec " + std::to_string(k) +
+                       " is a cached TM-align comparison with a >= b");
   }
   const int core_count = opts.slave_count + (opts.master_ft ? 2 : 1);
   if (opts.slave_count < 1 || core_count > opts.runtime.chip.core_count())
@@ -35,27 +43,65 @@ void validate_inputs(std::span<const bio::Protein* const> structures,
     throw AlignError(
         "run_pairs: batched grants require the plain farm (the "
         "fault-tolerant farms lease and retry individual jobs)");
+  if (partition.empty()) return;
+  int slaves = 0;
+  std::size_t covered = 0;
+  for (const SlaveGroup& g : partition) {
+    if (g.slaves < 1) throw AlignError("run_pairs: empty slave group");
+    slaves += g.slaves;
+    covered += g.specs;
+  }
+  if (slaves != opts.slave_count || covered != specs.size())
+    throw AlignError("run_pairs: partition must cover every slave and spec");
+}
+
+/// The master's task tree: one Par leaf over every slave, or one Par leaf
+/// per partition group under a Par root.
+rckskel::Task make_task(std::vector<rckskel::Job> jobs, int slave_count,
+                        std::span<const SlaveGroup> partition) {
+  if (partition.empty()) {
+    std::vector<int> slaves(static_cast<std::size_t>(slave_count));
+    std::iota(slaves.begin(), slaves.end(), 1);
+    return rckskel::Task::make_par(std::move(slaves), std::move(jobs));
+  }
+  std::vector<rckskel::Task> children;
+  int next_ue = 1;
+  auto next_job = std::make_move_iterator(jobs.begin());
+  for (const SlaveGroup& g : partition) {
+    std::vector<int> ues(static_cast<std::size_t>(g.slaves));
+    std::iota(ues.begin(), ues.end(), next_ue);
+    next_ue += g.slaves;
+    const auto end = next_job + static_cast<std::ptrdiff_t>(g.specs);
+    children.push_back(rckskel::Task::make_par(
+        std::move(ues), std::vector<rckskel::Job>(next_job, end)));
+    next_job = end;
+  }
+  return rckskel::Task::make_group(rckskel::Task::Mode::Par, {}, std::move(children));
 }
 
 }  // namespace
 
 PairsRun run_pairs(std::span<const bio::Protein* const> structures,
                    std::span<const PairSpec> specs, const PairsOptions& opts,
-                   std::span<const bio::Bytes* const> wires) {
-  validate_inputs(structures, specs, opts, wires);
+                   std::span<const bio::Bytes* const> wires,
+                   std::span<const SlaveGroup> partition) {
+  validate_inputs(structures, specs, opts, wires, partition);
 
   PairsRun run;
   scc::SpmdRuntime rt(opts.runtime);
   const OutcomeTable outcomes =
       OutcomeTable::build(structures, {specs.begin(), specs.end()},
-                          detail::pool_threads(opts.runtime));
+                          detail::pool_threads(opts.runtime), opts.cache);
   run.kernels = outcomes.size();
 
   constexpr int kMaster = 0;
   const int standby_rank = opts.master_ft ? opts.slave_count + 1 : -1;
 
-  // Role-local collection buffers, merged after rt.run() exactly as in
-  // run_rckalign: the standby's copy wins whenever a takeover produced one.
+  // Role-local collection buffers. The master and the standby each decode
+  // into their own vector inside the simulation (so obs spans land on the
+  // right core lane); the buffers are merged after rt.run(), preferring the
+  // standby's copy whenever a takeover produced one. A crashed master
+  // unwinds before writing its buffer, so the merge never sees torn state.
   std::vector<PairsRow> master_rows;
   rckskel::FarmReport master_rep{};
   std::optional<std::vector<PairsRow>> standby_rows;
@@ -64,9 +110,10 @@ PairsRun run_pairs(std::span<const bio::Protein* const> structures,
   const auto program = [&](scc::CoreCtx& ctx) {
     rcce::Comm comm(ctx);
 
-    // Master (and standby) load the whole structure table once from DRAM —
-    // the service's resident database plus any transient probes — then
-    // build one job per spec, FIFO in spec order.
+    // Master and standby both run this: load the whole structure table once
+    // from DRAM (the paper's single loader process; the standby pre-loads
+    // so takeover needs no disk round-trip), then build one job per spec,
+    // FIFO in spec order.
     const auto load_and_build = [&]() -> rckskel::Task {
       const obs::Handle h = comm.obs();
       std::uint64_t table_bytes = 0;
@@ -79,29 +126,12 @@ PairsRun run_pairs(std::span<const bio::Protein* const> structures,
       }
 
       const noc::SimTime t_build0 = ctx.now();
-      std::vector<rckskel::Job> jobs;
-      jobs.reserve(specs.size());
-      for (std::size_t k = 0; k < specs.size(); ++k) {
-        const PairSpec& s = specs[k];
-        const bio::Protein& a = *structures[s.a];
-        const bio::Protein& b = *structures[s.b];
-        rckskel::Job job;
-        job.id = k;
-        // Pre-serialized wires (when the caller cached them) produce the
-        // same payload bytes as serializing here, just without the work.
-        const bio::Bytes* aw = wires.empty() ? nullptr : wires[s.a];
-        const bio::Bytes* bw = wires.empty() ? nullptr : wires[s.b];
-        job.payload = aw != nullptr && bw != nullptr
-                          ? encode_pair_job(s.a, s.b, s.method, *aw, *bw)
-                          : encode_pair_job(s.a, s.b, s.method, a, b);
-        job.cost_hint = static_cast<std::uint64_t>(a.size()) * b.size();
-        jobs.push_back(std::move(job));
-      }
-
-      std::vector<int> slaves(static_cast<std::size_t>(opts.slave_count));
-      std::iota(slaves.begin(), slaves.end(), 1);
-      rckskel::Task task = rckskel::Task::make_par(slaves, std::move(jobs));
+      rckskel::Task task = make_task(
+          detail::make_pair_jobs(structures, specs, wires, opts.cache, ctx.timing()),
+          opts.slave_count, partition);
       if (h) {
+        // Job construction is host-side work (free in simulated time), so
+        // this phase span marks the boundary rather than a cost.
         h.span(obs::Lane::Core, h.ids().n_build_jobs, t_build0, ctx.now());
       }
       return task;
@@ -120,6 +150,13 @@ PairsRun run_pairs(std::span<const bio::Protein* const> structures,
       }
       if (h) {
         h.span(obs::Lane::Core, h.ids().n_decode_results, t_decode0, ctx.now());
+        // Aggregate throughput over this core's elapsed time so far (the
+        // final makespan differs only by teardown bookkeeping).
+        const double secs = noc::to_seconds(ctx.now());
+        if (secs > 0.0) {
+          h.set_gauge(h.ids().app_pairs_per_sec,
+                      static_cast<double>(rows.size()) / secs, ctx.now());
+        }
       }
     };
 
@@ -185,8 +222,15 @@ PairsRun run_pairs(std::span<const bio::Protein* const> structures,
   }
   run.core_reports = rt.core_reports();
   run.network = rt.network_stats();
+  run.events = rt.events_fired();
   run.obs = rt.obs();
   run.chk = rt.chk();
+  // obs forces the runtime's internal trace on (to derive per-core lanes),
+  // so the trace/heatmap fields follow either switch.
+  if (opts.runtime.enable_trace || run.obs != nullptr) {
+    run.trace = rt.trace();
+    run.link_heatmap = noc::render_link_heatmap(rt.network(), run.makespan);
+  }
   return run;
 }
 

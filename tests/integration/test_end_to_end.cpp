@@ -106,11 +106,10 @@ TEST_F(EndToEnd, AllOrchestrationsAgreeOnScience) {
   flat.cache = cache_;
   const auto flat_run = rckalign::run_rckalign(*dataset_, flat);
 
-  rckalign::McPscOptions mc;
-  mc.tmalign_slaves = 4;
-  mc.rmsd_slaves = 2;
+  rckalign::MultiMethodOptions mc;
+  mc.groups = {{rckalign::Method::TmAlign, 4}, {rckalign::Method::GaplessRmsd, 2}};
   mc.cache = cache_;
-  const auto mc_run = rckalign::run_mcpsc(*dataset_, mc);
+  const auto mc_run = rckalign::run_multi_method(*dataset_, mc);
 
   rckalign::HierarchyOptions h;
   h.group_count = 2;
@@ -124,7 +123,7 @@ TEST_F(EndToEnd, AllOrchestrationsAgreeOnScience) {
     return m;
   };
   const auto a = index(flat_run.results);
-  const auto b = index(mc_run.tmalign_results);
+  const auto b = index(mc_run.results[0]);
   const auto c = index(h_run.results);
   EXPECT_EQ(a, b);
   EXPECT_EQ(a, c);

@@ -4,10 +4,14 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <filesystem>
+#include <fstream>
 #include <set>
+#include <sstream>
 
 #include "rck/bio/synthetic.hpp"
 #include "rck/core/tmalign.hpp"
+#include "rck/obs/trace_check.hpp"
 #include "rck/rck.hpp"
 #include "rck/rckalign/one_vs_all.hpp"
 
@@ -161,6 +165,47 @@ TEST_F(QueryTest, ArrivalRidesThroughToCompletion) {
   const QueryResult res = run_query(*database_, q, config(3));
   EXPECT_EQ(res.arrival, 12345u);
   EXPECT_EQ(res.completion, 12345u + static_cast<std::uint64_t>(res.makespan));
+}
+
+TEST_F(QueryTest, ObsMetricsCarryThePairsPerSecGauge) {
+  // run_query's metrics document reports throughput like rck::run()'s.
+  const std::filesystem::path path =
+      std::filesystem::temp_directory_path() / "rck_query_metrics.json";
+  std::filesystem::remove(path);
+  RunConfig cfg = config(3);
+  cfg.with_metrics(path.string());
+  run_query(*database_, Query::one_vs_all(*probe_), cfg);
+
+  std::ifstream in(path);
+  ASSERT_TRUE(in) << "metrics not written";
+  std::stringstream text;
+  text << in.rdbuf();
+  obs::JsonValue doc;
+  std::string error;
+  ASSERT_TRUE(obs::json_parse(text.str(), doc, error)) << error;
+  const obs::JsonValue* gauges = doc.get("gauges");
+  ASSERT_NE(gauges, nullptr);
+  bool found = false;
+  for (const obs::JsonValue& g : gauges->array) {
+    const obs::JsonValue* name = g.get("name");
+    if (name == nullptr || name->string != "app.pairs_per_sec") continue;
+    found = true;
+    EXPECT_TRUE(g.get("set")->boolean);
+    EXPECT_GT(g.get("value")->number, 0.0);
+  }
+  EXPECT_TRUE(found);
+  std::filesystem::remove(path);
+}
+
+TEST_F(QueryTest, ChkReportIsWrittenEvenWhenClean) {
+  const std::filesystem::path path =
+      std::filesystem::temp_directory_path() / "rck_query_chk_report.json";
+  std::filesystem::remove(path);
+  RunConfig cfg = config(3);
+  cfg.with_chk_report(path.string());
+  run_query(*database_, Query::one_vs_all(*probe_), cfg);
+  EXPECT_TRUE(std::filesystem::exists(path));
+  std::filesystem::remove(path);
 }
 
 TEST_F(QueryTest, RunRejectsMultiMethodConfigs) {

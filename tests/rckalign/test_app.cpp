@@ -86,6 +86,31 @@ TEST_F(RckAlignTest, NoCacheProducesSameScores) {
   }
 }
 
+TEST_F(RckAlignTest, CacheOnlyServesTmAlignJobs) {
+  // A PairCache holds TM-align outcomes. For every other method it must
+  // change nothing: not the results, and not the cost hint that orders LPT
+  // dispatch and sizes fault-tolerant leases.
+  struct Case {
+    Method method;
+    bool fault_tolerant;
+  };
+  for (const Case c : {Case{Method::GaplessRmsd, false}, Case{Method::CeAlign, false},
+                       Case{Method::SeqNw, false}, Case{Method::SeqNw, true}}) {
+    RckAlignOptions cached = options(3);
+    cached.method = c.method;
+    cached.lpt = !c.fault_tolerant;
+    cached.fault_tolerant = c.fault_tolerant;
+    RckAlignOptions live = cached;
+    live.cache = nullptr;
+    const RckAlignRun a = run_rckalign(*dataset_, cached);
+    const RckAlignRun b = run_rckalign(*dataset_, live);
+    const int m = static_cast<int>(c.method);
+    EXPECT_EQ(a.makespan, b.makespan) << "method " << m;
+    EXPECT_TRUE(a.results == b.results) << "method " << m;
+    EXPECT_TRUE(a.core_reports == b.core_reports) << "method " << m;
+  }
+}
+
 TEST_F(RckAlignTest, MoreSlavesFaster) {
   const noc::SimTime t1 = run_rckalign(*dataset_, options(1)).makespan;
   const noc::SimTime t3 = run_rckalign(*dataset_, options(3)).makespan;

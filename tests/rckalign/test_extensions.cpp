@@ -29,53 +29,47 @@ class ExtensionsTest : public ::testing::Test {
 std::vector<bio::Protein>* ExtensionsTest::dataset_ = nullptr;
 PairCache* ExtensionsTest::cache_ = nullptr;
 
+/// MC-PSC: the two-group multi-method run (TM-align on the first
+/// `tm_slaves` slaves, gapless RMSD on the next `rmsd_slaves`).
+MultiMethodRun mcpsc_run(const std::vector<bio::Protein>& dataset, int tm_slaves,
+                         int rmsd_slaves, const PairCache* cache) {
+  MultiMethodOptions opts;
+  opts.groups = {{Method::TmAlign, tm_slaves}, {Method::GaplessRmsd, rmsd_slaves}};
+  opts.cache = cache;
+  return run_multi_method(dataset, opts);
+}
+
 TEST_F(ExtensionsTest, McPscRunsBothMethods) {
-  McPscOptions opts;
-  opts.tmalign_slaves = 3;
-  opts.rmsd_slaves = 2;
-  opts.cache = cache_;
-  const McPscRun run = run_mcpsc(*dataset_, opts);
-  EXPECT_EQ(run.tmalign_results.size(), 28u);
-  EXPECT_EQ(run.rmsd_results.size(), 28u);
+  const MultiMethodRun run = mcpsc_run(*dataset_, 3, 2, cache_);
+  EXPECT_EQ(run.results[0].size(), 28u);
+  EXPECT_EQ(run.results[1].size(), 28u);
   EXPECT_GT(run.makespan, 0u);
 }
 
 TEST_F(ExtensionsTest, McPscPartitionRespected) {
-  McPscOptions opts;
-  opts.tmalign_slaves = 3;  // UEs 1..3
-  opts.rmsd_slaves = 2;     // UEs 4..5
-  opts.cache = cache_;
-  const McPscRun run = run_mcpsc(*dataset_, opts);
-  for (const PairRow& r : run.tmalign_results) {
+  // TM-align on UEs 1..3, RMSD on UEs 4..5.
+  const MultiMethodRun run = mcpsc_run(*dataset_, 3, 2, cache_);
+  for (const PairRow& r : run.results[0]) {
     EXPECT_GE(r.worker, 1);
     EXPECT_LE(r.worker, 3);
   }
-  for (const PairRow& r : run.rmsd_results) {
+  for (const PairRow& r : run.results[1]) {
     EXPECT_GE(r.worker, 4);
     EXPECT_LE(r.worker, 5);
   }
 }
 
 TEST_F(ExtensionsTest, McPscTmScoresMatchCache) {
-  McPscOptions opts;
-  opts.tmalign_slaves = 2;
-  opts.rmsd_slaves = 1;
-  opts.cache = cache_;
-  const McPscRun run = run_mcpsc(*dataset_, opts);
-  for (const PairRow& r : run.tmalign_results)
+  const MultiMethodRun run = mcpsc_run(*dataset_, 2, 1, cache_);
+  for (const PairRow& r : run.results[0])
     EXPECT_DOUBLE_EQ(r.tm_norm_a, cache_->at(r.i, r.j).tm_norm_a);
   // RMSD rows come from the second method; rmsd must be populated.
-  for (const PairRow& r : run.rmsd_results) EXPECT_GT(r.rmsd, 0.0);
+  for (const PairRow& r : run.results[1]) EXPECT_GT(r.rmsd, 0.0);
 }
 
 TEST_F(ExtensionsTest, McPscValidation) {
-  McPscOptions opts;
-  opts.tmalign_slaves = 0;
-  opts.rmsd_slaves = 2;
-  EXPECT_THROW(run_mcpsc(*dataset_, opts), rck::rckalign::AlignError);
-  opts.tmalign_slaves = 40;
-  opts.rmsd_slaves = 40;
-  EXPECT_THROW(run_mcpsc(*dataset_, opts), rck::rckalign::AlignError);
+  EXPECT_THROW(mcpsc_run(*dataset_, 0, 2, nullptr), rck::rckalign::AlignError);
+  EXPECT_THROW(mcpsc_run(*dataset_, 40, 40, nullptr), rck::rckalign::AlignError);
 }
 
 TEST_F(ExtensionsTest, HierarchyCompletesAllPairs) {

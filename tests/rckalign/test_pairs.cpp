@@ -122,6 +122,23 @@ TEST_F(PairsTest, ValidatesInputsWithAlignError) {
   batched_ft.batch = 2;
   batched_ft.fault_tolerant = true;
   EXPECT_THROW(run_pairs(t, ok, batched_ft), AlignError);
+
+  // A cache must be built for this very table, and holds a < b only.
+  const PairCache cache = PairCache::build(*structures_, 1);
+  PairsOptions cached = opts;
+  cached.cache = &cache;
+  const std::vector<PairSpec> reversed{{1, 0, Method::TmAlign}};
+  EXPECT_THROW(run_pairs(t, reversed, cached), AlignError);
+  const std::vector<const bio::Protein*> shorter(t.begin(), t.begin() + 3);
+  EXPECT_THROW(run_pairs(shorter, ok, cached), AlignError);
+
+  // A partition must cover every slave and every spec.
+  const std::vector<SlaveGroup> too_few_slaves{{1, 1}};
+  EXPECT_THROW(run_pairs(t, ok, opts, {}, too_few_slaves), AlignError);
+  const std::vector<SlaveGroup> too_many_specs{{1, 1}, {1, 1}};
+  EXPECT_THROW(run_pairs(t, ok, opts, {}, too_many_specs), AlignError);
+  const std::vector<SlaveGroup> empty_group{{0, 0}, {2, 1}};
+  EXPECT_THROW(run_pairs(t, ok, opts, {}, empty_group), AlignError);
 }
 
 TEST_F(PairsTest, RunsAreDeterministic) {

@@ -4,10 +4,13 @@
 // simulated execution: the makespan, every result row in collection order
 // (worker rank included), the per-core reports, and — where the run struct
 // carries them — network statistics, the fired-event count and the obs
-// metrics snapshot bytes. The values were recorded from the inline-kernel
-// farm (slaves ran TM-align themselves while holding the scheduler) and
-// must hold at every host width: kernel pre-execution may change how fast
-// a run finishes on the host, never what it simulates.
+// metrics snapshot bytes. The first table was recorded from the inline-kernel
+// farm (slaves ran TM-align themselves while holding the scheduler); the
+// second covers the paths those uncached digests miss (cached replay with
+// cost-derived leases, a cached method partition, a k-vs-all spec list) and
+// was recorded from the pre-execution farm with one SPMD program per driver.
+// Both must hold at every host width: kernel pre-execution may change how
+// fast a run finishes on the host, never what it simulates.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -16,11 +19,13 @@
 #include <vector>
 
 #include "rck/bio/dataset.hpp"
+#include "rck/bio/synthetic.hpp"
 #include "rck/obs/obs.hpp"
 #include "rck/rckalign/app.hpp"
 #include "rck/rckalign/blocked.hpp"
 #include "rck/rckalign/extensions.hpp"
 #include "rck/rckalign/one_vs_all.hpp"
+#include "rck/rckalign/pairs.hpp"
 
 namespace rck::rckalign {
 namespace {
@@ -56,6 +61,23 @@ void add_rows(Fnv& f, const std::vector<PairRow>& rows) {
   }
 }
 
+void add_rows(Fnv& f, const std::vector<PairsRow>& rows) {
+  f.pod(rows.size());
+  for (const PairsRow& r : rows) {
+    f.pod(r.spec);
+    f.pod(r.a);
+    f.pod(r.b);
+    f.pod(r.method);
+    f.pod(r.tm_norm_a);
+    f.pod(r.tm_norm_b);
+    f.pod(r.rmsd);
+    f.pod(r.seq_identity);
+    f.pod(r.aligned_length);
+    f.pod(r.work_cycles);
+    f.pod(r.worker);
+  }
+}
+
 void add_reports(Fnv& f, const std::vector<scc::CoreReport>& reports) {
   f.pod(reports.size());
   for (const scc::CoreReport& c : reports) {
@@ -81,6 +103,22 @@ void add_network(Fnv& f, const noc::NetworkStats& n) {
   f.pod(n.dropped);
 }
 
+void add_farm_report(Fnv& f, const rckskel::FarmReport& r) {
+  f.pod(r.jobs);
+  f.pod(r.attempts);
+  f.pod(r.retries);
+  f.pod(r.reassignments);
+  f.pod(r.lease_expiries);
+  f.pod(r.corrupt_frames);
+  f.pod(r.duplicate_results);
+  f.pod(r.checkpoints);
+  f.pod(r.failovers);
+  f.pod(r.resumed_jobs);
+  f.pod(r.dead_ues.size());
+  for (const int ue : r.dead_ues) f.pod(ue);
+  f.pod(r.wasted);
+}
+
 std::string hex(std::uint64_t h) {
   char buf[17];
   std::snprintf(buf, sizeof buf, "%016llx", static_cast<unsigned long long>(h));
@@ -92,6 +130,12 @@ const std::vector<bio::Protein>& ck34() {
   return data;
 }
 
+/// CK34's TM-align matrix, shared by every cached pin.
+const PairCache& ck34_cache() {
+  static const PairCache cache = PairCache::build(ck34());
+  return cache;
+}
+
 scc::RuntimeConfig runtime(int width) {
   scc::RuntimeConfig rt;
   rt.host.threads = width;
@@ -100,15 +144,17 @@ scc::RuntimeConfig runtime(int width) {
 
 enum class Farm { Plain, Batch4, FtSlaveCrash, MasterFt };
 
-std::string farm_digest(bool lpt, Farm farm, int width) {
+std::string farm_digest(bool lpt, Farm farm, int width, const PairCache* cache) {
   RckAlignOptions o;
   o.slave_count = kSlaves;
   o.runtime = runtime(width);
   o.runtime.obs = obs::Config::collect();
   o.lpt = lpt;
-  // Uncached, the LPT cost hint is the L1*L2 proxy rather than cycles, so
-  // the FT farms get a fixed lease well above CK34's longest job instead.
-  o.ft.lease = noc::from_seconds(60.0);
+  o.cache = cache;
+  // Uncached, the cost hint is the L1*L2 proxy rather than cycles, so the
+  // FT farms get a fixed lease well above CK34's longest job instead. A
+  // cache makes the hint exact, and the lease is derived from it.
+  if (cache == nullptr) o.ft.lease = noc::from_seconds(60.0);
   switch (farm) {
     case Farm::Plain:
       break;
@@ -143,7 +189,12 @@ std::string farm_digest(bool lpt, Farm farm, int width) {
 
 template <bool Lpt, Farm F>
 std::string farm(int width) {
-  return farm_digest(Lpt, F, width);
+  return farm_digest(Lpt, F, width, nullptr);
+}
+
+template <bool Lpt, Farm F>
+std::string cached_farm(int width) {
+  return farm_digest(Lpt, F, width, &ck34_cache());
 }
 
 std::string blocked_digest(int width) {
@@ -165,22 +216,22 @@ std::string blocked_digest(int width) {
 }
 
 std::string mcpsc_digest(int width) {
-  McPscOptions o;
+  MultiMethodOptions o;
   o.runtime = runtime(width);
-  o.tmalign_slaves = 8;
-  o.rmsd_slaves = 4;
-  const McPscRun run = run_mcpsc(ck34(), o);
+  o.groups = {{Method::TmAlign, 8}, {Method::GaplessRmsd, 4}};
+  const MultiMethodRun run = run_multi_method(ck34(), o);
   Fnv f;
   f.pod(run.makespan);
-  add_rows(f, run.tmalign_results);
-  add_rows(f, run.rmsd_results);
+  add_rows(f, run.results[0]);
+  add_rows(f, run.results[1]);
   add_reports(f, run.core_reports);
   return hex(f.h);
 }
 
-std::string multi_method_digest(int width) {
+std::string multi_method_digest(int width, const PairCache* cache) {
   MultiMethodOptions o;
   o.runtime = runtime(width);
+  o.cache = cache;
   // CE costs ~40x a TM-align in cycles; a small CE group would leave the
   // others idle past the farm's slave idle timeout.
   o.groups = {{Method::TmAlign, 6},
@@ -192,6 +243,55 @@ std::string multi_method_digest(int width) {
   f.pod(run.makespan);
   for (const std::vector<PairRow>& rows : run.results) add_rows(f, rows);
   add_reports(f, run.core_reports);
+  return hex(f.h);
+}
+
+template <bool Cached>
+std::string multi_method(int width) {
+  return multi_method_digest(width, Cached ? &ck34_cache() : nullptr);
+}
+
+enum class SpecFarm { FtSlaveCrash, Batch4 };
+
+/// A k-vs-all spec list straight through run_pairs: three seeded probes
+/// appended to CK34, each aligned onto every entry under TM-align and then
+/// gapless RMSD (run_query's method-major, probe-major order).
+template <SpecFarm F>
+std::string k_vs_all(int width) {
+  std::vector<bio::Protein> probes;
+  bio::Rng rng(0xC0FFEE);
+  for (int k = 0; k < 3; ++k)
+    probes.push_back(bio::perturb(ck34()[rng() % ck34().size()],
+                                  "probe/k" + std::to_string(k), rng));
+  std::vector<const bio::Protein*> structures;
+  for (const bio::Protein& p : ck34()) structures.push_back(&p);
+  for (const bio::Protein& p : probes) structures.push_back(&p);
+  const auto n = static_cast<std::uint32_t>(ck34().size());
+  std::vector<PairSpec> specs;
+  for (const Method m : {Method::TmAlign, Method::GaplessRmsd})
+    for (std::uint32_t p = 0; p < probes.size(); ++p)
+      for (std::uint32_t e = 0; e < n; ++e) specs.push_back(PairSpec{n + p, e, m});
+
+  PairsOptions o;
+  o.slave_count = kSlaves;
+  o.runtime = runtime(width);
+  if (F == SpecFarm::FtSlaveCrash) {
+    o.fault_tolerant = true;
+    o.ft.lease = noc::from_seconds(60.0);
+    o.runtime.faults.crashes.push_back({3, noc::from_seconds(4.0)});
+  } else {
+    o.batch = 4;
+  }
+  const PairsRun run = run_pairs(structures, specs, o);
+  if (F == SpecFarm::FtSlaveCrash) {
+    EXPECT_TRUE(run.core_reports[3].crashed);
+  }
+  Fnv f;
+  f.pod(run.makespan);
+  add_rows(f, run.rows);
+  add_reports(f, run.core_reports);
+  add_network(f, run.network);
+  add_farm_report(f, run.farm_report);
   return hex(f.h);
 }
 
@@ -253,9 +353,26 @@ const std::vector<Pinned>& pinned() {
       {"lpt/master-ft", "221913c5e306a7f7", farm<true, Farm::MasterFt>},
       {"blocked", "f8294ed58461bf8c", blocked_digest},
       {"mcpsc", "f0a6c98377405f39", mcpsc_digest},
-      {"multi-method", "156d8a7ca11d4643", multi_method_digest},
+      {"multi-method", "156d8a7ca11d4643", multi_method<false>},
       {"hierarchical", "4857f348108fbfc8", hierarchical_digest},
       {"one-vs-all", "d9fd4a02dfb52968", one_vs_all_digest},
+  };
+  return table;
+}
+
+const std::vector<Pinned>& parent_pinned() {
+  static const std::vector<Pinned> table = {
+      {"cached/fifo/plain", "8d0e3546ebbe8e78", cached_farm<false, Farm::Plain>},
+      {"cached/fifo/batch4", "904c85673c1b909d", cached_farm<false, Farm::Batch4>},
+      {"cached/fifo/ft-slave-crash", "934d1ed0f8fdd5d9", cached_farm<false, Farm::FtSlaveCrash>},
+      {"cached/fifo/master-ft", "79e3ab2c94687923", cached_farm<false, Farm::MasterFt>},
+      {"cached/lpt/plain", "575ef2ef1b4ae55c", cached_farm<true, Farm::Plain>},
+      {"cached/lpt/batch4", "f62e98e0554657e7", cached_farm<true, Farm::Batch4>},
+      {"cached/lpt/ft-slave-crash", "2f47f0b966515707", cached_farm<true, Farm::FtSlaveCrash>},
+      {"cached/lpt/master-ft", "18948823898733ad", cached_farm<true, Farm::MasterFt>},
+      {"cached/multi-method", "156d8a7ca11d4643", multi_method<true>},
+      {"k-vs-all/ft-slave-crash", "48f796337224e954", k_vs_all<SpecFarm::FtSlaveCrash>},
+      {"k-vs-all/batch4", "fd779ca0c205c0cc", k_vs_all<SpecFarm::Batch4>},
   };
   return table;
 }
@@ -264,6 +381,12 @@ class PinnedDigests : public ::testing::TestWithParam<int> {};
 
 TEST_P(PinnedDigests, EveryDriverMatchesTheInlineKernelFarm) {
   for (const Pinned& p : pinned()) {
+    EXPECT_EQ(p.run(GetParam()), p.digest) << p.name;
+  }
+}
+
+TEST_P(PinnedDigests, CachedAndSpecListPathsMatchTheParentFarm) {
+  for (const Pinned& p : parent_pinned()) {
     EXPECT_EQ(p.run(GetParam()), p.digest) << p.name;
   }
 }
