@@ -134,7 +134,7 @@ BENCHMARK(BM_MeshRouting);
 
 void BM_SimulatedFarm(benchmark::State& state) {
   // Host cost of simulating one small master-slaves farm end to end
-  // (thread-handoff heavy: measures the simulator's overhead per job).
+  // (fiber-switch heavy: measures the simulator's overhead per job).
   const int slaves = static_cast<int>(state.range(0));
   for (auto _ : state) {
     scc::SpmdRuntime rt{scc::RuntimeConfig{}};

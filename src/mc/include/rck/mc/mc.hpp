@@ -168,8 +168,8 @@ std::optional<Violation> check_protocol_log(const std::vector<ProtoEvent>& log);
 ///    must match the scripted kind and arity exactly, and
 ///    verify_replay_complete() checks the run consumed the whole script.
 ///
-/// Thread safety: none needed — the scheduler admits one thread at a time,
-/// and all calls happen under the scheduler lock.
+/// Thread safety: none needed — every call comes from the one thread that
+/// runs the simulation, whose scheduler runs one core's fiber at a time.
 class Session {
  public:
   /// Exploration mode. `prefix[i]` is the alternative to take at decision

@@ -6,10 +6,10 @@
 // link bookkeeping, event-queue callbacks). The contract that makes this
 // safe AND deterministic without any locking:
 //
-//   * exactly one host thread writes a given shard at any moment (a core's
-//     shard is written by its program thread, or by the scheduler while all
-//     program threads are parked; the system shard is only written under
-//     the scheduler lock);
+//   * exactly one writer touches a given shard at any moment (a core's
+//     shard is written by that core's fiber, or by the scheduler while all
+//     fibers are parked; the system shard only by the scheduler, which
+//     runs one fiber or event at a time);
 //   * every record carries its simulated timestamp, and the merged view is
 //     ordered by (ts, shard, per-shard sequence) — all three components are
 //     pure simulation observables, so executions of the same run at any

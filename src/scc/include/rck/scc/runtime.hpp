@@ -6,16 +6,18 @@
 // simulated core, written with *blocking* message-passing calls, and the
 // runtime interleaves the per-core executions deterministically.
 //
-// Mechanics: each core's program runs on its own OS thread, but the
-// scheduler admits exactly one thread at a time. Every CoreCtx operation
-// that advances the core's virtual clock is a yield point; the scheduler
-// always resumes the entity with the smallest next timestamp — either the
-// earliest pending network event or the ready core with the smallest
-// virtual time (ties: events first, then lowest rank). This conservative
-// order makes simulated executions sequentially consistent and bit-for-bit
-// reproducible: wall-clock thread scheduling cannot change any simulated
-// outcome. This serial scheduler is the only one; RuntimeConfig::host never
-// reaches it (see HostParallelism).
+// Mechanics: each core's program runs as a stackful fiber (a ucontext with
+// its own 8 MiB stack) on the thread that called run(), and the scheduler
+// switches into exactly one fiber at a time. Every CoreCtx operation that
+// advances the core's virtual clock is a yield point; the scheduler always
+// resumes the entity with the smallest next timestamp — either the earliest
+// pending network event or the ready core with the smallest virtual time
+// (ties: events first, then lowest rank). This conservative order makes
+// simulated executions sequentially consistent and bit-for-bit
+// reproducible: host scheduling cannot change any simulated outcome. Each
+// fiber keeps its own caught-exception state, so a core may block inside a
+// catch handler. This serial scheduler is the only one; RuntimeConfig::host
+// never reaches it (see HostParallelism).
 //
 // Compute cost enters via charge_cycles(), typically fed from the
 // core::AlignStats counters of a real alignment (pre-executed by the farm

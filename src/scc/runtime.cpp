@@ -1,26 +1,38 @@
 #include "rck/scc/runtime.hpp"
 
+#include <sys/mman.h>
+#include <ucontext.h>
+#include <unistd.h>
+
 #include <algorithm>
-#include <condition_variable>
+#include <cstring>
+#include <cxxabi.h>
 #include <deque>
 #include <map>
-#include <mutex>
 #include <optional>
 #include <sstream>
 #include <thread>
 #include <tuple>
 
+#if defined(__SANITIZE_ADDRESS__)
+#include <sanitizer/asan_interface.h>
+#include <sanitizer/common_interface_defs.h>
+#endif
+#if defined(__SANITIZE_THREAD__)
+#include <sanitizer/tsan_interface.h>
+#endif
+
 namespace rck::scc {
 
 namespace {
 
-/// Thrown into program threads to unwind them when the simulation aborts.
+/// Thrown into a parked fiber to unwind it when the simulation aborts.
 /// Not derived from std::exception on purpose: program code that catches
 /// (std::exception&) will not swallow it.
 struct AbortSim {};
 
-/// Thrown into a single program thread to unwind it when its core is killed
-/// by the FaultPlan. Same non-std::exception rationale as AbortSim.
+/// Thrown into a single fiber to unwind it when its core is killed by the
+/// FaultPlan. Same non-std::exception rationale as AbortSim.
 struct CrashUnwind {};
 
 /// Framing bytes added to every payload for timing purposes (source rank,
@@ -36,6 +48,85 @@ std::uint64_t chk_shuffle_next(std::uint64_t& s) noexcept {
   s ^= s >> 27;
   return s * 0x2545F4914F6CDD1DULL;
 }
+
+/// Each fiber's stack size: glibc's default for a new thread, so a program
+/// gets the stack depth it would have on a thread of its own.
+constexpr std::size_t kFiberStackBytes = std::size_t{8} << 20;
+
+/// The Itanium C++ ABI's per-thread exception-handling globals (libstdc++'s
+/// __cxa_eh_globals: the caught-exception stack and the uncaught count).
+/// <cxxabi.h> leaves the struct incomplete; this mirrors its two words.
+struct EhGlobals {
+  void* caught = nullptr;
+  unsigned int uncaught = 0;
+};
+
+/// Exchange the calling thread's exception-handling globals with `other`.
+/// Fibers share their thread, so each one keeps its own copy while it is
+/// switched out: a core parked inside a catch handler must not have its
+/// exception popped (and freed) by another core's handler ending.
+void swap_eh_globals(EhGlobals& other) noexcept {
+  void* const g = abi::__cxa_get_globals();
+  EhGlobals cur;
+  std::memcpy(&cur, g, sizeof cur);
+  std::memcpy(g, &other, sizeof other);
+  other = cur;
+}
+
+/// One core's fiber: its saved context, its stack and the state it keeps
+/// while switched out. The stack is kFiberStackBytes of MAP_NORESERVE memory
+/// above a PROT_NONE guard page, so only touched pages count towards RSS and
+/// an overflow faults instead of corrupting a neighbouring mapping. The
+/// owner must unwind the fiber before destroying it.
+class Fiber {
+ public:
+  Fiber() {
+    guard_ = static_cast<std::size_t>(sysconf(_SC_PAGESIZE));
+    void* const p = mmap(nullptr, guard_ + kFiberStackBytes, PROT_READ | PROT_WRITE,
+                         MAP_PRIVATE | MAP_ANONYMOUS | MAP_NORESERVE | MAP_STACK, -1, 0);
+    if (p == MAP_FAILED) throw SimError("run: cannot map a fiber stack");
+    map_ = static_cast<std::byte*>(p);
+    if (mprotect(map_, guard_, PROT_NONE) != 0) {
+      munmap(map_, guard_ + kFiberStackBytes);
+      throw SimError("run: cannot protect a fiber stack guard page");
+    }
+#if defined(__SANITIZE_THREAD__)
+    tsan = __tsan_create_fiber(0);
+#endif
+  }
+
+  ~Fiber() {
+#if defined(__SANITIZE_THREAD__)
+    __tsan_destroy_fiber(tsan);
+#endif
+#if defined(__SANITIZE_ADDRESS__)
+    // Frames unwound by an exception can leave redzone poison behind; clear
+    // it so a later mapping at this address starts clean.
+    ASAN_UNPOISON_MEMORY_REGION(stack_lo(), kFiberStackBytes);
+#endif
+    munmap(map_, guard_ + kFiberStackBytes);
+  }
+
+  Fiber(const Fiber&) = delete;
+  Fiber& operator=(const Fiber&) = delete;
+
+  void* stack_lo() const noexcept { return map_ + guard_; }
+
+  ucontext_t ctx{};
+  /// While switched out, the fiber's own exception-handling globals; while
+  /// running, the scheduler's (see swap_eh_globals).
+  EhGlobals eh;
+#if defined(__SANITIZE_ADDRESS__)
+  void* asan_fake_stack = nullptr;  // ASan's fake frames while switched out
+#endif
+#if defined(__SANITIZE_THREAD__)
+  void* tsan = nullptr;  // TSan's shadow context for this fiber
+#endif
+
+ private:
+  std::byte* map_ = nullptr;  // guard page, then the stack
+  std::size_t guard_ = 0;
+};
 
 }  // namespace
 
@@ -66,7 +157,7 @@ struct CoreState {
   std::size_t rr_cursor = 0;                 // wait_any fairness state
   double freq_scale_dynamic = 0.0;           // runtime DVFS override; 0 = config
 
-  bool dead = false;            // killed by the FaultPlan; thread must unwind
+  bool dead = false;            // killed by the FaultPlan; fiber must unwind
   bool timed_out = false;       // last blocking wait ended by its deadline
   std::uint64_t wait_epoch = 0; // bumped on every wake; invalidates stale timers
 
@@ -78,20 +169,18 @@ struct CoreState {
 
   CoreReport report;
   std::exception_ptr error;
-  std::condition_variable cv;
-  std::thread thread;
+  Fiber fiber;
 };
 
 struct SpmdRuntime::Impl {
-  explicit Impl(const RuntimeConfig& c)
-      : cfg(c), network(queue, c.chip.make_mesh(), c.net) {}
+  Impl(SpmdRuntime& rt, const RuntimeConfig& c)
+      : runtime(rt), cfg(c), network(queue, c.chip.make_mesh(), c.net) {}
 
+  SpmdRuntime& runtime;  // hands each fiber its CoreCtx
   RuntimeConfig cfg;
   noc::EventQueue queue;
   noc::Network network;
 
-  std::mutex m;
-  std::condition_variable sched_cv;
   std::vector<std::unique_ptr<CoreState>> cores;
   int nranks = 0;
   bool shutdown = false;
@@ -103,11 +192,30 @@ struct SpmdRuntime::Impl {
 
   std::vector<TraceEvent> trace;
 
+  // Fiber switching (see resume/suspend). `sched_ctx` is where a yielding
+  // or finished fiber returns to: the context saved by the resume() call
+  // that entered it. `current` names the fiber being entered, for
+  // fiber_main's first run; `program` is run()'s program.
+  ucontext_t sched_ctx{};
+  CoreState* current = nullptr;
+  const Program* program = nullptr;
+  /// The runtime whose resume() last switched into a fiber on this thread,
+  /// for fiber_main's first run: makecontext can pass an entry point only
+  /// int arguments.
+  static inline thread_local Impl* entering = nullptr;
+#if defined(__SANITIZE_ADDRESS__)
+  const void* sched_stack_lo = nullptr;  // the stack resume() runs on
+  std::size_t sched_stack_size = 0;
+#endif
+#if defined(__SANITIZE_THREAD__)
+  void* sched_tsan = nullptr;  // TSan's context of resume()'s caller
+#endif
+
   // Observability (null unless cfg.obs is active). Shards follow the
-  // single-writer discipline documented in rck/obs/obs.hpp: program threads
-  // write their own core's shard; delivery/crash events write the affected
-  // core's shard from the scheduler (events fire only while every program
-  // thread is parked), and the network writes the trailing system shard.
+  // single-writer discipline documented in rck/obs/obs.hpp: a core's fiber
+  // writes its own shard; delivery/crash events write the affected core's
+  // shard from the scheduler (events fire only while every fiber is
+  // parked), and the network writes the trailing system shard.
   std::shared_ptr<obs::Recorder> rec;
   std::vector<std::uint64_t> mpb_bytes;  // queued inbox bytes per core
 
@@ -143,7 +251,7 @@ struct SpmdRuntime::Impl {
   std::vector<PendingEventCrash> event_crashes;
 
   /// Fire every crash-at-event-K trigger whose threshold the queue has
-  /// reached. Lock held; follow with reap_dead().
+  /// reached. Follow with reap_dead().
   void apply_event_crashes() {
     for (PendingEventCrash& ec : event_crashes) {
       if (ec.applied || queue.fired() < ec.after_events) continue;
@@ -152,9 +260,9 @@ struct SpmdRuntime::Impl {
     }
   }
 
-  // Race detection (null unless cfg.chk is active). The scheduler admits one
-  // thread at a time, so every checker call happens with all other program
-  // threads parked — the checker needs no locking of its own.
+  // Race detection (null unless cfg.chk is active). The scheduler runs one
+  // fiber at a time, so every checker call happens with all other fibers
+  // parked — the checker needs no locking of its own.
   std::shared_ptr<chk::Checker> chk;
   struct ChkSites {
     chk::SiteId send = 0, recv = 0, recv_timeout = 0, probe = 0, wait_any = 0,
@@ -163,7 +271,7 @@ struct SpmdRuntime::Impl {
   std::uint64_t chk_rng = 0;  // schedule-perturbation state; 0 = off
 
   // Model checking (null unless cfg.mc is set; latched in run()). Like chk,
-  // every session call happens with all other program threads parked.
+  // every session call happens with all other fibers parked.
   // Scratch vectors live here to keep the scheduler hot path allocation-free
   // across decisions: `tied` collects the ready cores tied at the minimum
   // virtual time for mc's CoreTie decisions and chk's schedule perturbation.
@@ -208,30 +316,123 @@ struct SpmdRuntime::Impl {
       throw SimError(std::string(what) + ": rank out of range");
   }
 
-  /// Park the calling core's thread with the given status and wait until the
-  /// scheduler resumes it. Lock must be held; rethrows AbortSim on shutdown
-  /// and CrashUnwind once this core has been killed by the fault plan.
-  void yield(CoreState& st, std::unique_lock<std::mutex>& lock,
-             CoreState::Status status) {
+  // ---- Fibers --------------------------------------------------------------
+  // resume() runs on the scheduler and switches into a core's fiber;
+  // suspend() runs on that fiber and switches back. The pair brackets every
+  // switch with the exception-globals swap and, in sanitizer builds, the
+  // ASan/TSan fiber annotations (without them ASan misreads an exception
+  // thrown on a fiber stack as a stack-buffer-overflow).
+
+  /// (Re)make `st`'s fiber so that its next resume() starts fiber_main at
+  /// the top of its stack; a finished fiber returns to `sched_ctx`.
+  void make_fiber(CoreState& st) {
+    Fiber& f = st.fiber;
+    if (getcontext(&f.ctx) != 0) throw SimError("run: getcontext failed");
+    f.ctx.uc_stack.ss_sp = f.stack_lo();
+    f.ctx.uc_stack.ss_size = kFiberStackBytes;
+    f.ctx.uc_link = &sched_ctx;
+    makecontext(&f.ctx, &fiber_main, 0);
+    f.eh = EhGlobals{};
+  }
+
+  /// A fiber's entry point: run the program for the core being entered,
+  /// then return through uc_link to the scheduler. TSan leaves it
+  /// uninstrumented: its exit runs after the switch back to the
+  /// scheduler's TSan context, which would pop a frame it never pushed.
+  [[gnu::no_sanitize("thread")]] static void fiber_main() noexcept {
+    Impl& im = *entering;
+#if defined(__SANITIZE_ADDRESS__)
+    __sanitizer_finish_switch_fiber(nullptr, &im.sched_stack_lo, &im.sched_stack_size);
+#endif
+    im.run_program(*im.current);
+#if defined(__SANITIZE_THREAD__)
+    __tsan_switch_to_fiber(im.sched_tsan, 0);
+#endif
+#if defined(__SANITIZE_ADDRESS__)
+    // Leaving for good: a null save slot tells ASan to free the fake stack.
+    __sanitizer_start_switch_fiber(nullptr, im.sched_stack_lo, im.sched_stack_size);
+#endif
+  }
+
+  /// Run the program on `st` (unless the run was shut down or the core
+  /// killed before it ever started) and mark the core Done.
+  void run_program(CoreState& st) noexcept {
+    if (!shutdown && !st.dead) {
+      try {
+        CoreCtx ctx(runtime, st);
+        (*program)(ctx);
+      } catch (const AbortSim&) {
+        // unwound by shutdown; nothing to record
+      } catch (const CrashUnwind&) {
+        // this core was killed by the fault plan; its report says so
+      } catch (...) {
+        st.error = std::current_exception();
+      }
+    }
+    st.status = CoreState::Status::Done;
+    st.report.finish = st.vtime;
+  }
+
+  /// Switch from the scheduler into `st`'s fiber; returns once the fiber
+  /// yields, blocks or finishes.
+  void resume(CoreState& st) {
+    Fiber& f = st.fiber;
+    entering = this;
+    current = &st;
+    swap_eh_globals(f.eh);
+#if defined(__SANITIZE_THREAD__)
+    sched_tsan = __tsan_get_current_fiber();
+    __tsan_switch_to_fiber(f.tsan, 0);
+#endif
+#if defined(__SANITIZE_ADDRESS__)
+    void* fake_stack = nullptr;
+    __sanitizer_start_switch_fiber(&fake_stack, f.stack_lo(), kFiberStackBytes);
+#endif
+    swapcontext(&sched_ctx, &f.ctx);
+#if defined(__SANITIZE_ADDRESS__)
+    __sanitizer_finish_switch_fiber(fake_stack, nullptr, nullptr);
+#endif
+    swap_eh_globals(f.eh);
+  }
+
+  /// Switch from `st`'s fiber back to the scheduler; returns once the
+  /// scheduler resumes it.
+  void suspend(CoreState& st) {
+    Fiber& f = st.fiber;
+#if defined(__SANITIZE_THREAD__)
+    __tsan_switch_to_fiber(sched_tsan, 0);
+#endif
+#if defined(__SANITIZE_ADDRESS__)
+    __sanitizer_start_switch_fiber(&f.asan_fake_stack, sched_stack_lo, sched_stack_size);
+#endif
+    swapcontext(&f.ctx, &sched_ctx);
+#if defined(__SANITIZE_ADDRESS__)
+    __sanitizer_finish_switch_fiber(f.asan_fake_stack, &sched_stack_lo, &sched_stack_size);
+#endif
+  }
+
+  /// Park the calling core's fiber with the given status until the
+  /// scheduler resumes it. Throws AbortSim on shutdown and CrashUnwind once
+  /// this core has been killed by the fault plan — also without parking, so
+  /// a fiber that is unwinding never switches out again.
+  void yield(CoreState& st, CoreState::Status status) {
     if (st.dead) throw CrashUnwind{};  // rck-lint: allow(throw-taxonomy)
+    if (shutdown) throw AbortSim{};  // rck-lint: allow(throw-taxonomy)
     st.status = status;
     if (status == CoreState::Status::Blocked) st.blocked_since = st.vtime;
-    sched_cv.notify_all();
-    st.cv.wait(lock, [&] {
-      return st.status == CoreState::Status::Running || shutdown || st.dead;
-    });
+    suspend(st);
     if (shutdown) throw AbortSim{};  // rck-lint: allow(throw-taxonomy)
     if (st.dead) throw CrashUnwind{};  // rck-lint: allow(throw-taxonomy)
   }
 
   /// Advance the core's clock (busy) and give the scheduler a chance to
-  /// reorder. Lock must be held.
-  void advance(CoreState& st, std::unique_lock<std::mutex>& lock, noc::SimTime dt,
+  /// reorder.
+  void advance(CoreState& st, noc::SimTime dt,
                TraceEvent::Kind kind = TraceEvent::Kind::Compute) {
     record(st.rank, kind, st.vtime, st.vtime + dt);
     st.vtime += dt;
     st.report.busy += dt;
-    yield(st, lock, CoreState::Status::Ready);
+    yield(st, CoreState::Status::Ready);
   }
 
   bool wants_message_from(const CoreState& st, int src) const {
@@ -241,7 +442,7 @@ struct SpmdRuntime::Impl {
     return false;
   }
 
-  /// Wake a blocked core at time `t` (>= its blocking time). Lock held.
+  /// Wake a blocked core at time `t` (>= its blocking time).
   void wake(CoreState& st, noc::SimTime t) {
     const noc::SimTime resume = std::max(st.vtime, t);
     record(st.rank, TraceEvent::Kind::Blocked, st.blocked_since, resume);
@@ -255,7 +456,7 @@ struct SpmdRuntime::Impl {
 
   /// Schedule a deadline event for a core about to block in a timed wait.
   /// The event is a no-op unless the core is still parked in the same wait
-  /// (epoch match) when the deadline arrives. Lock held.
+  /// (epoch match) when the deadline arrives.
   void arm_timer(CoreState& st, noc::SimTime deadline) {
     // Arming inserts into the shared event queue; under mc the quantum stops
     // counting as a pure-local segment.
@@ -273,18 +474,18 @@ struct SpmdRuntime::Impl {
         st.rank, noc::EventClass::Timer);
   }
 
-  /// Kill a core at simulated time `t` (fires from the event queue; lock is
-  /// held by the scheduler). The program thread unwinds via CrashUnwind the
-  /// next time it runs; reap_dead() below guarantees that happens before the
-  /// scheduler makes any further decision.
+  /// Kill a core at simulated time `t` (fires from the event queue, on the
+  /// scheduler). The fiber unwinds via CrashUnwind the next time it runs;
+  /// reap_dead() below guarantees that happens before the scheduler makes
+  /// any further decision.
   void apply_crash(CoreState& st, noc::SimTime t) {
     if (st.dead || st.status == CoreState::Status::Done) return;
     st.dead = true;
     st.report.crashed = true;
     st.report.crashed_at = t;
     if (rec) {
-      // Crash events fire from the scheduler while every program thread is
-      // parked, so the victim's shard is writable here.
+      // Crash events fire from the scheduler while every fiber is parked,
+      // so the victim's shard is writable here.
       const obs::Handle h = oh(st.rank);
       h.add(h.ids().scc_crashes);
       h.instant(obs::Lane::Core, h.ids().n_crash, t,
@@ -298,27 +499,23 @@ struct SpmdRuntime::Impl {
     st.vtime = std::max(st.vtime, t);
     st.in_barrier = false;  // an arrived-then-crashed core stays counted
     ++st.wait_epoch;
-    st.cv.notify_all();
   }
 
-  /// Wait for every crashed-but-not-yet-unwound thread to reach Done so the
-  /// scheduler never reasons about half-dead cores. Lock must be held.
-  void reap_dead(std::unique_lock<std::mutex>& lock) {
-    for (auto& c : cores) {
-      if (c->dead && c->status != CoreState::Status::Done) {
-        c->cv.notify_all();
-        sched_cv.wait(lock, [&] { return c->status == CoreState::Status::Done; });
-      }
-    }
+  /// Resume every crashed-but-not-yet-unwound fiber so it unwinds to Done
+  /// and the scheduler never reasons about half-dead cores. A dead fiber
+  /// cannot park again (yield throws first), so one resume each suffices.
+  void reap_dead() {
+    for (auto& c : cores)
+      if (c->dead && c->status != CoreState::Status::Done) resume(*c);
   }
 
-  // ---- CoreCtx operations (called from program threads) -------------------
+  // ---- CoreCtx operations (run on the calling core's fiber) ---------------
 
   /// The single "is a frame pending from src?" primitive: every probe-style
   /// inbox check — probe(), the wait_any sweeps and the recv dequeue tests,
   /// timed or not — funnels through here, so the race checker observes one
   /// coherent RCCE flag_test stream (a successful test is the only event
-  /// that orders a later slice read after the sender's write). Lock held.
+  /// that orders a later slice read after the sender's write).
   bool probe_pending(CoreState& st, int src, chk::SiteId site) {
     const auto it = st.inbox.find(src);
     const bool pending = it != st.inbox.end() && !it->second.empty();
@@ -329,7 +526,7 @@ struct SpmdRuntime::Impl {
   /// One round-robin polling sweep over `srcs` (the master's polling loop):
   /// returns the first rank with a pending frame — advancing the fairness
   /// cursor past it — or -1 when none is. Shared by the timed and untimed
-  /// wait_any. Lock must be held.
+  /// wait_any.
   int sweep_pending(CoreState& st, std::span<const int> srcs, chk::SiteId site) {
     for (std::size_t k = 0; k < srcs.size(); ++k) {
       const std::size_t idx = (st.rr_cursor + k) % srcs.size();
@@ -345,7 +542,7 @@ struct SpmdRuntime::Impl {
   /// pending via probe_pending) and account for it: receive counters, MPB
   /// occupancy sample, and the checker's slice read. `bytes` returns the
   /// framed size; the caller charges the endpoint occupancy itself (the
-  /// timed and untimed receives charge differently). Lock must be held.
+  /// timed and untimed receives charge differently).
   Message take_message(CoreState& st, int src, chk::SiteId site,
                        std::uint64_t& bytes) {
     std::deque<Message>& q = st.inbox[src];
@@ -371,8 +568,7 @@ struct SpmdRuntime::Impl {
   }
 
   void op_charge(CoreState& st, noc::SimTime dt) {
-    std::unique_lock lock(m);
-    advance(st, lock, dt);
+    advance(st, dt);
   }
 
   double freq_scale_of(int rank) const {
@@ -386,24 +582,21 @@ struct SpmdRuntime::Impl {
 
   void op_set_freq(CoreState& st, double scale) {
     if (scale <= 0.0) throw SimError("set_freq_scale: scale must be positive");
-    std::unique_lock lock(m);
     // SCC voltage/frequency transition: frequency switches are fast but a
     // voltage step stalls the tile for on the order of 100 us.
-    advance(st, lock, 100 * noc::kPsPerUs);
+    advance(st, 100 * noc::kPsPerUs);
     st.freq_scale_dynamic = scale;
   }
 
   void op_charge_cycles(CoreState& st, std::uint64_t cycles) {
-    std::unique_lock lock(m);
     st.report.compute_cycles += cycles;
     const noc::SimTime base = cfg.core_model.cycles_to_time(cycles);
-    advance(st, lock,
+    advance(st,
             static_cast<noc::SimTime>(static_cast<double>(base) / freq_scale_of(st.rank) +
                                       0.5));
   }
 
   void op_dram_read(CoreState& st, std::uint64_t bytes) {
-    std::unique_lock lock(m);
     const noc::SimTime nominal =
         cfg.chip.dram_read_time(st.rank, bytes, cfg.net.hop_latency);
     noc::SimTime cost = nominal;
@@ -420,12 +613,11 @@ struct SpmdRuntime::Impl {
                   static_cast<std::uint64_t>(st.rank));
       }
     }
-    advance(st, lock, cost, TraceEvent::Kind::Dram);
+    advance(st, cost, TraceEvent::Kind::Dram);
   }
 
   void op_send(CoreState& st, int dst, bio::Bytes payload) {
     check_rank(dst, "send");
-    std::unique_lock lock(m);
     mc_mark_shared(st);  // mutates link state and schedules a delivery
     const std::uint64_t bytes = payload.size() + kMsgHeaderBytes;
     CoreState* d = cores[static_cast<std::size_t>(dst)].get();
@@ -482,21 +674,20 @@ struct SpmdRuntime::Impl {
                      chk_sites.send, st.rank, dst);
       chk->flag_set(st.rank, st.rank, dst, st.vtime, chk_sites.send);
     }
-    advance(st, lock, network.endpoint_occupancy(bytes), TraceEvent::Kind::Send);
+    advance(st, network.endpoint_occupancy(bytes), TraceEvent::Kind::Send);
   }
 
   bio::Bytes op_recv(CoreState& st, int src) {
     check_rank(src, "recv");
-    std::unique_lock lock(m);
     for (;;) {
       if (probe_pending(st, src, chk_sites.recv)) {
         std::uint64_t bytes = 0;
         Message msg = take_message(st, src, chk_sites.recv, bytes);
-        advance(st, lock, network.endpoint_occupancy(bytes), TraceEvent::Kind::Recv);
+        advance(st, network.endpoint_occupancy(bytes), TraceEvent::Kind::Recv);
         return std::move(msg.payload);
       }
       st.wait_src = src;
-      yield(st, lock, CoreState::Status::Blocked);
+      yield(st, CoreState::Status::Blocked);
     }
   }
 
@@ -509,24 +700,22 @@ struct SpmdRuntime::Impl {
 
   bool op_probe(CoreState& st, int src) {
     check_rank(src, "probe");
-    std::unique_lock lock(m);
     count_poll(st);
-    advance(st, lock, cfg.poll_cost, TraceEvent::Kind::Poll);
+    advance(st, cfg.poll_cost, TraceEvent::Kind::Poll);
     return probe_pending(st, src, chk_sites.probe);
   }
 
   int op_wait_any(CoreState& st, std::span<const int> srcs) {
     if (srcs.empty()) throw SimError("wait_any: empty source set");
     for (int s : srcs) check_rank(s, "wait_any");
-    std::unique_lock lock(m);
     for (;;) {
       count_poll(st);
-      advance(st, lock, cfg.poll_cost, TraceEvent::Kind::Poll);  // one polling sweep
+      advance(st, cfg.poll_cost, TraceEvent::Kind::Poll);  // one polling sweep
       const int s = sweep_pending(st, srcs, chk_sites.wait_any);
       if (s >= 0) return s;
       st.wait_src = CoreState::kWaitAny;
       st.wait_set.assign(srcs.begin(), srcs.end());
-      yield(st, lock, CoreState::Status::Blocked);
+      yield(st, CoreState::Status::Blocked);
     }
   }
 
@@ -540,19 +729,18 @@ struct SpmdRuntime::Impl {
   std::optional<bio::Bytes> op_recv_timeout(CoreState& st, int src,
                                             noc::SimTime timeout) {
     check_rank(src, "recv_timeout");
-    std::unique_lock lock(m);
     const noc::SimTime deadline = st.vtime + timeout;
     for (;;) {
       if (probe_pending(st, src, chk_sites.recv_timeout)) {
         std::uint64_t bytes = 0;
         Message msg = take_message(st, src, chk_sites.recv_timeout, bytes);
-        advance(st, lock, network.endpoint_occupancy(bytes), TraceEvent::Kind::Recv);
+        advance(st, network.endpoint_occupancy(bytes), TraceEvent::Kind::Recv);
         return std::move(msg.payload);
       }
       if (st.vtime >= deadline) return std::nullopt;
       st.wait_src = src;
       arm_timer(st, deadline);
-      yield(st, lock, CoreState::Status::Blocked);
+      yield(st, CoreState::Status::Blocked);
       if (consume_timeout(st)) return std::nullopt;
     }
   }
@@ -561,33 +749,31 @@ struct SpmdRuntime::Impl {
                           noc::SimTime timeout) {
     if (srcs.empty()) throw SimError("wait_any_timeout: empty source set");
     for (int s : srcs) check_rank(s, "wait_any_timeout");
-    std::unique_lock lock(m);
     const noc::SimTime deadline = st.vtime + timeout;
     for (;;) {
       count_poll(st);
-      advance(st, lock, cfg.poll_cost, TraceEvent::Kind::Poll);  // one polling sweep
+      advance(st, cfg.poll_cost, TraceEvent::Kind::Poll);  // one polling sweep
       const int s = sweep_pending(st, srcs, chk_sites.wait_any_timeout);
       if (s >= 0) return s;
       if (st.vtime >= deadline) return -1;
       st.wait_src = CoreState::kWaitAny;
       st.wait_set.assign(srcs.begin(), srcs.end());
       arm_timer(st, deadline);
-      yield(st, lock, CoreState::Status::Blocked);
+      yield(st, CoreState::Status::Blocked);
       if (consume_timeout(st)) return -1;
     }
   }
 
   // ---- Raw chk annotations (see CoreCtx::chk_*) ----------------------------
-  // All no-ops when the checker is off. The scheduler admits one thread at a
-  // time, so a program thread calling these between its blocking operations
-  // is the only thread touching the checker.
+  // All no-ops when the checker is off. The scheduler runs one fiber at a
+  // time, so a fiber calling these between its blocking operations is the
+  // only code touching the checker.
 
   void op_chk_mpb_write(CoreState& st, int owner, std::uint32_t lo,
                         std::uint32_t len, std::string_view site, int flow_src,
                         int flow_dst) {
     if (!chk) return;
     check_rank(owner, "chk_mpb_write");
-    std::unique_lock lock(m);
     chk->mpb_write(st.rank, owner, lo, len, st.vtime, chk->site(site), flow_src,
                    flow_dst);
   }
@@ -597,7 +783,6 @@ struct SpmdRuntime::Impl {
                        int flow_dst) {
     if (!chk) return;
     check_rank(owner, "chk_mpb_read");
-    std::unique_lock lock(m);
     chk->mpb_read(st.rank, owner, lo, len, st.vtime, chk->site(site), flow_src,
                   flow_dst);
   }
@@ -606,7 +791,6 @@ struct SpmdRuntime::Impl {
     if (!chk) return;
     check_rank(src, "chk_flag_set");
     check_rank(dst, "chk_flag_set");
-    std::unique_lock lock(m);
     chk->flag_set(st.rank, src, dst, st.vtime, chk->site(site));
   }
 
@@ -615,7 +799,6 @@ struct SpmdRuntime::Impl {
     if (!chk) return;
     check_rank(src, "chk_flag_test");
     check_rank(dst, "chk_flag_test");
-    std::unique_lock lock(m);
     chk->flag_test(st.rank, src, dst, observed_set, st.vtime, chk->site(site));
   }
 
@@ -624,7 +807,6 @@ struct SpmdRuntime::Impl {
     if (!chk) return;
     check_rank(src, "chk_note");
     check_rank(dst, "chk_note");
-    std::unique_lock lock(m);
     chk->note(st.rank, src, dst, st.vtime, chk->site(site), id);
   }
 
@@ -635,27 +817,24 @@ struct SpmdRuntime::Impl {
   void op_mc_proto(CoreState& st, mc::ProtoKind kind, std::uint64_t a,
                    std::uint64_t b) {
     if (mc == nullptr) return;
-    std::unique_lock lock(m);
     st.mc_shared = true;
     mc->proto(kind, st.rank, a, b, st.vtime);
   }
 
   bool op_peer_alive(CoreState& st, int rank) {
     check_rank(rank, "peer_alive");
-    std::unique_lock lock(m);
     mc_mark_shared(st);  // observes another core's crash state
     return !cores[static_cast<std::size_t>(rank)]->dead;
   }
 
   void op_barrier(CoreState& st) {
-    std::unique_lock lock(m);
     mc_mark_shared(st);  // touches the shared barrier rendezvous
     barrier_time = std::max(barrier_time, st.vtime);
     if (barrier_count + 1 < nranks) {
       ++barrier_count;
       const std::uint64_t epoch = barrier_epoch;
       st.in_barrier = true;
-      while (barrier_epoch == epoch) yield(st, lock, CoreState::Status::Blocked);
+      while (barrier_epoch == epoch) yield(st, CoreState::Status::Blocked);
     } else {
       // Last arriver releases everyone at the max arrival time + cost.
       barrier_count = 0;
@@ -681,19 +860,17 @@ struct SpmdRuntime::Impl {
         joined.push_back(st.rank);
         chk->barrier(joined, release);
       }
-      yield(st, lock, CoreState::Status::Ready);
+      yield(st, CoreState::Status::Ready);
     }
   }
 
   // ---- Scheduler -----------------------------------------------------------
 
-  /// Hand the (single) execution token to `st` and wait until it yields,
-  /// blocks or finishes. Lock must be held.
-  void dispatch(CoreState& st, std::unique_lock<std::mutex>& lock) {
+  /// Run `st`'s fiber until it yields, blocks or finishes.
+  void dispatch(CoreState& st) {
     if (mc != nullptr) st.mc_shared = false;
     st.status = CoreState::Status::Running;
-    st.cv.notify_all();
-    sched_cv.wait(lock, [&] { return st.status != CoreState::Status::Running; });
+    resume(st);
     // The quantum is over (yielded, blocked or finished): report its
     // classification so pending CoreTie watches on this rank resolve.
     if (mc != nullptr) mc->segment(st.rank, !st.mc_shared);
@@ -724,28 +901,19 @@ struct SpmdRuntime::Impl {
     return os.str();
   }
 
-  /// Wake every parked thread with the shutdown flag and wait for them to
-  /// acknowledge by reaching Done. Lock must be held.
-  void shutdown_all(std::unique_lock<std::mutex>& lock) {
+  /// Resume every unfinished fiber with the shutdown flag set, so each
+  /// unwinds its frames (AbortSim) and reaches Done; a fiber that never
+  /// started just finishes. Afterwards no stack holds a live frame.
+  void shutdown_all() {
     shutdown = true;
-    for (auto& c : cores) c->cv.notify_all();
-    sched_cv.wait(lock, [&] {
-      return std::all_of(cores.begin(), cores.end(), [](const auto& c) {
-        return c->status == CoreState::Status::Done;
-      });
-    });
-  }
-
-  void join_all() {
     for (auto& c : cores)
-      if (c->thread.joinable()) c->thread.join();
+      if (c->status != CoreState::Status::Done) resume(*c);
   }
 
   /// No runnable core and nothing pending: classify the stall
   /// (program error vs fault-attributable stall vs genuine deadlock), shut
-  /// the farm down, and either record `failure` or throw. Lock must be held.
-  void report_stall(std::unique_lock<std::mutex>& lock,
-                    std::exception_ptr& failure) {
+  /// the farm down, and either record `failure` or throw.
+  void report_stall(std::exception_ptr& failure) {
     for (auto& c : cores)
       if (c->error) failure = c->error;
     const std::string dump = state_dump();
@@ -780,10 +948,8 @@ struct SpmdRuntime::Impl {
         }
       }
     }
-    shutdown_all(lock);
+    shutdown_all();
     if (failure) return;
-    lock.unlock();
-    join_all();
     if (fault_stall)
       throw FaultStallError("fault-induced stall: surviving cores wait on "
                             "crashed core(s) " +
@@ -795,10 +961,8 @@ struct SpmdRuntime::Impl {
   /// the smallest next timestamp — the earliest pending event, else the
   /// lowest-rank ready core at the minimum virtual time (events win ties).
   /// mc and chk may reorder only same-instant ties. Returns with every core
-  /// Done or `failure` set (report_stall may throw instead). Lock must be
-  /// held.
-  void run_serial_loop(std::unique_lock<std::mutex>& lock,
-                       std::exception_ptr& failure) {
+  /// Done or `failure` set (report_stall may throw instead).
+  void run_serial_loop(std::exception_ptr& failure) {
     for (;;) {
       bool all_done = true;
       CoreState* pick = nullptr;
@@ -826,11 +990,11 @@ struct SpmdRuntime::Impl {
           queue.run_one();  // deliveries may wake blocked cores, or kill one
         }
         apply_event_crashes();  // crash-at-event-K triggers ride the count
-        reap_dead(lock);  // let just-crashed threads unwind to Done first
+        reap_dead();  // let just-crashed fibers unwind to Done first
         continue;
       }
       if (pick == nullptr) {
-        report_stall(lock, failure);
+        report_stall(failure);
         return;
       }
       if (mc != nullptr || chk_rng != 0) {
@@ -860,10 +1024,10 @@ struct SpmdRuntime::Impl {
           }
         }
       }
-      dispatch(*pick, lock);
+      dispatch(*pick);
       if (pick->status == CoreState::Status::Done && pick->error) {
         failure = pick->error;
-        shutdown_all(lock);
+        shutdown_all();
         return;
       }
     }
@@ -923,21 +1087,12 @@ void CoreCtx::mc_proto(mc::ProtoKind kind, std::uint64_t a, std::uint64_t b) {
 // ---- SpmdRuntime -----------------------------------------------------------
 
 SpmdRuntime::SpmdRuntime(RuntimeConfig cfg)
-    : cfg_(cfg), impl_(std::make_unique<Impl>(cfg_)) {}
+    : cfg_(cfg), impl_(std::make_unique<Impl>(*this, cfg_)) {}
 
 SpmdRuntime::~SpmdRuntime() {
-  if (impl_) {
-    {
-      std::unique_lock lock(impl_->m);
-      if (!impl_->cores.empty() && !impl_->shutdown) {
-        // run() always joins before returning; reaching here means run()
-        // never completed (exception during setup). Best effort cleanup.
-        impl_->shutdown = true;
-        for (auto& c : impl_->cores) c->cv.notify_all();
-      }
-    }
-    impl_->join_all();
-  }
+  // run() leaves every fiber Done on every path; this only matters if it
+  // threw during setup. Unwind whatever is unfinished before the stacks go.
+  if (impl_) impl_->shutdown_all();
 }
 
 const noc::NetworkStats& SpmdRuntime::network_stats() const noexcept {
@@ -1036,10 +1191,14 @@ noc::SimTime SpmdRuntime::run(int nranks, const Program& program) {
   im.flow_sent.assign(static_cast<std::size_t>(nranks) * static_cast<std::size_t>(nranks),
                       0);
 
+  // One fiber per core, each run on this thread; a fiber first runs when
+  // the scheduler dispatches its core.
+  im.program = &program;
   im.cores.reserve(static_cast<std::size_t>(nranks));
   for (int r = 0; r < nranks; ++r) {
     auto st = std::make_unique<CoreState>();
     st->rank = r;
+    im.make_fiber(*st);
     im.cores.push_back(std::move(st));
   }
   for (const FaultPlan::Crash& c : im.cfg.faults.crashes) {
@@ -1048,54 +1207,19 @@ noc::SimTime SpmdRuntime::run(int nranks, const Program& program) {
         c.at, [&im, &victim, at = c.at] { im.apply_crash(victim, at); }, c.rank,
         noc::EventClass::Crash);
   }
-  // Spawn a program thread for one core; each parks until the scheduler
-  // admits it. Shared between the initial spawn loop and fault-plan restart
-  // events, which re-run the program on a revived core.
-  const auto spawn_thread = [this, &program](CoreState& st) {
-    CoreCtx ctx(*this, st);
-    st.thread = std::thread([this, &st, &program, ctx]() mutable {
-      Impl& impl = *this->impl_;
-      {
-        std::unique_lock lock(impl.m);
-        st.cv.wait(lock, [&] {
-          return st.status == CoreState::Status::Running || impl.shutdown || st.dead;
-        });
-        if (impl.shutdown || st.dead) {
-          st.status = CoreState::Status::Done;
-          st.report.finish = st.vtime;
-          impl.sched_cv.notify_all();
-          return;
-        }
-      }
-      try {
-        program(ctx);
-      } catch (const AbortSim&) {
-        // unwound by shutdown; nothing to record
-      } catch (const CrashUnwind&) {
-        // this core was killed by the fault plan; its report says so
-      } catch (...) {
-        std::unique_lock lock(impl.m);
-        st.error = std::current_exception();
-      }
-      std::unique_lock lock(impl.m);
-      st.status = CoreState::Status::Done;
-      st.report.finish = st.vtime;
-      impl.sched_cv.notify_all();
-    });
-  };
-  // Restart events: revive a crashed core with a fresh inbox and a new
-  // program thread. Scheduled after the crash events so a same-instant
-  // crash/restart pair applies in crash-then-restart order. A restart whose
-  // rank is not dead (never crashed, or finished normally) is a no-op.
+  // Restart events: revive a crashed core with a fresh inbox and remake
+  // its fiber on the same stack. Scheduled after the crash events so a
+  // same-instant crash/restart pair applies in crash-then-restart order. A
+  // restart whose rank is not dead (never crashed, or finished normally) is
+  // a no-op.
   for (const FaultPlan::Restart& rs : im.cfg.faults.restarts) {
     CoreState& victim = *im.cores[static_cast<std::size_t>(rs.rank)];
     im.queue.schedule_at(
         rs.at,
-        [&im, &victim, at = rs.at, &spawn_thread] {
+        [&im, &victim, at = rs.at] {
           if (!victim.dead || victim.status != CoreState::Status::Done) return;
-          // The crashed thread has fully unwound (reap_dead runs after every
-          // event) and no longer touches shared state; reclaim it.
-          if (victim.thread.joinable()) victim.thread.join();
+          // The crashed fiber has fully unwound (reap_dead runs after every
+          // event), so its stack holds no live frame and can be reused.
           victim.inbox.clear();
           victim.rr_cursor = 0;
           victim.dead = false;
@@ -1114,22 +1238,21 @@ noc::SimTime SpmdRuntime::run(int nranks, const Program& program) {
             h.instant(obs::Lane::Core, h.ids().n_restart, at,
                       static_cast<std::uint64_t>(victim.rank));
           }
-          spawn_thread(victim);  // fresh thread parks until dispatched
+          im.make_fiber(victim);  // starts over when next dispatched
         },
         rs.rank, noc::EventClass::Restart);
   }
-  for (int r = 0; r < nranks; ++r)
-    spawn_thread(*im.cores[static_cast<std::size_t>(r)]);
 
   std::exception_ptr failure;
-  {
-    std::unique_lock lock(im.m);
+  try {
     // after_events == 0 means "crash before anything fires".
     im.apply_event_crashes();
-    im.reap_dead(lock);
-    im.run_serial_loop(lock, failure);
+    im.reap_dead();
+    im.run_serial_loop(failure);
+  } catch (...) {
+    im.shutdown_all();  // unwind every parked fiber before rethrowing
+    throw;
   }
-  im.join_all();
 
   if (!failure) {
     for (auto& c : im.cores)

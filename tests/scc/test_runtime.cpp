@@ -2,7 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <array>
 #include <numeric>
+#include <stdexcept>
+#include <string>
+#include <thread>
 
 namespace rck::scc {
 namespace {
@@ -270,6 +274,134 @@ TEST(Runtime, NetworkStatsExposed) {
   });
   EXPECT_EQ(rt.network_stats().messages, 1u);
   EXPECT_GT(rt.network_stats().total_bytes, 100u);  // payload + header
+}
+
+// ---- Fiber contract ----------------------------------------------------------
+//
+// Every core's program runs as a fiber on the thread that called run(), and
+// the cores interleave only at CoreCtx operations. These pin what programs
+// may rely on: per-core exception state, unwinding on every failure path,
+// and the thread they run on.
+
+/// Each core throws, catches, and blocks inside its handler (core r for
+/// (r + 1) * 10 us), then reads the caught exception: once through the
+/// reference, once by rethrowing it. Core 0's handler ends first, so with a
+/// caught-exception stack shared between the cores it would pop and free
+/// core 1's exception while core 1 still uses it.
+Program throw_and_park_in_handler(std::array<std::string, 2>& what,
+                                  std::array<std::string, 2>& rethrown) {
+  return [&what, &rethrown](CoreCtx& c) {
+    const auto r = static_cast<std::size_t>(c.rank());
+    try {
+      throw std::runtime_error("core " + std::to_string(r));
+    } catch (const std::runtime_error& e) {
+      c.charge(static_cast<noc::SimTime>(r + 1) * 10 * noc::kPsPerUs);
+      what[r] = e.what();
+      try {
+        throw;
+      } catch (const std::runtime_error& again) {
+        rethrown[r] = again.what();
+      }
+    }
+  };
+}
+
+TEST(Runtime, CaughtExceptionsSurviveInterleavedHandlers) {
+  std::array<std::string, 2> what, rethrown;
+  SpmdRuntime rt{RuntimeConfig{}};
+  rt.run(2, throw_and_park_in_handler(what, rethrown));
+  for (std::size_t r = 0; r < 2; ++r) {
+    EXPECT_EQ(what[r], "core " + std::to_string(r));
+    EXPECT_EQ(rethrown[r], "core " + std::to_string(r));
+  }
+}
+
+TEST(Runtime, CrashWhileParkedInAHandlerLeavesPeersExceptionIntact) {
+  // Core 0 is killed at 5 us while both cores are parked in their handlers:
+  // its unwind ends its own handler, and core 1 still reads its exception.
+  std::array<std::string, 2> what, rethrown;
+  RuntimeConfig cfg;
+  cfg.faults.crashes.push_back({0, 5 * noc::kPsPerUs});
+  SpmdRuntime rt(cfg);
+  rt.run(2, throw_and_park_in_handler(what, rethrown));
+  EXPECT_TRUE(rt.core_reports()[0].crashed);
+  EXPECT_EQ(what[0], "");
+  EXPECT_EQ(what[1], "core 1");
+  EXPECT_EQ(rethrown[1], "core 1");
+}
+
+TEST(Runtime, EveryProgramRunsOnTheCallingThread) {
+  const std::thread::id caller = std::this_thread::get_id();
+  std::vector<std::thread::id> ran_on(6);
+  SpmdRuntime rt{RuntimeConfig{}};
+  rt.run(6, [&](CoreCtx& c) {
+    const auto r = static_cast<std::size_t>(c.rank());
+    c.charge(static_cast<noc::SimTime>(r) * noc::kPsPerUs);
+    if (c.rank() == 0) {
+      for (int dst = 1; dst < c.nranks(); ++dst) c.send(dst, u32_msg(0));
+    } else {
+      (void)c.recv(0);
+    }
+    c.barrier();
+    ran_on[r] = std::this_thread::get_id();
+  });
+  for (const std::thread::id id : ran_on) EXPECT_EQ(id, caller);
+}
+
+/// Counts its own destruction: a stand-in for a program's RAII state.
+struct UnwindProbe {
+  int& destroyed;
+  ~UnwindProbe() { ++destroyed; }
+};
+
+TEST(Runtime, ParkedCoresUnwindBeforeAPeersExceptionIsRethrown) {
+  // Ranks 1-3 park in recv, barrier and recv_timeout; rank 0 then throws.
+  // Each parked core's stack must be unwound (its UnwindProbe destroyed)
+  // by the time run() rethrows.
+  int destroyed = 0;
+  SpmdRuntime rt{RuntimeConfig{}};
+  try {
+    rt.run(4, [&destroyed](CoreCtx& c) {
+      const UnwindProbe probe{destroyed};
+      switch (c.rank()) {
+        case 0:
+          c.charge(noc::kPsPerMs);
+          throw std::runtime_error("boom");
+        case 1: (void)c.recv(0); break;
+        case 2: c.barrier(); break;
+        default: (void)c.recv_timeout(0, noc::kPsPerSec); break;
+      }
+    });
+    FAIL() << "expected the program's exception";
+  } catch (const std::runtime_error& e) {
+    EXPECT_STREQ(e.what(), "boom");
+    EXPECT_EQ(destroyed, 4);  // the thrower's probe and three parked ones
+  }
+}
+
+TEST(Runtime, ParkedCoresUnwindBeforeDeadlockIsReported) {
+  // Ranks 0 and 1 wait on each other, rank 2 in a barrier, rank 3 in
+  // wait_any on the first two: a deadlock with every core parked.
+  int destroyed = 0;
+  SpmdRuntime rt{RuntimeConfig{}};
+  try {
+    rt.run(4, [&destroyed](CoreCtx& c) {
+      const UnwindProbe probe{destroyed};
+      switch (c.rank()) {
+        case 0: (void)c.recv(1); break;
+        case 1: (void)c.recv(0); break;
+        case 2: c.barrier(); break;
+        default: {
+          const std::array<int, 2> srcs{0, 1};
+          (void)c.wait_any(srcs);
+          break;
+        }
+      }
+    });
+    FAIL() << "expected DeadlockError";
+  } catch (const DeadlockError&) {
+    EXPECT_EQ(destroyed, 4);
+  }
 }
 
 }  // namespace

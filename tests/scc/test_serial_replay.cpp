@@ -15,10 +15,12 @@
 
 #include <cstdint>
 #include <cstdio>
+#include <exception>
 #include <functional>
 #include <map>
 #include <random>
 #include <string>
+#include <thread>
 #include <utility>
 #include <vector>
 
@@ -389,10 +391,15 @@ TEST(SerialReplay, MiniFarmsMatchPinnedDigests) {
   for (const int nranks : {6, 5, 4}) expect_pinned(mini_farm_case(nranks));
 }
 
+/// fault_farm on 5 ranks under fault_cfg.
+Case fault_farm_case() {
+  return {"fault_farm 5", "80c1577dedcb9a67", 5, fault_farm(), fault_cfg()};
+}
+
 TEST(SerialReplay, FaultPlanMatchesPinnedDigest) {
   // The digest covers CoreReport::crashed, so it also pins that the crash
   // fired.
-  expect_pinned({"fault_farm 5", "80c1577dedcb9a67", 5, fault_farm(), fault_cfg()});
+  expect_pinned(fault_farm_case());
 }
 
 TEST(SerialReplay, TimedCommMixesMatchPinnedDigests) {
@@ -464,6 +471,39 @@ TEST(HostParallelStress, StealHeavyTinySectionsMatchSerial) {
 
 TEST(HostParallelStress, StealHeavyRepeatedRunsAreStable) {
   expect_pinned(steal_heavy_case(29), 4, 5);
+}
+
+// ---- Two runtimes at once -------------------------------------------------
+//
+// Each SpmdRuntime runs its cores as fibers on the thread that called
+// run(); the scheduler context and the exception state it swaps are that
+// thread's own. Two runtimes driven at once from two host threads must
+// therefore each reproduce their single-threaded digests.
+
+TEST(SerialReplay, TwoRuntimesOnTwoHostThreadsMatchPinnedDigests) {
+  // The fault plan unwinds a crashed core on one thread while the other
+  // thread's runtimes switch fibers.
+  const std::vector<std::vector<Case>> lanes = {
+      {plan_case(1), fault_farm_case(), plan_case(2), steal_heavy_case(3)},
+      {mini_farm_case(6), plan_case(3), steal_heavy_case(17), plan_case(4)},
+  };
+  std::vector<std::vector<std::string>> got(lanes.size());
+  {
+    std::vector<std::jthread> threads;
+    for (std::size_t t = 0; t < lanes.size(); ++t)
+      threads.emplace_back([&lanes, &got, t] {
+        for (const Case& c : lanes[t]) {
+          try {
+            got[t].push_back(digest(c.nranks, c.program, c.cfg));
+          } catch (const std::exception& e) {
+            got[t].push_back(std::string("threw: ") + e.what());
+          }
+        }
+      });
+  }
+  for (std::size_t t = 0; t < lanes.size(); ++t)
+    for (std::size_t k = 0; k < lanes[t].size(); ++k)
+      EXPECT_EQ(got[t][k], lanes[t][k].digest) << lanes[t][k].name << " on thread " << t;
 }
 
 }  // namespace
