@@ -32,10 +32,9 @@ constexpr std::string_view kDeterminismBans[] = {
 
 /// PR 3 SIMD kernel hot-path files: allocation-free by contract
 /// (tests/core/test_alloc_free.cpp asserts it dynamically; the lint rule
-/// keeps the ban visible at review time). The round-2 batch kernel and the
-/// batch-pulling slave loop run the same per-pair hot path K lanes wide, so
-/// they inherit the contract; their grow-only capacity warms carry explicit
-/// waivers.
+/// keeps the ban visible at review time). The round-2 batch kernel runs the
+/// same per-pair hot path K lanes wide, so it inherits the contract; its
+/// grow-only capacity warms carry explicit waivers.
 constexpr std::string_view kHotPathFiles[] = {
     "src/core/simd.hpp",
     "src/core/simd_kernels.cpp",
@@ -43,7 +42,6 @@ constexpr std::string_view kHotPathFiles[] = {
     "src/core/simd_kernels_impl.hpp",
     "src/core/kabsch.cpp",
     "src/core/batch.cpp",
-    "src/rckskel/batch_slave.cpp",
 };
 
 constexpr std::string_view kHotPathBans[] = {

@@ -5,12 +5,14 @@
 // (the caller's database), in which shape (pair / one-vs-all / k-vs-all) —
 // and a QueryResult is the ranked answer with a stable, byte-reproducible
 // JSON form ("rck-query-result-v1", serialized through the obs
-// integer-safe formatter). The same two types flow through the three entry
-// points: rck::run_query() for a standalone query, the deprecated
-// rckalign::run_one_vs_all() shim, and rck::service::Service for streams
-// of queries against a resident database. Configuration always arrives as
-// a validated rck::RunConfig (rck/rck.hpp declares run_query, which sees
-// both sides).
+// integer-safe formatter). The same two types flow through both entry
+// points: rck::run_query() for a standalone query, and
+// rck::service::Service for streams of queries against a resident
+// database. Both build a query's comparisons and turn its result rows into
+// hits through the same helpers (append_query_specs, query_hit,
+// rank_query_hits). Configuration always arrives as a validated
+// rck::RunConfig (rck/rck.hpp declares run_query and the helpers, which
+// see both sides).
 #pragma once
 
 #include <cstdint>
@@ -106,8 +108,8 @@ struct QueryResult {
   std::uint64_t completion = 0;  ///< simulated ps
   noc::SimTime makespan = 0;     ///< simulated span of the run that served it
   /// Hits grouped method-major (configuration order), probe-minor, each
-  /// (method, probe) group ranked by rckalign::outranks and truncated to
-  /// the query's top_k.
+  /// (method, probe) group ranked by rck::outranks and truncated to the
+  /// query's top_k.
   std::vector<QueryHit> hits;
 
   bool operator==(const QueryResult&) const = default;

@@ -261,9 +261,34 @@ McOutcome mc_replay(const std::vector<bio::Protein>& dataset,
 std::vector<ConfigIssue> validate_query(const Query& q,
                                         std::size_t database_size);
 
+/// Append the comparisons of `q` to `specs`, methods-major in the order of
+/// `methods` (Algorithm 1's loop order generalized to k probes). A Pair
+/// query gets one spec per method, its first probe onto its second; the
+/// other kinds get every probe x entry, probe-major. Probes sit in the
+/// structure table from `probe_base` on, database entries at
+/// [0, database_size). The probe is always chain `a`, so tm_query is
+/// normalized by probe length. Shared by run_query() and the service.
+void append_query_specs(const Query& q,
+                        std::span<const rckalign::Method> methods,
+                        std::uint32_t probe_base, std::size_t database_size,
+                        std::vector<rckalign::PairSpec>& specs);
+
+/// The hit reported by `row`, a result row of a query of kind `kind` whose
+/// probes sit in the structure table from `probe_base` on (see
+/// append_query_specs). Shared by run_query() and the service.
+QueryHit query_hit(const rckalign::PairsRow& row, QueryKind kind,
+                   std::uint32_t probe_base);
+
+/// The per-method ranking rule: does `x` outrank `y`? TM-align and CE rank
+/// by descending query-normalized TM-score, SeqNw by descending sequence
+/// identity, the gapless method by ascending RMSD; ties break by ascending
+/// entry index.
+bool outranks(rckalign::Method method, const QueryHit& x,
+              const QueryHit& y) noexcept;
+
 /// Order `hits` method-major (the order of `methods`), probe-minor, each
-/// (method, probe) group ranked by rckalign::outranks and truncated to
-/// `top_k` (0 = unlimited). Shared by run_query() and the service.
+/// (method, probe) group ranked by outranks and truncated to `top_k`
+/// (0 = unlimited). Shared by run_query() and the service.
 void rank_query_hits(std::vector<QueryHit>& hits,
                      std::span<const rckalign::Method> methods,
                      std::size_t top_k);

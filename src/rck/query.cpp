@@ -4,7 +4,6 @@
 
 #include "rck/obs/metrics.hpp"
 #include "rck/rck.hpp"
-#include "rck/rckalign/one_vs_all.hpp"
 
 #include "finish_run.hpp"
 
@@ -69,6 +68,49 @@ std::vector<ConfigIssue> validate_query(const Query& q,
   return issues;
 }
 
+void append_query_specs(const Query& q,
+                        std::span<const rckalign::Method> methods,
+                        std::uint32_t probe_base, std::size_t database_size,
+                        std::vector<rckalign::PairSpec>& specs) {
+  for (const rckalign::Method method : methods) {
+    if (q.kind == QueryKind::Pair) {
+      specs.push_back(rckalign::PairSpec{probe_base, probe_base + 1, method});
+      continue;
+    }
+    for (std::uint32_t p = 0; p < q.probes.size(); ++p)
+      for (std::uint32_t e = 0; e < database_size; ++e)
+        specs.push_back(rckalign::PairSpec{probe_base + p, e, method});
+  }
+}
+
+QueryHit query_hit(const rckalign::PairsRow& row, QueryKind kind,
+                   std::uint32_t probe_base) {
+  QueryHit h;
+  h.probe = row.a - probe_base;
+  h.entry = kind == QueryKind::Pair ? row.b - probe_base : row.b;
+  h.method = row.method;
+  h.tm_query = row.tm_norm_a;
+  h.tm_entry = row.tm_norm_b;
+  h.rmsd = row.rmsd;
+  h.seq_identity = row.seq_identity;
+  h.aligned_length = row.aligned_length;
+  h.worker = row.worker;
+  return h;
+}
+
+bool outranks(rckalign::Method method, const QueryHit& x,
+              const QueryHit& y) noexcept {
+  if (method == rckalign::Method::TmAlign || method == rckalign::Method::CeAlign) {
+    if (x.tm_query != y.tm_query) return x.tm_query > y.tm_query;
+  } else if (method == rckalign::Method::SeqNw) {
+    if (x.seq_identity != y.seq_identity)
+      return x.seq_identity > y.seq_identity;
+  } else {
+    if (x.rmsd != y.rmsd) return x.rmsd < y.rmsd;
+  }
+  return x.entry < y.entry;
+}
+
 void rank_query_hits(std::vector<QueryHit>& hits,
                      std::span<const rckalign::Method> methods,
                      std::size_t top_k) {
@@ -82,10 +124,7 @@ void rank_query_hits(std::vector<QueryHit>& hits,
               const std::size_t sa = slot_of(a.method), sb = slot_of(b.method);
               if (sa != sb) return sa < sb;
               if (a.probe != b.probe) return a.probe < b.probe;
-              return rckalign::outranks(
-                  a.method,
-                  rckalign::HitKey{a.tm_query, a.seq_identity, a.rmsd, a.entry},
-                  rckalign::HitKey{b.tm_query, b.seq_identity, b.rmsd, b.entry});
+              return outranks(a.method, a, b);
             });
   if (top_k == 0) return;
   // Truncate each (method, probe) group to its best top_k (the groups are
@@ -160,19 +199,8 @@ QueryResult run_query(const std::vector<bio::Protein>& database,
   const auto probe_base = static_cast<std::uint32_t>(structures.size());
   for (const bio::Protein& p : q.probes) structures.push_back(&p);
 
-  // Methods-major, probes-major, entries inner — Algorithm 1's loop order
-  // generalized to k probes. The probe is always chain `a` (tm_query must
-  // be normalized by probe length).
   std::vector<rckalign::PairSpec> specs;
-  for (const rckalign::Method method : cfg.methods) {
-    if (q.kind == QueryKind::Pair) {
-      specs.push_back(rckalign::PairSpec{probe_base, probe_base + 1, method});
-      continue;
-    }
-    for (std::uint32_t p = 0; p < q.probes.size(); ++p)
-      for (std::uint32_t e = 0; e < database.size(); ++e)
-        specs.push_back(rckalign::PairSpec{probe_base + p, e, method});
-  }
+  append_query_specs(q, cfg.methods, probe_base, database.size(), specs);
 
   rckalign::PairsRun run =
       rckalign::run_pairs(structures, specs, cfg.to_pairs_options());
@@ -184,19 +212,8 @@ QueryResult run_query(const std::vector<bio::Protein>& database,
   res.makespan = run.makespan;
   res.completion = q.arrival + static_cast<std::uint64_t>(run.makespan);
   res.hits.reserve(run.rows.size());
-  for (const rckalign::PairsRow& row : run.rows) {
-    QueryHit h;
-    h.probe = row.a - probe_base;
-    h.entry = q.kind == QueryKind::Pair ? row.b - probe_base : row.b;
-    h.method = row.method;
-    h.tm_query = row.tm_norm_a;
-    h.tm_entry = row.tm_norm_b;
-    h.rmsd = row.rmsd;
-    h.seq_identity = row.seq_identity;
-    h.aligned_length = row.aligned_length;
-    h.worker = row.worker;
-    res.hits.push_back(h);
-  }
+  for (const rckalign::PairsRow& row : run.rows)
+    res.hits.push_back(query_hit(row, q.kind, probe_base));
   rank_query_hits(res.hits, cfg.methods, q.top_k);
   return res;
 }

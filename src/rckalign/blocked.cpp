@@ -125,8 +125,6 @@ BlockedRun run_rckalign_blocked(const std::vector<bio::Protein>& dataset,
         }
       }
       rckskel::terminate(comm, slaves);
-    } else if (opts.batch > 1) {
-      rckskel::farm_slave_batch(comm, kMaster, detail::pair_batch_worker(outcomes));
     } else {
       rckskel::farm_slave(comm, kMaster, detail::pair_worker(outcomes));
     }

@@ -151,47 +151,27 @@ HierarchyRun run_hierarchical(const std::vector<bio::Protein>& dataset,
           detail::all_pair_specs(dataset.size(), Method::TmAlign), {}, cache,
           ctx.timing());
 
-      // Batching strategy. A group master serves one batch at a time and
-      // returns only when the whole batch finished, so small batches create
-      // per-batch barriers that idle the group's slaves on stragglers.
-      // Default (batch_size == 0): one strided batch per group — each group
-      // gets every G-th job (a cost-mixed static partition), farms it
-      // dynamically on its own slaves, and synchronizes exactly once.
-      // batch_size > 0 selects pipelined fixed-size batches instead (useful
-      // for studying the tradeoff).
+      // One strided batch per group: each group gets every G-th job (a
+      // cost-mixed static partition), farms it dynamically on its own
+      // slaves, and synchronizes exactly once. A group master serves one
+      // batch at a time and returns only when the whole batch finished, so
+      // smaller batches would add per-batch barriers that idle the group's
+      // slaves on stragglers.
       std::vector<rckskel::Job> batches;
       std::size_t next_batch_id = 0;
-      if (opts.batch_size <= 0) {
-        for (std::size_t grp = 0; grp < static_cast<std::size_t>(g); ++grp) {
-          std::vector<const rckskel::Job*> slice;
-          std::uint64_t hint = 0;
-          for (std::size_t k = grp; k < jobs.size(); k += static_cast<std::size_t>(g)) {
-            slice.push_back(&jobs[k]);
-            hint += jobs[k].cost_hint;
-          }
-          if (slice.empty()) continue;
-          rckskel::Job batch;
-          batch.id = next_batch_id++;
-          batch.payload = pack_batch(slice);
-          batch.cost_hint = hint;
-          batches.push_back(std::move(batch));
+      for (std::size_t grp = 0; grp < static_cast<std::size_t>(g); ++grp) {
+        std::vector<const rckskel::Job*> slice;
+        std::uint64_t hint = 0;
+        for (std::size_t k = grp; k < jobs.size(); k += static_cast<std::size_t>(g)) {
+          slice.push_back(&jobs[k]);
+          hint += jobs[k].cost_hint;
         }
-      } else {
-        std::size_t k = 0;
-        while (k < jobs.size()) {
-          const std::size_t bsz = static_cast<std::size_t>(opts.batch_size);
-          std::vector<const rckskel::Job*> slice;
-          std::uint64_t hint = 0;
-          for (std::size_t t = 0; t < bsz && k < jobs.size(); ++t, ++k) {
-            slice.push_back(&jobs[k]);
-            hint += jobs[k].cost_hint;
-          }
-          rckskel::Job batch;
-          batch.id = next_batch_id++;
-          batch.payload = pack_batch(slice);
-          batch.cost_hint = hint;
-          batches.push_back(std::move(batch));
-        }
+        if (slice.empty()) continue;
+        rckskel::Job batch;
+        batch.id = next_batch_id++;
+        batch.payload = pack_batch(slice);
+        batch.cost_hint = hint;
+        batches.push_back(std::move(batch));
       }
 
       std::vector<int> masters(static_cast<std::size_t>(g));

@@ -56,9 +56,6 @@ struct HierarchyOptions {
   int group_count = 4;   ///< number of sub-masters (ranks 1..group_count)
   int slave_count = 40;  ///< total leaf slaves, split evenly across groups
   const PairCache* cache = nullptr;
-  /// Jobs per batch shipped root -> sub-master; 0 means one batch per
-  /// group-slave count (keeps every leaf busy per round).
-  int batch_size = 0;
 };
 
 struct HierarchyRun {

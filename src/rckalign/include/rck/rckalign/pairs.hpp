@@ -7,8 +7,8 @@
 // indices into a structure table and get back one row per spec.
 // run_rckalign() farms the all-vs-all pair list, run_multi_method() (MC-PSC)
 // the same list once per method with the slaves partitioned between
-// methods, run_query() / run_one_vs_all() a query's rows, and the alignment
-// service (src/service) whatever mix of queries a round coalesced.
+// methods, run_query() a query's rows, and the alignment service
+// (src/service) whatever mix of queries a round coalesced.
 //
 // The structure table is spans of pointers (not values) so a long-running
 // caller can keep its database resident and append transient probes without
@@ -48,8 +48,8 @@ struct PairsOptions {
   /// LPT (longest-first) job ordering by cost hint; the paper used FIFO.
   bool lpt = false;
   /// Farm grant size: jobs handed to a slave per round trip. With K > 1 the
-  /// plain farm sends BATCH frames, served by farm_slave_batch job by job,
-  /// which cuts master round trips in simulated time. Per-job results and
+  /// plain farm sends BATCH frames, which farm_slave serves job by job;
+  /// this cuts master round trips in simulated time. Per-job results and
   /// cycle charges are bit-identical to K = 1; only the dispatch schedule
   /// changes. Requires the plain farm: incompatible with fault_tolerant /
   /// master_ft, which lease and retry individual jobs.
@@ -57,8 +57,10 @@ struct PairsOptions {
   /// Use the fault-tolerant farm (leases, retry, blacklist) instead of the
   /// paper's plain FARM. Required whenever runtime.faults is non-empty, and
   /// harmless without faults (simulated makespan is within lease-bookkeeping
-  /// noise of the plain farm). A lease derived from the cost hint is only
-  /// sized in cycles for cached TM-align specs; set ft.lease otherwise.
+  /// noise of the plain farm). A lease derived from the cost hint
+  /// (ft.lease == 0) is only sized in cycles for cached TM-align specs; a
+  /// run with any other spec instead gets one fixed lease of
+  /// ft.lease_margin + ft.lease_slack x its longest job's simulated time.
   bool fault_tolerant = false;
   /// Resilience knobs for the fault-tolerant farm (leases, retries,
   /// timeouts); base.lpt_order is overridden by `lpt` above.

@@ -59,11 +59,16 @@ inline PairRow to_pair_row(const PairOutcome& o, int worker) {
                  o.rmsd, o.seq_identity, o.aligned_length, worker};
 }
 
+/// Does a job for `s` carry its exact cycles as cost hint? Only a cached
+/// TM-align spec does; every other spec carries the O(L1*L2) proxy.
+inline bool has_cycle_hint(const PairSpec& s, const PairCache* cache) {
+  return cache != nullptr && s.method == Method::TmAlign;
+}
+
 /// One farm job per spec, ids from `first_id` in spec order. Non-null
 /// wires[s.a] and wires[s.b] (see run_pairs) are encoded instead of
 /// serializing the structures; the payload bytes are the same. Cost hint,
-/// for LPT order and derived leases: exact cycles for a TM-align spec when
-/// `cache` is given, else the O(L1*L2) proxy.
+/// for LPT order and derived leases: see has_cycle_hint.
 inline std::vector<rckskel::Job> make_pair_jobs(
     std::span<const bio::Protein* const> structures, std::span<const PairSpec> specs,
     std::span<const bio::Bytes* const> wires, const PairCache* cache,
@@ -81,7 +86,7 @@ inline std::vector<rckskel::Job> make_pair_jobs(
     job.payload = aw != nullptr && bw != nullptr
                       ? encode_pair_job(s.a, s.b, s.method, *aw, *bw)
                       : encode_pair_job(s.a, s.b, s.method, a, b);
-    job.cost_hint = cache != nullptr && s.method == Method::TmAlign
+    job.cost_hint = has_cycle_hint(s, cache)
                         ? cache->pair_cycles(s.a, s.b, model)
                         : static_cast<std::uint64_t>(a.size()) * b.size();
     jobs.push_back(std::move(job));
@@ -129,21 +134,12 @@ inline bio::Bytes execute_pair_job(rcce::Comm& comm, const bio::Bytes& payload,
   return encode_outcome(out);
 }
 
-/// Classic per-job farm worker over `outcomes`.
+/// Farm worker over `outcomes`. farm_slave serves a batched grant through
+/// it job by job, so a grant's charges and outcomes are those of K single
+/// jobs.
 inline rckskel::Worker pair_worker(const OutcomeTable& outcomes) {
   return [&outcomes](rcce::Comm& c, const bio::Bytes& payload) {
     return execute_pair_job(c, payload, outcomes);
-  };
-}
-
-/// Batch-pulling farm worker over `outcomes`: a grant is served job by job,
-/// in grant order, so its charges and outcomes are those of K single jobs.
-inline rckskel::BatchWorker pair_batch_worker(const OutcomeTable& outcomes) {
-  return [&outcomes](rcce::Comm& c, std::span<const rckskel::Job> jobs,
-                     std::vector<bio::Bytes>& out) {
-    out.clear();
-    for (const rckskel::Job& job : jobs)
-      out.push_back(execute_pair_job(c, job.payload, outcomes));
   };
 }
 

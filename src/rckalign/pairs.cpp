@@ -1,5 +1,6 @@
 #include "rck/rckalign/pairs.hpp"
 
+#include <algorithm>
 #include <iterator>
 #include <numeric>
 #include <optional>
@@ -94,6 +95,28 @@ PairsRun run_pairs(std::span<const bio::Protein* const> structures,
                           detail::pool_threads(opts.runtime), opts.cache);
   run.kernels = outcomes.size();
 
+  // Options of the fault-tolerant farms. With ft.lease == 0 the master
+  // derives each lease from the job's cost hint read as cycles, but only a
+  // cached TM-align spec carries cycles (detail::has_cycle_hint): the L1*L2
+  // proxy of any other spec predicts microseconds for a job of seconds, and
+  // every lease would expire until the job exhausted max_attempts. A run
+  // with any such spec gets one fixed lease sized by its longest job.
+  rckskel::FaultTolerantFarmOptions ft = opts.ft;
+  ft.base.lpt_order = opts.lpt;
+  if ((opts.fault_tolerant || opts.master_ft) && ft.lease == 0 &&
+      std::any_of(specs.begin(), specs.end(), [&](const PairSpec& s) {
+        return !detail::has_cycle_hint(s, opts.cache);
+      })) {
+    noc::SimTime longest = 0;
+    for (const PairSpec& s : specs) {
+      const PairEntry& e = outcomes.at(s);
+      longest = std::max(longest,
+                         opts.runtime.core_model.time(e.stats, e.footprint_bytes));
+    }
+    ft.lease = ft.lease_margin +
+               static_cast<noc::SimTime>(ft.lease_slack * static_cast<double>(longest));
+  }
+
   constexpr int kMaster = 0;
   const int standby_rank = opts.master_ft ? opts.slave_count + 1 : -1;
 
@@ -162,8 +185,7 @@ PairsRun run_pairs(std::span<const bio::Protein* const> structures,
 
     const auto master_ft_options = [&]() -> rckskel::MasterFtOptions {
       rckskel::MasterFtOptions m = opts.mft;
-      m.ft = opts.ft;
-      m.ft.base.lpt_order = opts.lpt;
+      m.ft = ft;
       m.ft.standby_ue = standby_rank;
       return m;
     };
@@ -175,9 +197,7 @@ PairsRun run_pairs(std::span<const bio::Protein* const> structures,
         collected =
             rckskel::farm_ft_master(comm, task, master_ft_options(), &master_rep);
       } else if (opts.fault_tolerant) {
-        rckskel::FaultTolerantFarmOptions ftopts = opts.ft;
-        ftopts.base.lpt_order = opts.lpt;
-        collected = rckskel::farm_ft(comm, task, ftopts, &master_rep);
+        collected = rckskel::farm_ft(comm, task, ft, &master_rep);
       } else {
         rckskel::FarmOptions fopts;
         fopts.lpt_order = opts.lpt;
@@ -194,17 +214,12 @@ PairsRun run_pairs(std::span<const bio::Protein* const> structures,
         standby_rows.emplace();
         decode_collected(*collected, *standby_rows);
       }
-    } else if (opts.batch > 1) {
-      rckskel::farm_slave_batch(comm, kMaster, detail::pair_batch_worker(outcomes));
     } else {
       const rckskel::Worker worker = detail::pair_worker(outcomes);
       if (opts.master_ft) {
-        rckskel::MasterFtOptions m = master_ft_options();
-        rckskel::farm_slave_ft(comm, kMaster, worker, m.ft);
+        rckskel::farm_slave_ft(comm, kMaster, worker, master_ft_options().ft);
       } else if (opts.fault_tolerant) {
-        rckskel::FaultTolerantFarmOptions ftopts = opts.ft;
-        ftopts.base.lpt_order = opts.lpt;
-        rckskel::farm_slave_ft(comm, kMaster, worker, ftopts);
+        rckskel::farm_slave_ft(comm, kMaster, worker, ft);
       } else {
         rckskel::farm_slave(comm, kMaster, worker);
       }

@@ -17,7 +17,7 @@
 //
 // Slaves run farm_slave(): a blocking receive loop executing a user Worker
 // on each job until TERMINATE — the paper's client_receive_job template
-// (Figure 4).
+// (Figure 4). Batched grants are served by the same loop, job by job.
 #pragma once
 
 #include <functional>
@@ -50,10 +50,11 @@ class SkelProtocolError : public rck::Error {
       : Error("rck.skel.protocol", message) {}
 };
 
-/// Misuse of the batched-grant extension: a batch size of 0, a batch worker
-/// returning the wrong number of results, or batch > 1 requested on a farm
-/// flavour that does not support batched grants (the fault-tolerant farms
-/// lease and retry individual jobs). Code "rck.skel.batch".
+/// Misuse of the batched-grant extension: a batch size of 0, a slave
+/// answering a grant with the wrong number of results, or batch > 1
+/// requested on a farm flavour that does not support batched grants (the
+/// fault-tolerant farms lease and retry individual jobs). Code
+/// "rck.skel.batch".
 class SkelBatchError : public rck::Error {
  public:
   explicit SkelBatchError(const std::string& message)
@@ -118,7 +119,9 @@ struct FarmOptions {
   /// Send TERMINATE to every slave when the task completes. Disable when
   /// the same slaves will serve further farm() rounds (e.g. the
   /// hierarchical-masters extension); the caller then terminates them
-  /// explicitly with terminate().
+  /// explicitly with terminate(). farm() only: the fault-tolerant farms
+  /// reject false with SkelError, because their slaves stop only on
+  /// TERMINATE.
   bool send_terminate = true;
   /// Slave side: longest silence a farm_slave() tolerates before deciding
   /// something is wrong. A dead master raises scc::FaultStallError, an
@@ -133,13 +136,11 @@ struct FarmOptions {
   noc::SimTime slave_idle_timeout = 3600 * noc::kPsPerSec;
   /// Grant size: how many jobs the master packs into one BATCH frame per
   /// free slave (1 = classic per-job dispatch, the default). Batching
-  /// amortises the master round trip; a batch-aware slave
-  /// (farm_slave_batch) serves the whole grant in one exchange. Purely a
-  /// scheduling knob: per-job payloads, results and cycle
-  /// charges are identical to unbatched dispatch. Seq groups always release
-  /// one job at a time regardless of this setting. Slaves of a farm run
-  /// with batch > 1 must use farm_slave_batch (a plain farm_slave fails
-  /// loudly on the first BATCH frame). 0 is invalid.
+  /// amortises the master round trip; farm_slave serves the grant job by
+  /// job through its per-job Worker and answers with one BATCHRESULT.
+  /// Purely a scheduling knob: per-job payloads, results and cycle charges
+  /// are identical to unbatched dispatch. Seq groups always release one job
+  /// at a time regardless of this setting. 0 is invalid.
   std::size_t batch = 1;
 };
 
@@ -170,20 +171,11 @@ std::vector<JobResult> farm(rcce::Comm& comm, const Task& task,
 /// Comm reference to charge the compute cost of the work performed.
 using Worker = std::function<bio::Bytes(rcce::Comm&, const bio::Bytes&)>;
 
-/// FARM (slave side): READY handshake, then serve jobs until TERMINATE.
+/// FARM (slave side): READY handshake, then serve jobs until TERMINATE. A
+/// JOB frame gets one RESULT; a BATCH grant is served job by job, in grant
+/// order, and answered with one BATCHRESULT.
 void farm_slave(rcce::Comm& comm, int master_ue, const Worker& worker,
                 const FarmOptions& opts = {});
-
-/// Batch-aware worker callback: all granted jobs in, one result payload per
-/// job out (same order). `out` arrives cleared; the worker fills it.
-using BatchWorker = std::function<void(
-    rcce::Comm&, std::span<const Job>, std::vector<bio::Bytes>&)>;
-
-/// FARM (slave side), batch-aware: READY handshake, then serve BATCH grants
-/// (and single JOB frames, served as one-job grants) until TERMINATE.
-/// Throws SkelBatchError if the worker returns the wrong number of results.
-void farm_slave_batch(rcce::Comm& comm, int master_ue,
-                      const BatchWorker& worker, const FarmOptions& opts = {});
 
 // ---- Fault-tolerant FARM ---------------------------------------------------
 // farm() above assumes perfectly reliable slaves and mesh, like the paper's

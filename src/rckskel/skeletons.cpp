@@ -360,6 +360,27 @@ void pipe_stage(rcce::Comm& comm, int upstream_ue, int downstream_ue,
   }
 }
 
+namespace {
+
+/// Serve one JOB frame: run `worker` on its payload and send the RESULT to
+/// `master`. The one job-serving routine of farm_slave and farm_slave_ft.
+void serve_job(rcce::Comm& comm, int master, const Worker& worker,
+               const Message& msg) {
+  const obs::Handle h = comm.obs();
+  const noc::SimTime t0 = comm.ctx().now();
+  comm.mc_proto(mc::ProtoKind::Exec, msg.job_id);
+  const bio::Bytes out = worker(comm, msg.payload);
+  comm.send(master, encode_result(msg.job_id, out));
+  comm.mc_proto(mc::ProtoKind::ResultSent, msg.job_id);
+  if (h) {
+    const noc::SimTime t1 = comm.ctx().now();
+    h.span(obs::Lane::Core, h.ids().n_job, t0, t1, msg.job_id);
+    h.observe(h.ids().farm_slave_job_ps, t1 - t0);
+  }
+}
+
+}  // namespace
+
 void farm_slave(rcce::Comm& comm, int master_ue, const Worker& worker,
                 const FarmOptions& opts) {
   const obs::Handle h = comm.obs();
@@ -369,6 +390,10 @@ void farm_slave(rcce::Comm& comm, int master_ue, const Worker& worker,
       h.instant(obs::Lane::Core, h.ids().n_ready, comm.ctx().now(),
                 static_cast<std::uint64_t>(comm.ue()));
   }
+  // BATCH scratch: the decoded grant and its results grow to the largest
+  // grant once and are reused after that.
+  std::vector<Job> grant;
+  std::vector<bio::Bytes> outs;
   for (;;) {
     // Bounded idle wait: the plain farm assumes a reliable master, but a
     // crashed (or wedged) one must fail the simulation loudly rather than
@@ -387,16 +412,26 @@ void farm_slave(rcce::Comm& comm, int master_ue, const Worker& worker,
     }
     Message msg = decode_message(std::move(*frame));
     switch (msg.type) {
-      case MsgType::Job: {
+      case MsgType::Job:
+        serve_job(comm, master_ue, worker, msg);
+        break;
+      case MsgType::Batch: {
+        // A grant of several jobs, served one by one in grant order and
+        // answered with one BATCHRESULT. Every job's span covers the grant.
         const noc::SimTime t0 = comm.ctx().now();
-        comm.mc_proto(mc::ProtoKind::Exec, msg.job_id);
-        bio::Bytes out = worker(comm, msg.payload);
-        comm.send(master_ue, encode_result(msg.job_id, out));
-        comm.mc_proto(mc::ProtoKind::ResultSent, msg.job_id);
+        decode_batch_jobs(msg.payload, grant);
+        outs.clear();
+        for (const Job& job : grant) comm.mc_proto(mc::ProtoKind::Exec, job.id);
+        for (const Job& job : grant) outs.push_back(worker(comm, job.payload));
+        comm.send(master_ue, encode_batch_result(grant, outs));
+        for (const Job& job : grant)
+          comm.mc_proto(mc::ProtoKind::ResultSent, job.id);
         if (h) {
           const noc::SimTime t1 = comm.ctx().now();
-          h.span(obs::Lane::Core, h.ids().n_job, t0, t1, msg.job_id);
-          h.observe(h.ids().farm_slave_job_ps, t1 - t0);
+          for (const Job& job : grant) {
+            h.span(obs::Lane::Core, h.ids().n_job, t0, t1, job.id);
+            h.observe(h.ids().farm_slave_job_ps, t1 - t0);
+          }
         }
         break;
       }
@@ -430,6 +465,12 @@ std::vector<JobResult> run_ft_engine(rcce::Comm& comm, const Task& task,
     throw SkelBatchError(
         "farm_ft: batched grants are not supported — the fault-tolerant "
         "farms lease, retry and deduplicate individual jobs");
+  // farm_slave_ft treats a silent but live master as alive and stops only
+  // on TERMINATE, so a master that never sends it would strand every slave.
+  if (!opts.base.send_terminate)
+    throw SkelError(
+        "farm_ft: send_terminate must stay on — fault-tolerant slaves stop "
+        "only on TERMINATE");
   const bool promoted = mctx != nullptr && mctx->failover_detected != 0;
   const bool replicate = mctx != nullptr && !promoted;
   const int standby = replicate ? opts.standby_ue : -1;
@@ -906,7 +947,7 @@ std::vector<JobResult> run_ft_engine(rcce::Comm& comm, const Task& task,
   // TERMINATE goes to every slave, dead or not: a blacklisted-but-alive
   // slave (e.g. one whose READY was dropped) must not block forever, and a
   // dead core simply never receives it.
-  if (opts.base.send_terminate) send_terminate(comm, slaves);
+  send_terminate(comm, slaves);
   if (h) {
     h.add(h.ids().farm_retries, rep.retries);
     h.add(h.ids().farm_corrupt_frames, rep.corrupt_frames);
@@ -1028,19 +1069,9 @@ void farm_slave_ft(rcce::Comm& comm, int master_ue, const Worker& worker,
       continue;  // corrupted JOB: the master's lease re-sends it
     }
     switch (msg.type) {
-      case MsgType::Job: {
-        const noc::SimTime t0 = comm.ctx().now();
-        comm.mc_proto(mc::ProtoKind::Exec, msg.job_id);
-        bio::Bytes out = worker(comm, msg.payload);
-        comm.send(master, encode_result(msg.job_id, out));
-        comm.mc_proto(mc::ProtoKind::ResultSent, msg.job_id);
-        if (h) {
-          const noc::SimTime t1 = comm.ctx().now();
-          h.span(obs::Lane::Core, h.ids().n_job, t0, t1, msg.job_id);
-          h.observe(h.ids().farm_slave_job_ps, t1 - t0);
-        }
+      case MsgType::Job:
+        serve_job(comm, master, worker, msg);
         break;
-      }
       case MsgType::Terminate:
         return;
       default:

@@ -5,9 +5,8 @@
 // answers one standalone query, the Service owns state that outlives any
 // single request:
 //
-//   * a database of Entry records, each preprocessed once at load time
-//     (wire bytes for zero-copy job payloads, SoA coordinates and secondary
-//     structure for host-side inspection and future seeding work);
+//   * a database of Entry records, each serialized once at load time (wire
+//     bytes reused verbatim as job payloads);
 //   * the lower-triangular all-vs-all similarity matrix over that database,
 //     kept incrementally: adding one structure to an N-entry database costs
 //     exactly N comparisons (one new matrix column), never a rebuild;
@@ -39,7 +38,6 @@
 #include <string>
 #include <vector>
 
-#include "rck/bio/coords_soa.hpp"
 #include "rck/rck.hpp"
 
 namespace rck::service {
@@ -66,10 +64,6 @@ struct Entry {
   /// bio::serialize(protein), reused verbatim for every farm job payload
   /// this entry participates in (run_pairs' wires table).
   bio::Bytes wire;
-  /// CA coordinates in SoA layout, ready for kernel consumption.
-  bio::CoordsSoA coords;
-  /// Secondary-structure assignment (helix/strand/turn/coil per residue).
-  std::vector<bio::SsType> ss;
 };
 
 /// One cell of the resident all-vs-all matrix: the comparison of entry i

@@ -5,7 +5,6 @@
 #include <utility>
 
 #include "rck/bio/serialize.hpp"
-#include "rck/core/sec_struct.hpp"
 #include "rck/obs/sink.hpp"
 
 namespace rck::service {
@@ -96,8 +95,6 @@ Entry Service::preprocess(bio::Protein p) const {
   Entry e;
   e.protein = std::move(p);
   e.wire = bio::serialize(e.protein);
-  e.coords.assign(e.protein);
-  core::assign_secondary_structure(e.coords.view(), e.ss);
   return e;
 }
 
@@ -251,20 +248,9 @@ std::vector<QueryResult> Service::drain() {
     std::vector<rckalign::PairSpec> specs;
     std::vector<std::uint32_t> owner;
     for (std::size_t qi = 0; qi < round.size(); ++qi) {
-      const Query& q = round[qi].query;
-      const std::uint32_t base = probe_base[qi];
-      for (const rckalign::Method method : cfg_.methods) {
-        if (q.kind == QueryKind::Pair) {
-          specs.push_back(rckalign::PairSpec{base, base + 1, method});
-          owner.push_back(static_cast<std::uint32_t>(qi));
-          continue;
-        }
-        for (std::uint32_t p = 0; p < q.probes.size(); ++p)
-          for (std::uint32_t e = 0; e < entries_.size(); ++e) {
-            specs.push_back(rckalign::PairSpec{base + p, e, method});
-            owner.push_back(static_cast<std::uint32_t>(qi));
-          }
-      }
+      append_query_specs(round[qi].query, cfg_.methods, probe_base[qi],
+                         entries_.size(), specs);
+      owner.resize(specs.size(), static_cast<std::uint32_t>(qi));
     }
 
     rckalign::PairsRun run = run_round(specs, structures, wires);
@@ -289,18 +275,8 @@ std::vector<QueryResult> Service::drain() {
     }
     for (const rckalign::PairsRow& row : run.rows) {
       const std::uint32_t qi = owner[row.spec];
-      const Query& q = round[qi].query;
-      QueryHit h;
-      h.probe = row.a - probe_base[qi];
-      h.entry = q.kind == QueryKind::Pair ? row.b - probe_base[qi] : row.b;
-      h.method = row.method;
-      h.tm_query = row.tm_norm_a;
-      h.tm_entry = row.tm_norm_b;
-      h.rmsd = row.rmsd;
-      h.seq_identity = row.seq_identity;
-      h.aligned_length = row.aligned_length;
-      h.worker = row.worker;
-      round_results[qi].hits.push_back(h);
+      round_results[qi].hits.push_back(
+          query_hit(row, round[qi].query.kind, probe_base[qi]));
     }
     for (std::size_t qi = 0; qi < round.size(); ++qi) {
       QueryResult& res = round_results[qi];

@@ -52,10 +52,8 @@ TEST(LintRules, ScopingFollowsTheTree) {
   EXPECT_TRUE(rules_contain("src/bio/protein.cpp", "throw-taxonomy"));
   EXPECT_TRUE(rules_contain("src/core/kabsch.cpp", "hot-path-alloc"));
   EXPECT_FALSE(rules_contain("src/core/tmalign.cpp", "hot-path-alloc"));
-  // The round-2 batch kernel and the batch-pulling slave loop inherit the
-  // allocation-freedom contract.
+  // The round-2 batch kernel inherits the allocation-freedom contract.
   EXPECT_TRUE(rules_contain("src/core/batch.cpp", "hot-path-alloc"));
-  EXPECT_TRUE(rules_contain("src/rckskel/batch_slave.cpp", "hot-path-alloc"));
   EXPECT_TRUE(rules_for("tests/chk/test_lint.cpp").empty());   // not covered
   EXPECT_TRUE(rules_for("src/scc/CMakeLists.txt").empty());    // not source
 }

@@ -9,8 +9,8 @@
 #include "rck/core/cp_align.hpp"
 #include "rck/core/quality.hpp"
 #include "rck/core/tmalign.hpp"
+#include "rck/rck.hpp"
 #include "rck/rckalign/app.hpp"
-#include "rck/rckalign/one_vs_all.hpp"
 
 namespace rck {
 namespace {
@@ -73,12 +73,10 @@ TEST(Toolbox, OneVsAllSeqNwRanksFamilyFirst) {
   const auto db = bio::build_dataset(bio::tiny_spec());
   bio::Rng rng(4);
   const bio::Protein query = bio::perturb(db[0], "q", rng);  // family a
-  rckalign::OneVsAllOptions opts;
-  opts.slave_count = 3;
-  opts.methods = {rckalign::Method::SeqNw};
-  const rckalign::OneVsAllRun run = rckalign::run_one_vs_all(query, db, opts);
-  ASSERT_EQ(run.ranked.size(), 1u);
-  const auto& hits = run.ranked[0];
+  RunConfig cfg;
+  cfg.with_slaves(3).with_method(rckalign::Method::SeqNw);
+  const auto hits = run_query(db, Query::one_vs_all(query), cfg).hits;
+  ASSERT_EQ(hits.size(), db.size());
   // Descending identity; top hits are family a (indices 0-2).
   for (std::size_t k = 1; k < hits.size(); ++k)
     EXPECT_GE(hits[k - 1].seq_identity, hits[k].seq_identity);

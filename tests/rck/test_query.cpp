@@ -1,6 +1,6 @@
 // rck::Query / run_query — the consolidated query surface: shape
-// validation, agreement with the legacy one-vs-all shim and the direct
-// kernel, ranking/top-k semantics, stable JSON.
+// validation, agreement with the direct kernel, ranking/top-k semantics,
+// stable JSON, and fault-tolerant queries.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -12,8 +12,8 @@
 #include "rck/bio/synthetic.hpp"
 #include "rck/core/tmalign.hpp"
 #include "rck/obs/trace_check.hpp"
+#include "rck/bio/dataset.hpp"
 #include "rck/rck.hpp"
-#include "rck/rckalign/one_vs_all.hpp"
 
 namespace {
 
@@ -74,23 +74,6 @@ TEST_F(QueryTest, RunQueryRejectsBadShapesWithConfigError) {
   EXPECT_THROW(run_query(*database_, q, config(3)), ConfigError);
   EXPECT_THROW(run_query(*database_, Query::one_vs_all(*probe_), config(0)),
                ConfigError);
-}
-
-TEST_F(QueryTest, OneVsAllMatchesLegacyShim) {
-  const QueryResult res =
-      run_query(*database_, Query::one_vs_all(*probe_), config(3));
-  rckalign::OneVsAllOptions legacy;
-  legacy.slave_count = 3;
-  const rckalign::OneVsAllRun shim =
-      rckalign::run_one_vs_all(*probe_, *database_, legacy);
-
-  EXPECT_EQ(res.makespan, shim.makespan);
-  ASSERT_EQ(res.hits.size(), shim.ranked[0].size());
-  for (std::size_t k = 0; k < res.hits.size(); ++k) {
-    EXPECT_EQ(res.hits[k].entry, shim.ranked[0][k].entry);
-    EXPECT_DOUBLE_EQ(res.hits[k].tm_query, shim.ranked[0][k].tm_query);
-    EXPECT_DOUBLE_EQ(res.hits[k].rmsd, shim.ranked[0][k].rmsd);
-  }
 }
 
 TEST_F(QueryTest, PairQueryMatchesDirectKernel) {
@@ -213,6 +196,26 @@ TEST_F(QueryTest, RunRejectsMultiMethodConfigs) {
   cfg.with_methods({rckalign::Method::TmAlign, rckalign::Method::GaplessRmsd});
   EXPECT_TRUE(cfg.validate().empty());  // valid for queries...
   EXPECT_THROW(rck::run(*database_, cfg), ConfigError);  // ...not for run()
+}
+
+TEST(QueryFaultTolerance, UncachedMasterFtQueryMatchesThePlainQuery) {
+  // Uncached, every job's cost hint is the L1*L2 proxy rather than cycles.
+  // A lease derived from it would expire long before a tiny-dataset job
+  // ends, so the farm sizes one fixed lease from its longest job instead.
+  const std::vector<bio::Protein> db = bio::build_dataset(bio::tiny_spec());
+  const Query q = Query::k_vs_all({db[0], db[4]});
+  RunConfig cfg;
+  cfg.with_slaves(6);
+  const QueryResult plain = run_query(db, q, cfg);
+  cfg.with_master_ft();
+  const QueryResult ft = run_query(db, q, cfg);
+  ASSERT_EQ(ft.hits.size(), 2 * db.size());
+  ASSERT_EQ(ft.hits.size(), plain.hits.size());
+  for (std::size_t k = 0; k < ft.hits.size(); ++k) {
+    QueryHit h = ft.hits[k];
+    h.worker = plain.hits[k].worker;  // the serving slave may differ
+    EXPECT_EQ(h, plain.hits[k]) << k;
+  }
 }
 
 }  // namespace

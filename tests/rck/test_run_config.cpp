@@ -4,7 +4,9 @@
 
 #include <algorithm>
 #include <cstring>
+#include <utility>
 
+#include "rck/bio/dataset.hpp"
 #include "rck/bio/pdb_io.hpp"
 #include "rck/bio/serialize.hpp"
 #include "rck/bio/synthetic.hpp"
@@ -241,6 +243,40 @@ TEST(Run, EndToEndWithCollectExposesRecorder) {
   EXPECT_EQ(base.makespan, run.makespan);
   EXPECT_EQ(base.results, run.results);
   EXPECT_EQ(base.obs, nullptr);
+}
+
+TEST(Run, UncachedFaultTolerantRunMatchesThePlainRun) {
+  // Uncached, every job's cost hint is the L1*L2 proxy rather than cycles.
+  // A lease derived from it would expire long before a tiny-dataset job
+  // ends, so the farm sizes one fixed lease from its longest job instead.
+  const std::vector<bio::Protein> dataset = bio::build_dataset(bio::tiny_spec());
+  RunConfig cfg;
+  cfg.with_slaves(3);
+  const RunResult plain = rck::run(dataset, cfg);
+  cfg.with_fault_tolerance();
+  const RunResult ft = rck::run(dataset, cfg);
+  const auto by_pair = [](std::vector<rckalign::PairRow> rows) {
+    for (rckalign::PairRow& r : rows) r.worker = -1;  // the slave may differ
+    std::sort(rows.begin(), rows.end(),
+              [](const rckalign::PairRow& a, const rckalign::PairRow& b) {
+                return std::pair{a.i, a.j} < std::pair{b.i, b.j};
+              });
+    return rows;
+  };
+  EXPECT_EQ(ft.results.size(), dataset.size() * (dataset.size() - 1) / 2);
+  EXPECT_EQ(by_pair(ft.results), by_pair(plain.results));
+}
+
+TEST(Run, FaultTolerantRunRejectsSendTerminateOff) {
+  // Fault-tolerant slaves stop only on TERMINATE, so a master that would
+  // never send it is rejected before the READY phase instead of stranding
+  // every slave.
+  const std::vector<bio::Protein> dataset = bio::build_dataset(bio::tiny_spec());
+  const rckalign::PairCache cache = rckalign::PairCache::build(dataset, 1);
+  RunConfig cfg;
+  cfg.with_slaves(3).with_cache(&cache).with_fault_tolerance();
+  cfg.ft.base.send_terminate = false;
+  EXPECT_THROW(rck::run(dataset, cfg), rckskel::SkelError);
 }
 
 // -- error taxonomy -----------------------------------------------------

@@ -1,5 +1,5 @@
 // End-to-end bit-identity of batched farm grants (RckAlignOptions::batch,
-// BlockedOptions::batch, OneVsAllOptions::batch).
+// BlockedOptions::batch, and RunConfig::batch through rck::run_query).
 //
 // Batching is a pure scheduling/transport change: slaves pull K jobs per
 // grant and serve them job by job from the run's pre-executed outcomes, so
@@ -15,10 +15,10 @@
 #include <vector>
 
 #include "rck/bio/dataset.hpp"
+#include "rck/rck.hpp"
 #include "rck/rckalign/app.hpp"
 #include "rck/rckalign/blocked.hpp"
 #include "rck/rckalign/error.hpp"
-#include "rck/rckalign/one_vs_all.hpp"
 
 namespace rck::rckalign {
 namespace {
@@ -149,27 +149,25 @@ TEST_F(BatchAppTest, BlockedBatchedMatchesUnbatched) {
 }
 
 TEST_F(BatchAppTest, OneVsAllBatchedMatchesUnbatched) {
-  const bio::Protein& query = dataset_->front();
+  const rck::Query query = rck::Query::one_vs_all(dataset_->front());
   const std::vector<bio::Protein> db(dataset_->begin() + 1, dataset_->end());
-  OneVsAllOptions o1, o4;
-  o1.slave_count = o4.slave_count = 3;
-  o1.methods = o4.methods = {Method::TmAlign, Method::GaplessRmsd};
-  o4.batch = 4;
-  const OneVsAllRun r1 = run_one_vs_all(query, db, o1);
-  const OneVsAllRun r4 = run_one_vs_all(query, db, o4);
-  ASSERT_EQ(r1.ranked.size(), r4.ranked.size());
-  for (std::size_t m = 0; m < r1.ranked.size(); ++m) {
-    ASSERT_EQ(r1.ranked[m].size(), r4.ranked[m].size());
-    for (std::size_t k = 0; k < r1.ranked[m].size(); ++k) {
-      const Hit& a = r1.ranked[m][k];
-      const Hit& b = r4.ranked[m][k];
-      EXPECT_EQ(a.entry, b.entry);
-      EXPECT_EQ(a.tm_query, b.tm_query);
-      EXPECT_EQ(a.tm_entry, b.tm_entry);
-      EXPECT_EQ(a.rmsd, b.rmsd);
-      EXPECT_EQ(a.seq_identity, b.seq_identity);
-      EXPECT_EQ(a.aligned_length, b.aligned_length);
-    }
+  rck::RunConfig c1;
+  c1.with_slaves(3).with_methods({Method::TmAlign, Method::GaplessRmsd});
+  rck::RunConfig c4 = c1;
+  c4.with_batch(4);
+  const rck::QueryResult r1 = rck::run_query(db, query, c1);
+  const rck::QueryResult r4 = rck::run_query(db, query, c4);
+  ASSERT_EQ(r1.hits.size(), r4.hits.size());
+  for (std::size_t k = 0; k < r1.hits.size(); ++k) {
+    const rck::QueryHit& a = r1.hits[k];
+    const rck::QueryHit& b = r4.hits[k];
+    EXPECT_EQ(a.method, b.method);
+    EXPECT_EQ(a.entry, b.entry);
+    EXPECT_EQ(a.tm_query, b.tm_query);
+    EXPECT_EQ(a.tm_entry, b.tm_entry);
+    EXPECT_EQ(a.rmsd, b.rmsd);
+    EXPECT_EQ(a.seq_identity, b.seq_identity);
+    EXPECT_EQ(a.aligned_length, b.aligned_length);
   }
 }
 
@@ -185,10 +183,9 @@ TEST_F(BatchAppTest, BatchValidation) {
   bo.batch = 0;
   EXPECT_THROW(run_rckalign_blocked(*dataset_, bo), AlignError);
 
-  OneVsAllOptions oo;
-  oo.slave_count = 3;
-  oo.batch = 0;
-  EXPECT_THROW(run_one_vs_all(dataset_->front(), *dataset_, oo), AlignError);
+  EXPECT_THROW(rck::run_query(*dataset_, rck::Query::one_vs_all(dataset_->front()),
+                              rck::RunConfig{}.with_slaves(3).with_batch(0)),
+               rck::ConfigError);
 }
 
 }  // namespace

@@ -21,10 +21,10 @@
 #include "rck/bio/dataset.hpp"
 #include "rck/bio/synthetic.hpp"
 #include "rck/obs/obs.hpp"
+#include "rck/rck.hpp"
 #include "rck/rckalign/app.hpp"
 #include "rck/rckalign/blocked.hpp"
 #include "rck/rckalign/extensions.hpp"
-#include "rck/rckalign/one_vs_all.hpp"
 #include "rck/rckalign/pairs.hpp"
 
 namespace rck::rckalign {
@@ -308,27 +308,44 @@ std::string hierarchical_digest(int width) {
   return hex(f.h);
 }
 
+/// Algorithm 1 straight through run_pairs: CK34's first chain as the query,
+/// appended after the other 33 as the database, aligned onto every entry
+/// under three methods (methods-major), and each method's hits ranked by
+/// rck::rank_query_hits.
 std::string one_vs_all_digest(int width) {
-  const std::vector<bio::Protein> db(ck34().begin() + 1, ck34().end());
-  OneVsAllOptions o;
+  std::vector<const bio::Protein*> structures;
+  for (auto it = ck34().begin() + 1; it != ck34().end(); ++it)
+    structures.push_back(&*it);
+  const auto n = static_cast<std::uint32_t>(structures.size());
+  structures.push_back(&ck34().front());
+  const std::vector<Method> methods = {Method::TmAlign, Method::GaplessRmsd,
+                                       Method::SeqNw};
+  std::vector<PairSpec> specs;
+  for (const Method m : methods)
+    for (std::uint32_t e = 0; e < n; ++e) specs.push_back(PairSpec{n, e, m});
+
+  PairsOptions o;
   o.slave_count = kSlaves;
   o.runtime = runtime(width);
-  o.methods = {Method::TmAlign, Method::GaplessRmsd, Method::SeqNw};
-  const OneVsAllRun run = run_one_vs_all(ck34().front(), db, o);
+  const PairsRun run = run_pairs(structures, specs, o);
+  std::vector<QueryHit> hits;
+  for (const PairsRow& row : run.rows)
+    hits.push_back(query_hit(row, QueryKind::OneVsAll, n));
+  rank_query_hits(hits, methods, 0);
+
   Fnv f;
   f.pod(run.makespan);
-  for (const std::vector<Hit>& hits : run.ranked) {
-    f.pod(hits.size());
-    for (const Hit& h : hits) {
-      f.pod(h.entry);
-      f.pod(h.method);
-      f.pod(h.tm_query);
-      f.pod(h.tm_entry);
-      f.pod(h.rmsd);
-      f.pod(h.seq_identity);
-      f.pod(h.aligned_length);
-      f.pod(h.worker);
-    }
+  for (std::size_t k = 0; k < hits.size(); ++k) {
+    if (k % n == 0) f.pod(static_cast<std::size_t>(n));  // one list per method
+    const QueryHit& h = hits[k];
+    f.pod(h.entry);
+    f.pod(h.method);
+    f.pod(h.tm_query);
+    f.pod(h.tm_entry);
+    f.pod(h.rmsd);
+    f.pod(h.seq_identity);
+    f.pod(h.aligned_length);
+    f.pod(h.worker);
   }
   add_reports(f, run.core_reports);
   add_network(f, run.network);

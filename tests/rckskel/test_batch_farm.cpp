@@ -1,8 +1,8 @@
 // Batched-grant farm extension: BATCH/BATCHRESULT codec round trips and the
-// farm(batch=K) <-> farm_slave_batch protocol, including interop with
-// single-JOB frames, Seq-group singleton grants, and the loud-failure modes
-// (wrong result count, batch on the fault-tolerant farms, plain slaves fed
-// BATCH frames).
+// farm(batch=K) <-> farm_slave protocol (the one slave loop serves a grant
+// job by job through its per-job Worker), including interop with single-JOB
+// frames, Seq-group singleton grants, and the loud-failure modes (a grant
+// answered with the wrong result count, batch on the fault-tolerant farms).
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -28,12 +28,6 @@ Bytes doubling_worker(rcce::Comm& comm, const Bytes& payload) {
   WireWriter w;
   w.u32(2 * n);
   return w.take();
-}
-
-/// Batch worker applying doubling_worker to every granted job.
-void doubling_batch_worker(rcce::Comm& comm, std::span<const Job> jobs,
-                           std::vector<Bytes>& out) {
-  for (const Job& job : jobs) out.push_back(doubling_worker(comm, job.payload));
 }
 
 std::vector<Job> numbered_jobs(std::uint32_t count, std::uint64_t id_base = 0) {
@@ -173,7 +167,7 @@ TEST(BatchFarm, AllJobsProcessedOnceWithBatchedGrants) {
       // 22 jobs over 3 slaves at K=4: several full grants plus ragged tails.
       results = farm(comm, Task::make_par({1, 2, 3}, numbered_jobs(22)), opts);
     } else {
-      farm_slave_batch(comm, 0, doubling_batch_worker, opts);
+      farm_slave(comm, 0, doubling_worker, opts);
     }
   });
   ASSERT_EQ(results.size(), 22u);
@@ -201,7 +195,7 @@ TEST(BatchFarm, ResultsMatchUnbatchedFarmPerJob) {
              farm(comm, Task::make_par({1, 2}, numbered_jobs(10)), opts))
           by_batch[round][r.id] = std::move(r.payload);
       } else {
-        farm_slave_batch(comm, 0, doubling_batch_worker, opts);
+        farm_slave(comm, 0, doubling_worker, opts);
       }
     });
   }
@@ -222,7 +216,7 @@ TEST(BatchFarm, SeqGroupsStaySingletonAndOrdered) {
            farm(comm, Task::make_seq({1, 2}, numbered_jobs(6)), opts))
         order.push_back(r.id);
     } else {
-      farm_slave_batch(comm, 0, doubling_batch_worker, opts);
+      farm_slave(comm, 0, doubling_worker, opts);
     }
   });
   ASSERT_EQ(order.size(), 6u);
@@ -230,8 +224,8 @@ TEST(BatchFarm, SeqGroupsStaySingletonAndOrdered) {
 }
 
 TEST(BatchFarm, BatchSlaveServesClassicUnbatchedFarm) {
-  // A batch-aware slave under a batch=1 master: single JOB frames are served
-  // as one-job grants with classic RESULT replies.
+  // The slave loop that serves grants, under a batch=1 master: single JOB
+  // frames get classic RESULT replies.
   scc::SpmdRuntime rt{scc::RuntimeConfig{}};
   std::vector<JobResult> results;
   rt.run(2, [&](scc::CoreCtx& ctx) {
@@ -239,45 +233,36 @@ TEST(BatchFarm, BatchSlaveServesClassicUnbatchedFarm) {
     if (comm.ue() == 0)
       results = farm(comm, Task::make_par({1}, numbered_jobs(5)));
     else
-      farm_slave_batch(comm, 0, doubling_batch_worker);
+      farm_slave(comm, 0, doubling_worker);
   });
   ASSERT_EQ(results.size(), 5u);
   for (const JobResult& r : results)
     EXPECT_EQ(result_value(r), 2 * (static_cast<std::uint32_t>(r.id) + 1));
 }
 
-TEST(BatchFarm, PlainSlaveFailsLoudlyOnBatchFrame) {
-  scc::SpmdRuntime rt{scc::RuntimeConfig{}};
-  FarmOptions opts;
-  opts.batch = 2;
-  EXPECT_THROW(rt.run(2,
-                      [&](scc::CoreCtx& ctx) {
-                        rcce::Comm comm(ctx);
-                        if (comm.ue() == 0)
-                          farm(comm, Task::make_par({1}, numbered_jobs(4)),
-                               opts);
-                        else
-                          farm_slave(comm, 0, doubling_worker, opts);
-                      }),
-               SkelProtocolError);
-}
-
 TEST(BatchFarm, WorkerResultCountMismatchThrows) {
+  // The master checks every BATCHRESULT against its grant: a scripted slave
+  // answers a 2-job grant with a 1-result reply.
   scc::SpmdRuntime rt{scc::RuntimeConfig{}};
   FarmOptions opts;
   opts.batch = 2;
-  const auto bad_worker = [](rcce::Comm&, std::span<const Job>,
-                             std::vector<Bytes>& out) {
-    out.push_back(Bytes{});  // always one result, whatever the grant size
-  };
   EXPECT_THROW(rt.run(2,
                       [&](scc::CoreCtx& ctx) {
                         rcce::Comm comm(ctx);
-                        if (comm.ue() == 0)
-                          farm(comm, Task::make_par({1}, numbered_jobs(4)),
+                        if (comm.ue() == 0) {
+                          farm(comm, Task::make_par({1}, numbered_jobs(2)),
                                opts);
-                        else
-                          farm_slave_batch(comm, 0, bad_worker, opts);
+                          return;
+                        }
+                        comm.send(0, encode_ready());
+                        const Message grant = decode_message(comm.recv(0));
+                        EXPECT_EQ(grant.type, MsgType::Batch);
+                        std::vector<Job> jobs;
+                        decode_batch_jobs(grant.payload, jobs);
+                        EXPECT_EQ(jobs.size(), 2u);
+                        jobs.resize(1);  // answer the first job only
+                        const std::vector<Bytes> one(1);
+                        comm.send(0, encode_batch_result(jobs, one));
                       }),
                SkelBatchError);
 }
@@ -293,8 +278,7 @@ TEST(BatchFarm, ZeroBatchRejected) {
                           farm(comm, Task::make_par({1}, numbered_jobs(2)),
                                opts);
                         else
-                          farm_slave_batch(comm, 0, doubling_batch_worker,
-                                           opts);
+                          farm_slave(comm, 0, doubling_worker, opts);
                       }),
                SkelBatchError);
 }
@@ -343,7 +327,7 @@ TEST(BatchFarm, BatchingReducesMasterRoundTrips) {
         (void)farm(comm, Task::make_par({1, 2}, uniform), opts);
         makespan[round] = ctx.now();
       } else {
-        farm_slave_batch(comm, 0, doubling_batch_worker, opts);
+        farm_slave(comm, 0, doubling_worker, opts);
       }
     });
   }

@@ -10,6 +10,7 @@
 
 #include <gtest/gtest.h>
 
+#include "rck/bio/dataset.hpp"
 #include "rck/bio/synthetic.hpp"
 #include "rck/core/tmalign.hpp"
 #include "rck/service/loadgen.hpp"
@@ -40,8 +41,6 @@ TEST(Service, PreprocessesEveryEntryAtLoad) {
     const service::Entry& e = svc.entry(i);
     EXPECT_EQ(e.protein.name(), db[i].name());
     EXPECT_EQ(e.wire.size(), db[i].wire_size());
-    EXPECT_EQ(e.coords.size(), db[i].size());
-    EXPECT_EQ(e.ss.size(), db[i].size());
   }
 }
 
@@ -107,6 +106,34 @@ TEST(Service, ServesQueriesLikeRunQuery) {
     EXPECT_EQ(served.hits[k], standalone.hits[k]);
   EXPECT_EQ(svc.stats().served, 1u);
   EXPECT_EQ(svc.stats().query_jobs, db.size());
+}
+
+TEST(Service, FaultTolerantBuildAndDrainMatchThePlainService) {
+  // Uncached matrix and query rounds under the fault-tolerant farm: every
+  // job carries the L1*L2 proxy as cost hint, so the rounds need the fixed
+  // lease run_pairs sizes from the longest job.
+  const auto db = bio::build_dataset(bio::tiny_spec());
+  bio::Rng rng(0x0F7A);
+  const Query q = Query::k_vs_all({bio::perturb(db[2], "p0", rng), db[6]});
+  service::Service plain(db, config(6));
+  RunConfig ft_cfg = config(6);
+  ft_cfg.with_fault_tolerance();
+  service::Service ft(db, ft_cfg);
+  EXPECT_EQ(ft.matrix(), plain.matrix());
+
+  plain.submit(q);
+  ft.submit(q);
+  const std::vector<QueryResult> want = plain.drain();
+  const std::vector<QueryResult> got = ft.drain();
+  ASSERT_EQ(got.size(), 1u);
+  ASSERT_EQ(want.size(), 1u);
+  ASSERT_EQ(got[0].hits.size(), 2 * db.size());
+  ASSERT_EQ(got[0].hits.size(), want[0].hits.size());
+  for (std::size_t k = 0; k < got[0].hits.size(); ++k) {
+    QueryHit h = got[0].hits[k];
+    h.worker = want[0].hits[k].worker;  // the serving slave may differ
+    EXPECT_EQ(h, want[0].hits[k]) << k;
+  }
 }
 
 TEST(Service, SubmitRejectsMalformedQueries) {
