@@ -16,6 +16,8 @@
 #include "rck/core/tmscore.hpp"
 #include "rck/noc/event_queue.hpp"
 #include "rck/noc/network.hpp"
+#include "rck/rckalign/codec.hpp"
+#include "rck/rckskel/job.hpp"
 #include "rck/scc/runtime.hpp"
 
 namespace {
@@ -100,6 +102,34 @@ void BM_ProteinSerialize(benchmark::State& state) {
                           static_cast<std::int64_t>(p.wire_size()));
 }
 BENCHMARK(BM_ProteinSerialize)->Arg(150)->Arg(500);
+
+void BM_WireChecksum(benchmark::State& state) {
+  // The CRC-32C that seals every protocol frame and checkpoint.
+  bio::Rng rng(11);
+  bio::Bytes data(static_cast<std::size_t>(state.range(0)));
+  for (std::byte& b : data) b = static_cast<std::byte>(rng() & 0xFF);
+  for (auto _ : state) benchmark::DoNotOptimize(rckskel::wire_checksum(data));
+  state.SetBytesProcessed(state.iterations() * state.range(0));
+}
+BENCHMARK(BM_WireChecksum)->Arg(64)->Arg(11 * 1024);
+
+void BM_JobFrameRoundTrip(benchmark::State& state) {
+  // One farm JOB frame over a CK34 pair: seal on the master, verify and
+  // parse on the slave.
+  const std::vector<bio::Protein> ck34 = bio::build_dataset(bio::ck34_spec());
+  rckskel::Job job;
+  job.id = 1;
+  job.payload = rckalign::encode_pair_job(0, 1, rckalign::Method::TmAlign, ck34[0], ck34[1]);
+  std::int64_t frame_bytes = 0;
+  for (auto _ : state) {
+    bio::Bytes frame = rckskel::encode_job(job);
+    frame_bytes = static_cast<std::int64_t>(frame.size());
+    benchmark::DoNotOptimize(rckskel::decode_message(std::move(frame)));
+  }
+  state.SetBytesProcessed(state.iterations() * frame_bytes);
+  state.counters["frame_bytes"] = static_cast<double>(frame_bytes);
+}
+BENCHMARK(BM_JobFrameRoundTrip);
 
 void BM_PdbRoundTrip(benchmark::State& state) {
   const auto p = protein_of(200, 10);

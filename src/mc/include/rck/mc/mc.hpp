@@ -263,7 +263,7 @@ class Explorer {
   bool exhausted_ = false;
 };
 
-/// FNV-1a offset basis / prime, shared with the checkpoint checksums.
+/// FNV-1a offset basis / prime of the result digests below.
 inline constexpr std::uint64_t kFnvOffset = 1469598103934665603ull;
 inline constexpr std::uint64_t kFnvPrime = 1099511628211ull;
 

@@ -108,7 +108,7 @@ BlockedRun run_rckalign_blocked(const std::vector<bio::Protein>& dataset,
           }
           if (specs.empty()) continue;
           std::vector<rckskel::Job> jobs =
-              detail::make_pair_jobs(structures, specs, {}, cache, model, next_job_id);
+              detail::make_pair_jobs(structures, specs, cache, model, next_job_id);
           next_job_id += specs.size();
 
           rckskel::FarmOptions fopts;

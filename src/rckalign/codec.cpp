@@ -1,13 +1,26 @@
 #include "rck/rckalign/codec.hpp"
 
+#include <optional>
+#include <string>
+
+#include "rck/rckalign/error.hpp"
+
 namespace rck::rckalign {
 
 namespace {
 
-void encode_protein_into(bio::WireWriter& w, const bio::Protein& p) {
-  const bio::Bytes raw = bio::serialize(p);
-  w.u32(static_cast<std::uint32_t>(raw.size()));
-  w.raw(raw);
+/// A job payload from the bio::serialize() bytes of its two chains.
+bio::Bytes encode_pair_job_wire(std::uint32_t i, std::uint32_t j, Method method,
+                                const bio::Bytes& a_wire, const bio::Bytes& b_wire) {
+  bio::WireWriter w;
+  w.u32(i);
+  w.u32(j);
+  w.u8(static_cast<std::uint8_t>(method));
+  w.u32(static_cast<std::uint32_t>(a_wire.size()));
+  w.raw(a_wire);
+  w.u32(static_cast<std::uint32_t>(b_wire.size()));
+  w.raw(b_wire);
+  return w.take();
 }
 
 bio::Protein decode_protein_from(bio::WireReader& r) {
@@ -19,26 +32,33 @@ bio::Protein decode_protein_from(bio::WireReader& r) {
 
 bio::Bytes encode_pair_job(std::uint32_t i, std::uint32_t j, Method method,
                            const bio::Protein& a, const bio::Protein& b) {
-  bio::WireWriter w;
-  w.u32(i);
-  w.u32(j);
-  w.u8(static_cast<std::uint8_t>(method));
-  encode_protein_into(w, a);
-  encode_protein_into(w, b);
-  return w.take();
+  return encode_pair_job_wire(i, j, method, bio::serialize(a), bio::serialize(b));
 }
 
-bio::Bytes encode_pair_job(std::uint32_t i, std::uint32_t j, Method method,
-                           const bio::Bytes& a_wire, const bio::Bytes& b_wire) {
-  bio::WireWriter w;
-  w.u32(i);
-  w.u32(j);
-  w.u8(static_cast<std::uint8_t>(method));
-  w.u32(static_cast<std::uint32_t>(a_wire.size()));
-  w.raw(a_wire);
-  w.u32(static_cast<std::uint32_t>(b_wire.size()));
-  w.raw(b_wire);
-  return w.take();
+std::vector<bio::Bytes> encode_pair_jobs(std::span<const bio::Protein* const> structures,
+                                         std::span<const PairSpec> specs) {
+  // wires[k] is filled the first time a spec references structure k; the
+  // table never resizes, so a reference into it stays valid.
+  std::vector<std::optional<bio::Bytes>> wires(structures.size());
+  const auto wire = [&](std::size_t spec, std::uint32_t k) -> const bio::Bytes& {
+    if (k >= structures.size())
+      throw AlignError("encode_pair_jobs: spec " + std::to_string(spec) +
+                       " indexes outside the structure table");
+    if (structures[k] == nullptr)
+      throw AlignError("encode_pair_jobs: spec " + std::to_string(spec) +
+                       " references a null structure");
+    if (!wires[k]) wires[k] = bio::serialize(*structures[k]);
+    return *wires[k];
+  };
+  std::vector<bio::Bytes> payloads;
+  payloads.reserve(specs.size());
+  for (std::size_t k = 0; k < specs.size(); ++k) {
+    const PairSpec& s = specs[k];
+    const bio::Bytes& a = wire(k, s.a);
+    const bio::Bytes& b = wire(k, s.b);
+    payloads.push_back(encode_pair_job_wire(s.a, s.b, s.method, a, b));
+  }
+  return payloads;
 }
 
 PairJobData decode_pair_job(bio::Bytes payload) {

@@ -33,7 +33,7 @@ MultiMethodRun run_multi_method(const std::vector<bio::Protein>& dataset,
     const std::vector<PairSpec> group = detail::all_pair_specs(dataset.size(), g.method);
     specs.insert(specs.end(), group.begin(), group.end());
   }
-  PairsRun pr = run_pairs(detail::structure_table(dataset), specs, popts, {}, partition);
+  PairsRun pr = run_pairs(detail::structure_table(dataset), specs, popts, partition);
 
   MultiMethodRun run;
   run.makespan = pr.makespan;
@@ -148,8 +148,7 @@ HierarchyRun run_hierarchical(const std::vector<bio::Protein>& dataset,
 
       const std::vector<rckskel::Job> jobs = detail::make_pair_jobs(
           detail::structure_table(dataset),
-          detail::all_pair_specs(dataset.size(), Method::TmAlign), {}, cache,
-          ctx.timing());
+          detail::all_pair_specs(dataset.size(), Method::TmAlign), cache, ctx.timing());
 
       // One strided batch per group: each group gets every G-th job (a
       // cost-mixed static partition), farms it dynamically on its own

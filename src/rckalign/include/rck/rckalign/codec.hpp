@@ -6,9 +6,13 @@
 // therefore carries both chains in full, plus the pair indices and the
 // comparison method to run (the method tag enables the MC-PSC extension,
 // where different slaves run different PSC algorithms on the same data).
+// Every farm run builds all of its payloads with encode_pair_jobs(), which
+// serializes each structure once however many jobs it appears in.
 #pragma once
 
 #include <cstdint>
+#include <span>
+#include <vector>
 
 #include "rck/bio/protein.hpp"
 #include "rck/bio/serialize.hpp"
@@ -46,15 +50,17 @@ struct PairJobData {
   bio::Protein b;
 };
 
+/// Payload layout: [u32 i][u32 j][u8 method], then per chain
+/// [u32 length][bio::serialize() bytes], a before b.
 bio::Bytes encode_pair_job(std::uint32_t i, std::uint32_t j, Method method,
                            const bio::Protein& a, const bio::Protein& b);
-/// Same encoding from pre-serialized structures: `a_wire` / `b_wire` must be
-/// bio::serialize() output for the chains. A long-running caller (the
-/// alignment service) serializes each database entry once at load and reuses
-/// the bytes across every job it appears in; the payload is byte-identical
-/// to the Protein overload.
-bio::Bytes encode_pair_job(std::uint32_t i, std::uint32_t j, Method method,
-                           const bio::Bytes& a_wire, const bio::Bytes& b_wire);
+/// One payload per spec, in spec order: payload k is byte-identical to
+/// encode_pair_job(specs[k].a, specs[k].b, specs[k].method,
+/// *structures[specs[k].a], *structures[specs[k].b]). Each referenced
+/// structure is serialized at most once per call. Throws AlignError when a
+/// spec indexes outside `structures` or references a null structure.
+std::vector<bio::Bytes> encode_pair_jobs(std::span<const bio::Protein* const> structures,
+                                         std::span<const PairSpec> specs);
 PairJobData decode_pair_job(bio::Bytes payload);
 /// Only the header of a job payload: which comparison it asks for. The
 /// chains are not decoded.

@@ -12,9 +12,9 @@
 //
 // The structure table is spans of pointers (not values) so a long-running
 // caller can keep its database resident and append transient probes without
-// copying; the optional `wires` table carries per-structure pre-serialized
-// bytes (bio::serialize output) so job encoding skips re-serialization —
-// payload bytes, and therefore the simulated run, are identical either way.
+// copying. The master encodes every job payload from it with
+// encode_pair_jobs(), serializing each structure a spec references once per
+// run, however many jobs share it.
 #pragma once
 
 #include <cstdint>
@@ -130,18 +130,15 @@ struct PairsRun {
 /// distinct comparison runs once, on a pool of opts.runtime.host.threads host
 /// workers, before the farm is simulated on the serial scheduler.
 ///
-/// `structures` entries must be non-null and outlive the call. `wires`,
-/// when non-empty, must parallel `structures`; a non-null wires[k] is the
-/// bio::serialize() bytes of *structures[k] and is used verbatim when
-/// encoding job payloads (null entries fall back to serializing on the
-/// spot). An empty `partition` lets every slave serve every spec; otherwise
-/// its groups cover the slaves (ranks 1..slave_count) and the specs in
-/// order. Throws AlignError on out-of-range spec indices, a null structure
-/// referenced by a spec, bad slave/batch counts, a mismatched wires table,
-/// cache or partition.
+/// `structures` entries a spec references must be non-null; every entry
+/// must outlive the call. Job payloads are built once per run with
+/// encode_pair_jobs(). An empty `partition` lets every slave serve every
+/// spec; otherwise its groups cover the slaves (ranks 1..slave_count) and
+/// the specs in order. Throws AlignError on out-of-range spec indices, a
+/// null structure referenced by a spec, bad slave/batch counts, a
+/// mismatched cache or partition.
 PairsRun run_pairs(std::span<const bio::Protein* const> structures,
                    std::span<const PairSpec> specs, const PairsOptions& opts,
-                   std::span<const bio::Bytes* const> wires = {},
                    std::span<const SlaveGroup> partition = {});
 
 }  // namespace rck::rckalign

@@ -65,30 +65,25 @@ inline bool has_cycle_hint(const PairSpec& s, const PairCache* cache) {
   return cache != nullptr && s.method == Method::TmAlign;
 }
 
-/// One farm job per spec, ids from `first_id` in spec order. Non-null
-/// wires[s.a] and wires[s.b] (see run_pairs) are encoded instead of
-/// serializing the structures; the payload bytes are the same. Cost hint,
+/// One farm job per spec, ids from `first_id` in spec order, payloads from
+/// encode_pair_jobs (one serialization per referenced structure). Cost hint,
 /// for LPT order and derived leases: see has_cycle_hint.
 inline std::vector<rckskel::Job> make_pair_jobs(
     std::span<const bio::Protein* const> structures, std::span<const PairSpec> specs,
-    std::span<const bio::Bytes* const> wires, const PairCache* cache,
-    const scc::CoreTimingModel& model, std::uint64_t first_id = 0) {
+    const PairCache* cache, const scc::CoreTimingModel& model,
+    std::uint64_t first_id = 0) {
+  std::vector<bio::Bytes> payloads = encode_pair_jobs(structures, specs);
   std::vector<rckskel::Job> jobs;
   jobs.reserve(specs.size());
-  std::uint64_t id = first_id;
-  for (const PairSpec& s : specs) {
-    const bio::Protein& a = *structures[s.a];
-    const bio::Protein& b = *structures[s.b];
-    const bio::Bytes* aw = wires.empty() ? nullptr : wires[s.a];
-    const bio::Bytes* bw = wires.empty() ? nullptr : wires[s.b];
+  for (std::size_t k = 0; k < specs.size(); ++k) {
+    const PairSpec& s = specs[k];
     rckskel::Job job;
-    job.id = id++;
-    job.payload = aw != nullptr && bw != nullptr
-                      ? encode_pair_job(s.a, s.b, s.method, *aw, *bw)
-                      : encode_pair_job(s.a, s.b, s.method, a, b);
+    job.id = first_id + k;
+    job.payload = std::move(payloads[k]);
     job.cost_hint = has_cycle_hint(s, cache)
                         ? cache->pair_cycles(s.a, s.b, model)
-                        : static_cast<std::uint64_t>(a.size()) * b.size();
+                        : static_cast<std::uint64_t>(structures[s.a]->size()) *
+                              structures[s.b]->size();
     jobs.push_back(std::move(job));
   }
   return jobs;

@@ -18,10 +18,7 @@ namespace {
 
 void validate_inputs(std::span<const bio::Protein* const> structures,
                      std::span<const PairSpec> specs, const PairsOptions& opts,
-                     std::span<const bio::Bytes* const> wires,
                      std::span<const SlaveGroup> partition) {
-  if (!wires.empty() && wires.size() != structures.size())
-    throw AlignError("run_pairs: wires table must parallel structures");
   if (opts.cache != nullptr && opts.cache->chain_count() != structures.size())
     throw AlignError("run_pairs: cache built for a different structure table");
   for (std::size_t k = 0; k < specs.size(); ++k) {
@@ -84,9 +81,8 @@ rckskel::Task make_task(std::vector<rckskel::Job> jobs, int slave_count,
 
 PairsRun run_pairs(std::span<const bio::Protein* const> structures,
                    std::span<const PairSpec> specs, const PairsOptions& opts,
-                   std::span<const bio::Bytes* const> wires,
                    std::span<const SlaveGroup> partition) {
-  validate_inputs(structures, specs, opts, wires, partition);
+  validate_inputs(structures, specs, opts, partition);
 
   PairsRun run;
   scc::SpmdRuntime rt(opts.runtime);
@@ -150,7 +146,7 @@ PairsRun run_pairs(std::span<const bio::Protein* const> structures,
 
       const noc::SimTime t_build0 = ctx.now();
       rckskel::Task task = make_task(
-          detail::make_pair_jobs(structures, specs, wires, opts.cache, ctx.timing()),
+          detail::make_pair_jobs(structures, specs, opts.cache, ctx.timing()),
           opts.slave_count, partition);
       if (h) {
         // Job construction is host-side work (free in simulated time), so

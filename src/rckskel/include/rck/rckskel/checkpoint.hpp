@@ -5,7 +5,7 @@
 // a self-checksummed snapshot replicated to a designated standby core. On a
 // missed-heartbeat failover the standby decodes the latest valid snapshot and
 // resumes the farm without re-running any checkpointed job. The snapshot is
-// sealed exactly like a protocol frame ([u32 FNV-1a][body], the PR 1 codec),
+// sealed exactly like a protocol frame ([u32 CRC-32C][body], wire_checksum),
 // so a corrupted or truncated snapshot is rejected at decode time instead of
 // poisoning the resumed farm.
 #pragma once
@@ -52,8 +52,8 @@ struct FarmCheckpoint {
   bool operator==(const FarmCheckpoint&) const = default;
 };
 
-/// Encode `ck` into a sealed snapshot blob: [u32 FNV-1a checksum][body],
-/// checksum covering everything after itself.
+/// Encode `ck` into a sealed snapshot blob: [u32 CRC-32C checksum][body]
+/// (wire_checksum), checksum covering everything after itself.
 bio::Bytes encode_checkpoint_state(const FarmCheckpoint& ck);
 
 /// Decode a sealed snapshot; throws CheckpointError on any corruption

@@ -5,7 +5,9 @@
 // a *task* is a collection of jobs or sub-tasks plus the computing resources
 // allowed to process them. The wire protocol between master and slaves is
 // four message types: READY (slave handshake, the check_ready mechanism),
-// JOB, RESULT and TERMINATE.
+// JOB, RESULT and TERMINATE, plus the checkpoint, heartbeat and batch
+// extensions below. Every frame is sealed with a CRC-32C checksum
+// (wire_checksum) that the decoder verifies before it parses anything.
 #pragma once
 
 #include <cstdint>
@@ -55,14 +57,26 @@ enum class MsgType : std::uint8_t {
   BatchResult = 8,
 };
 
-/// FNV-1a 32-bit checksum over `data`, as carried in every protocol frame.
-/// Exposed so tests (and the fault injector) can craft or verify frames.
+/// CRC-32C (Castagnoli: reflected polynomial 0x82F63B78, initial value and
+/// final XOR 0xFFFFFFFF; the CRC of iSCSI, SCTP and ext4) over `data`, as
+/// carried in every protocol frame and checkpoint. It detects every error
+/// burst of up to 32 bits inside the covered bytes, so every corrupted
+/// byte of a frame (the checksum field included: a change confined to it
+/// never matches), and every error that flips an odd number of bits
+/// anywhere in the frame. Runs the SSE4.2 crc32 instruction eight
+/// bytes at a time when the CPU has it (checked once per process), else
+/// wire_checksum_portable. Exposed so tests can craft or verify frames.
 std::uint32_t wire_checksum(std::span<const std::byte> data) noexcept;
 
+/// The portable twin of wire_checksum: slicing-by-8 over little-endian
+/// reads, so its value does not depend on the host's byte order. Returns
+/// exactly wire_checksum's values; tests compare the two paths through it.
+std::uint32_t wire_checksum_portable(std::span<const std::byte> data) noexcept;
+
 /// Encode the skeleton-protocol messages. Every frame is
-/// [u32 checksum][u8 type][type-specific body]; the checksum covers
-/// everything after itself, so a corrupted or truncated frame is detected
-/// at decode time instead of poisoning the farm.
+/// [u32 checksum][u8 type][type-specific body]; the checksum (little-endian
+/// wire_checksum) covers everything after itself, so a corrupted or
+/// truncated frame is detected at decode time instead of poisoning the farm.
 bio::Bytes encode_ready();
 bio::Bytes encode_job(const Job& job);
 bio::Bytes encode_result(std::uint64_t job_id, const bio::Bytes& payload);
@@ -97,7 +111,9 @@ struct Message {
                              ///< Batch / BatchResult (the batch body)
 };
 
-/// Decode a protocol message; throws bio::WireError on malformed input.
+/// Decode a protocol message; throws bio::WireError on malformed input: a
+/// short frame, a checksum mismatch, an unknown type, a truncated body or
+/// bytes after a READY, TERMINATE or HEARTBEAT body.
 Message decode_message(bio::Bytes raw);
 
 }  // namespace rck::rckskel

@@ -278,7 +278,7 @@ void farm_slave_ft(rcce::Comm& comm, int master_ue, const Worker& worker,
 // ---- Master failover (checkpointed farm state) -----------------------------
 // farm_ft tolerates slave faults; the master itself is still a single point
 // of failure. The master-ft protocol removes it: the master streams
-// checkpoints (completed results + tracker state, FNV-1a-sealed — see
+// checkpoints (completed results + tracker state, CRC-32C-sealed — see
 // checkpoint.hpp) and heartbeats to a designated standby core. When the
 // standby misses heartbeats and the liveness oracle confirms the master is
 // dead, it loads the latest valid checkpoint, re-establishes leases with the

@@ -1,8 +1,94 @@
 #include "rck/rckskel/job.hpp"
 
+#include <array>
+#include <cstddef>
+#include <cstring>
+
+#if defined(__x86_64__)
+#include <nmmintrin.h>
+#endif
+
 namespace rck::rckskel {
 
 namespace {
+
+/// CRC-32C (Castagnoli), reflected: the polynomial 0x1EDC6F41 bit-reversed.
+constexpr std::uint32_t kCrc32cPoly = 0x82F63B78u;
+
+using Crc32cTables = std::array<std::array<std::uint32_t, 256>, 8>;
+
+/// Slicing-by-8 tables: t[0][b] is the CRC register after shifting in byte
+/// b, and t[k][b] the register after b followed by k zero bytes, so eight
+/// lookups advance the register over eight bytes at once.
+constexpr Crc32cTables make_crc32c_tables() {
+  Crc32cTables t{};
+  for (std::uint32_t b = 0; b < 256; ++b) {
+    std::uint32_t c = b;
+    for (int bit = 0; bit < 8; ++bit) c = (c >> 1) ^ (kCrc32cPoly & (0u - (c & 1u)));
+    t[0][b] = c;
+  }
+  for (std::size_t k = 1; k < t.size(); ++k)
+    for (std::size_t b = 0; b < 256; ++b)
+      t[k][b] = (t[k - 1][b] >> 8) ^ t[0][t[k - 1][b] & 0xFFu];
+  return t;
+}
+
+constexpr Crc32cTables kCrc32cTables = make_crc32c_tables();
+
+/// Little-endian u32 at `p`, whatever the host byte order.
+std::uint32_t load_le32(const std::byte* p) noexcept {
+  return std::to_integer<std::uint32_t>(p[0]) | std::to_integer<std::uint32_t>(p[1]) << 8 |
+         std::to_integer<std::uint32_t>(p[2]) << 16 |
+         std::to_integer<std::uint32_t>(p[3]) << 24;
+}
+
+/// Advance the CRC-32C register `crc` over `n` bytes, eight at a time.
+std::uint32_t crc32c_update_portable(std::uint32_t crc, const std::byte* p,
+                                     std::size_t n) noexcept {
+  const Crc32cTables& t = kCrc32cTables;
+  for (; n >= 8; p += 8, n -= 8) {
+    const std::uint32_t lo = crc ^ load_le32(p);
+    const std::uint32_t hi = load_le32(p + 4);
+    crc = t[7][lo & 0xFFu] ^ t[6][(lo >> 8) & 0xFFu] ^ t[5][(lo >> 16) & 0xFFu] ^
+          t[4][lo >> 24] ^ t[3][hi & 0xFFu] ^ t[2][(hi >> 8) & 0xFFu] ^
+          t[1][(hi >> 16) & 0xFFu] ^ t[0][hi >> 24];
+  }
+  for (; n > 0; ++p, --n)
+    crc = (crc >> 8) ^ t[0][(crc ^ std::to_integer<std::uint32_t>(*p)) & 0xFFu];
+  return crc;
+}
+
+#if defined(__x86_64__)
+/// The same register update with the SSE4.2 crc32 instruction, which
+/// computes CRC-32C. Only called when the CPU reports SSE4.2.
+__attribute__((target("sse4.2"))) std::uint32_t crc32c_update_sse42(
+    std::uint32_t crc, const std::byte* p, std::size_t n) noexcept {
+  std::uint64_t c = crc;
+  for (; n >= 8; p += 8, n -= 8) {
+    std::uint64_t word = 0;
+    std::memcpy(&word, p, sizeof word);  // x86-64 is little-endian
+    c = _mm_crc32_u64(c, word);
+  }
+  auto c32 = static_cast<std::uint32_t>(c);
+  for (; n > 0; ++p, --n) c32 = _mm_crc32_u8(c32, std::to_integer<unsigned char>(*p));
+  return c32;
+}
+#endif
+
+using Crc32cUpdate = std::uint32_t (*)(std::uint32_t, const std::byte*,
+                                       std::size_t) noexcept;
+
+/// The register update for this CPU, chosen once per process.
+Crc32cUpdate crc32c_update() noexcept {
+  static const Crc32cUpdate update = [] {
+#if defined(__x86_64__)
+    __builtin_cpu_init();
+    if (__builtin_cpu_supports("sse4.2") != 0) return &crc32c_update_sse42;
+#endif
+    return &crc32c_update_portable;
+  }();
+  return update;
+}
 
 /// Prefix the body with its checksum to form a complete wire frame.
 bio::Bytes seal(const bio::Bytes& body) {
@@ -18,15 +104,11 @@ constexpr std::size_t kMinBatchEntryBytes = 8 + 4;
 }  // namespace
 
 std::uint32_t wire_checksum(std::span<const std::byte> data) noexcept {
-  // FNV-1a: cheap, deterministic, and sensitive to single-bit flips — enough
-  // to catch the simulator's injected corruption (this is an error-detection
-  // code, not a cryptographic one).
-  std::uint32_t h = 2166136261u;
-  for (const std::byte b : data) {
-    h ^= static_cast<std::uint32_t>(b);
-    h *= 16777619u;
-  }
-  return h;
+  return ~crc32c_update()(0xFFFFFFFFu, data.data(), data.size());
+}
+
+std::uint32_t wire_checksum_portable(std::span<const std::byte> data) noexcept {
+  return ~crc32c_update_portable(0xFFFFFFFFu, data.data(), data.size());
 }
 
 bio::Bytes encode_ready() {
@@ -154,6 +236,7 @@ Message decode_message(bio::Bytes raw) {
   } else if (m.type == MsgType::Heartbeat) {
     m.job_id = r.u64();
   }
+  if (!r.done()) throw bio::WireError("decode_message: trailing bytes");
   return m;
 }
 

@@ -5,8 +5,8 @@
 // answers one standalone query, the Service owns state that outlives any
 // single request:
 //
-//   * a database of Entry records, each serialized once at load time (wire
-//     bytes reused verbatim as job payloads);
+//   * a database of Entry records, validated once at load time (each round's
+//     job build serializes every structure it references once);
 //   * the lower-triangular all-vs-all similarity matrix over that database,
 //     kept incrementally: adding one structure to an N-entry database costs
 //     exactly N comparisons (one new matrix column), never a rebuild;
@@ -58,12 +58,10 @@ class OverloadError : public Error {
       : Error("rck.service.overload", message) {}
 };
 
-/// One database structure, preprocessed once when it enters the service.
+/// One database structure, validated (non-empty) when it enters the
+/// service.
 struct Entry {
   bio::Protein protein;
-  /// bio::serialize(protein), reused verbatim for every farm job payload
-  /// this entry participates in (run_pairs' wires table).
-  bio::Bytes wire;
 };
 
 /// One cell of the resident all-vs-all matrix: the comparison of entry i
@@ -159,17 +157,15 @@ class Service {
   Entry preprocess(bio::Protein p) const;
   void rebuild_tables();
   rckalign::PairsRun run_round(std::span<const rckalign::PairSpec> specs,
-                               std::span<const bio::Protein* const> structures,
-                               std::span<const bio::Bytes* const> wires);
+                               std::span<const bio::Protein* const> structures);
   void shed_query(Pending&& p, std::vector<QueryResult>& out);
 
   RunConfig cfg_;
   rckalign::PairsOptions round_opts_;  ///< cfg_ lowered, obs/chk stripped
   std::vector<Entry> entries_;
   std::vector<MatrixCell> matrix_;
-  /// Pointer tables over entries_, rebuilt whenever the database changes.
+  /// Pointer table over entries_, rebuilt whenever the database changes.
   std::vector<const bio::Protein*> db_ptrs_;
-  std::vector<const bio::Bytes*> db_wires_;
 
   std::vector<Pending> pending_;  ///< submitted, not yet arrived/admitted
   std::deque<Pending> waiting_;   ///< admitted, waiting for a round

@@ -80,7 +80,7 @@ Service::Service(std::vector<bio::Protein> database, RunConfig cfg)
     for (std::uint32_t j = 1; j < n; ++j)
       for (std::uint32_t i = 0; i < j; ++i)
         specs.push_back(rckalign::PairSpec{i, j, method});
-    rckalign::PairsRun run = run_round(specs, db_ptrs_, db_wires_);
+    rckalign::PairsRun run = run_round(specs, db_ptrs_);
     matrix_.resize(specs.size());
     for (const rckalign::PairsRow& row : run.rows)
       matrix_[row.spec] = cell_of(row);
@@ -92,28 +92,19 @@ Service::Service(std::vector<bio::Protein> database, RunConfig cfg)
 Entry Service::preprocess(bio::Protein p) const {
   if (p.empty())
     throw ServiceError("database structure '" + p.name() + "' has no residues");
-  Entry e;
-  e.protein = std::move(p);
-  e.wire = bio::serialize(e.protein);
-  return e;
+  return Entry{std::move(p)};
 }
 
 void Service::rebuild_tables() {
   db_ptrs_.clear();
-  db_wires_.clear();
   db_ptrs_.reserve(entries_.size());
-  db_wires_.reserve(entries_.size());
-  for (const Entry& e : entries_) {
-    db_ptrs_.push_back(&e.protein);
-    db_wires_.push_back(&e.wire);
-  }
+  for (const Entry& e : entries_) db_ptrs_.push_back(&e.protein);
 }
 
 rckalign::PairsRun Service::run_round(
     std::span<const rckalign::PairSpec> specs,
-    std::span<const bio::Protein* const> structures,
-    std::span<const bio::Bytes* const> wires) {
-  return rckalign::run_pairs(structures, specs, round_opts_, wires);
+    std::span<const bio::Protein* const> structures) {
+  return rckalign::run_pairs(structures, specs, round_opts_);
 }
 
 const MatrixCell& Service::matrix_at(std::size_t i, std::size_t j) const {
@@ -139,7 +130,7 @@ std::size_t Service::add_structure(bio::Protein p) {
     const rckalign::Method method = cfg_.methods.front();
     for (std::uint32_t i = 0; i < n; ++i)
       specs.push_back(rckalign::PairSpec{i, n, method});
-    rckalign::PairsRun run = run_round(specs, db_ptrs_, db_wires_);
+    rckalign::PairsRun run = run_round(specs, db_ptrs_);
     const std::size_t base = matrix_.size();
     matrix_.resize(base + n);
     for (const rckalign::PairsRow& row : run.rows)
@@ -230,17 +221,14 @@ std::vector<QueryResult> Service::drain() {
     }
 
     // One shared structure table: the resident database, then every round
-    // probe appended. Database wires come from the preprocessed entries;
-    // probes are transient, so they serialize on the spot inside encoding.
+    // probe appended. The round's job build serializes each structure its
+    // specs reference once.
     std::vector<const bio::Protein*> structures = db_ptrs_;
-    std::vector<const bio::Bytes*> wires = db_wires_;
     std::vector<std::uint32_t> probe_base(round.size());
     for (std::size_t qi = 0; qi < round.size(); ++qi) {
       probe_base[qi] = static_cast<std::uint32_t>(structures.size());
-      for (const bio::Protein& probe : round[qi].query.probes) {
+      for (const bio::Protein& probe : round[qi].query.probes)
         structures.push_back(&probe);
-        wires.push_back(nullptr);
-      }
     }
 
     // Coalesced spec list, per query contiguous; owner[k] maps spec k back
@@ -253,7 +241,7 @@ std::vector<QueryResult> Service::drain() {
       owner.resize(specs.size(), static_cast<std::uint32_t>(qi));
     }
 
-    rckalign::PairsRun run = run_round(specs, structures, wires);
+    rckalign::PairsRun run = run_round(specs, structures);
     stats_.clock += static_cast<noc::SimTime>(run.makespan);
     stats_.busy += static_cast<noc::SimTime>(run.makespan);
     stats_.rounds += 1;

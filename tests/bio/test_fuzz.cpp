@@ -1,7 +1,10 @@
 // Robustness sweeps: every prefix truncation of valid payloads must raise a
-// clean WireError (never crash, never return garbage), and the PDB parser
+// clean WireError (never crash, never return garbage), random skeleton
+// frames, sealed or not, must decode exactly or throw, and the PDB parser
 // must survive arbitrary line mutations.
 #include <gtest/gtest.h>
+
+#include <optional>
 
 #include "rck/bio/fasta.hpp"
 #include "rck/bio/pdb_io.hpp"
@@ -50,22 +53,68 @@ TEST(Fuzz, EveryOutcomeTruncationThrowsCleanly) {
 }
 
 TEST(Fuzz, SkeletonMessageRandomBytesNeverCrash) {
-  // Random byte blobs fed to the protocol decoder: either a clean throw or
-  // a (syntactically) valid message — never UB.
+  // Random byte blobs fed to the protocol decoder: an unsealed blob carries
+  // no valid checksum, so every one must be rejected cleanly — never UB.
   std::mt19937_64 rng(3);
   std::uniform_int_distribution<int> byte(0, 255);
   std::uniform_int_distribution<std::size_t> len(0, 64);
   for (int trial = 0; trial < 500; ++trial) {
     Bytes blob(len(rng));
     for (std::byte& x : blob) x = static_cast<std::byte>(byte(rng));
+    EXPECT_THROW((void)rckskel::decode_message(std::move(blob)), WireError)
+        << "trial " << trial;
+  }
+}
+
+// The frame a decoded fixed-layout message encodes to, or nullopt for the
+// batch types, whose body decode_message does not parse.
+std::optional<Bytes> reencode(const rckskel::Message& m) {
+  using rckskel::MsgType;
+  switch (m.type) {
+    case MsgType::Ready: return rckskel::encode_ready();
+    case MsgType::Terminate: return rckskel::encode_terminate();
+    case MsgType::Heartbeat: return rckskel::encode_heartbeat(m.job_id);
+    case MsgType::Job: return rckskel::encode_job(rckskel::Job{m.job_id, m.payload, 0});
+    case MsgType::Result: return rckskel::encode_result(m.job_id, m.payload);
+    case MsgType::Checkpoint: return rckskel::encode_checkpoint(m.payload);
+    case MsgType::Batch:
+    case MsgType::BatchResult: return std::nullopt;
+  }
+  ADD_FAILURE() << "decoded an unknown type " << static_cast<int>(m.type);
+  return std::nullopt;
+}
+
+TEST(Fuzz, SealedSkeletonMessageRandomBodiesDecodeOrThrow) {
+  // Random bodies sealed with a valid checksum reach the parser: each must
+  // decode to one of the eight types or throw WireError, and a decoded
+  // fixed-layout message must re-encode to the very frame it came from.
+  // Short bodies with a type byte in 0..9 hit every type, well-formed and not.
+  std::mt19937_64 rng(8);
+  std::uniform_int_distribution<int> type(0, 9);
+  std::uniform_int_distribution<int> byte(0, 255);
+  std::uniform_int_distribution<std::size_t> len(0, 16);
+  int decoded[9] = {};
+  for (int trial = 0; trial < 4000; ++trial) {
+    Bytes body(len(rng));
+    for (std::byte& x : body) x = static_cast<std::byte>(byte(rng));
+    if (!body.empty()) body[0] = static_cast<std::byte>(type(rng));
+    WireWriter w;
+    w.u32(rckskel::wire_checksum(body));
+    w.raw(body);
+    const Bytes frame = w.take();
     try {
-      const rckskel::Message msg = rckskel::decode_message(std::move(blob));
-      EXPECT_GE(static_cast<int>(msg.type), 1);
-      EXPECT_LE(static_cast<int>(msg.type), 4);
+      const rckskel::Message msg = rckskel::decode_message(frame);
+      const int t = static_cast<int>(msg.type);
+      ASSERT_TRUE(t >= 1 && t <= 8) << "trial " << trial;
+      ++decoded[t];
+      if (const std::optional<Bytes> again = reencode(msg)) {
+        EXPECT_EQ(*again, frame) << "trial " << trial << " type " << t;
+      }
     } catch (const WireError&) {
-      // fine
+      // fine: malformed body
     }
   }
+  for (int t = 1; t <= 8; ++t) EXPECT_GT(decoded[t], 0) << "type " << t;
 }
 
 TEST(Fuzz, PdbParserSurvivesLineMutations) {

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "rck/bio/synthetic.hpp"
+#include "rck/rckalign/error.hpp"
 
 namespace rck::rckalign {
 namespace {
@@ -78,6 +79,41 @@ TEST(PairJobCodec, PayloadSizeTracksChainLengths) {
   const bio::Protein big = bio::make_protein("b", 300, rng);
   EXPECT_GT(encode_pair_job(0, 1, Method::TmAlign, big, big).size(),
             encode_pair_job(0, 1, Method::TmAlign, small, small).size());
+}
+
+TEST(PairJobCodec, TableEncodingMatchesPerPairEncoding) {
+  bio::Rng rng(6);
+  std::vector<bio::Protein> chains;
+  for (int k = 0; k < 4; ++k)
+    chains.push_back(bio::make_protein("c" + std::to_string(k), 20 + 7 * k, rng));
+  const std::vector<const bio::Protein*> table{&chains[0], &chains[1], &chains[2],
+                                               &chains[3]};
+  // Repeated structures, both orders, a self-pair and two methods.
+  const std::vector<PairSpec> specs{{0, 1, Method::TmAlign},     {1, 0, Method::TmAlign},
+                                    {2, 2, Method::TmAlign},     {0, 1, Method::GaplessRmsd},
+                                    {3, 0, Method::GaplessRmsd}, {1, 3, Method::TmAlign},
+                                    {0, 1, Method::TmAlign}};
+  const std::vector<bio::Bytes> payloads = encode_pair_jobs(table, specs);
+  ASSERT_EQ(payloads.size(), specs.size());
+  for (std::size_t k = 0; k < specs.size(); ++k) {
+    const PairSpec& s = specs[k];
+    EXPECT_EQ(payloads[k], encode_pair_job(s.a, s.b, s.method, chains[s.a], chains[s.b]))
+        << "spec " << k;
+  }
+  EXPECT_TRUE(encode_pair_jobs(table, {}).empty());
+}
+
+TEST(PairJobCodec, TableEncodingRejectsBadReferences) {
+  bio::Rng rng(7);
+  const bio::Protein a = bio::make_protein("a", 20, rng);
+  const std::vector<const bio::Protein*> table{&a, nullptr};
+  const std::vector<PairSpec> outside{{0, 2, Method::TmAlign}};
+  EXPECT_THROW((void)encode_pair_jobs(table, outside), AlignError);
+  const std::vector<PairSpec> null_chain{{1, 0, Method::TmAlign}};
+  EXPECT_THROW((void)encode_pair_jobs(table, null_chain), AlignError);
+  // A null entry no spec references is fine.
+  const std::vector<PairSpec> self{{0, 0, Method::TmAlign}};
+  EXPECT_EQ(encode_pair_jobs(table, self).size(), 1u);
 }
 
 }  // namespace

@@ -1,6 +1,6 @@
 // rckalign::run_pairs — the generic pair-set execution layer under every
-// query shape: row/spec mapping, wire-table bit-identity, validation,
-// determinism.
+// query shape: row/spec mapping, validation, determinism. Payload identity
+// of the job builder is tested with encode_pair_jobs in test_codec.cpp.
 #include "rck/rckalign/pairs.hpp"
 
 #include <gtest/gtest.h>
@@ -8,7 +8,6 @@
 #include <algorithm>
 #include <set>
 
-#include "rck/bio/serialize.hpp"
 #include "rck/bio/synthetic.hpp"
 #include "rck/core/tmalign.hpp"
 #include "rck/rckalign/error.hpp"
@@ -66,22 +65,6 @@ TEST_F(PairsTest, RowsMatchDirectKernelPerSpec) {
   }
 }
 
-TEST_F(PairsTest, WireTableIsBitIdenticalToSerializingOnTheSpot) {
-  std::vector<bio::Bytes> wires;
-  for (const bio::Protein& p : *structures_) wires.push_back(bio::serialize(p));
-  std::vector<const bio::Bytes*> wire_ptrs;
-  for (const bio::Bytes& w : wires) wire_ptrs.push_back(&w);
-
-  const std::vector<PairSpec> specs{
-      {0, 1, Method::TmAlign}, {1, 2, Method::GaplessRmsd}, {0, 3, Method::TmAlign}};
-  const auto t = table();
-  const PairsRun plain = run_pairs(t, specs, options(3));
-  const PairsRun cached = run_pairs(t, specs, options(3), wire_ptrs);
-  EXPECT_EQ(plain.makespan, cached.makespan);
-  EXPECT_EQ(plain.rows, cached.rows);
-  EXPECT_EQ(plain.network, cached.network);
-}
-
 TEST_F(PairsTest, DuplicateSpecsMapBackThroughSpecIndex) {
   const std::vector<PairSpec> specs{
       {0, 1, Method::TmAlign}, {0, 1, Method::TmAlign}, {0, 1, Method::TmAlign}};
@@ -111,8 +94,6 @@ TEST_F(PairsTest, ValidatesInputsWithAlignError) {
   EXPECT_THROW(run_pairs(holed, uses_hole, opts), AlignError);
 
   const std::vector<PairSpec> ok{{0, 1, Method::TmAlign}};
-  const std::vector<const bio::Bytes*> short_wires(2, nullptr);
-  EXPECT_THROW(run_pairs(t, ok, opts, short_wires), AlignError);
 
   PairsOptions bad_batch = opts;
   bad_batch.batch = 0;
@@ -134,11 +115,11 @@ TEST_F(PairsTest, ValidatesInputsWithAlignError) {
 
   // A partition must cover every slave and every spec.
   const std::vector<SlaveGroup> too_few_slaves{{1, 1}};
-  EXPECT_THROW(run_pairs(t, ok, opts, {}, too_few_slaves), AlignError);
+  EXPECT_THROW(run_pairs(t, ok, opts, too_few_slaves), AlignError);
   const std::vector<SlaveGroup> too_many_specs{{1, 1}, {1, 1}};
-  EXPECT_THROW(run_pairs(t, ok, opts, {}, too_many_specs), AlignError);
+  EXPECT_THROW(run_pairs(t, ok, opts, too_many_specs), AlignError);
   const std::vector<SlaveGroup> empty_group{{0, 0}, {2, 1}};
-  EXPECT_THROW(run_pairs(t, ok, opts, {}, empty_group), AlignError);
+  EXPECT_THROW(run_pairs(t, ok, opts, empty_group), AlignError);
 }
 
 TEST_F(PairsTest, RunsAreDeterministic) {

@@ -2,10 +2,12 @@
 //
 // Complements the example-based tests in test_job.cpp: random payloads must
 // survive an encode/decode round trip byte-for-byte, and any single flipped
-// bit anywhere in a frame — checksum field, type byte, or body — must be
-// rejected by the FNV-1a checksum (bio::WireError), never decoded into a
+// bit, any two flipped bits and any substituted byte anywhere in a small
+// frame — checksum field, type byte, or body — must be rejected by the
+// CRC-32C checksum (bio::WireError), never decoded into a
 // plausible-but-wrong message. This is the integrity property the
-// fault-tolerant farm's corrupt-frame handling rests on.
+// fault-tolerant farm's corrupt-frame handling rests on (FaultPlan corrupts
+// a frame by XOR-ing one byte with 0xA5).
 #include "rck/rckskel/job.hpp"
 
 #include <gtest/gtest.h>
@@ -58,22 +60,71 @@ TEST(JobCodecProperty, RandomPayloadsRoundTrip) {
   }
 }
 
-TEST(JobCodecProperty, EverySingleBitFlipIsRejectedInSmallFrames) {
-  // Small frames: exhaustively flip every bit of every frame type.
+// Small frames of every fixed-layout type, for the exhaustive searches.
+std::vector<bio::Bytes> small_frames() {
   std::mt19937_64 rng(1);
   Job job;
   job.id = 0xDEADBEEFCAFEull;
   job.payload = random_payload(rng, 24);
-  const std::vector<bio::Bytes> frames = {encode_ready(), encode_terminate(),
-                                          encode_job(job),
-                                          encode_result(42, job.payload)};
-  for (const bio::Bytes& frame : frames) {
+  return {encode_ready(), encode_terminate(), encode_heartbeat(0x5EEDull),
+          encode_job(job), encode_result(42, job.payload)};
+}
+
+void flip_bit(bio::Bytes& frame, std::size_t bit) {
+  frame[bit / 8] ^= static_cast<std::byte>(1u << (bit % 8));
+}
+
+TEST(JobCodecProperty, EverySingleBitFlipIsRejectedInSmallFrames) {
+  // Small frames: exhaustively flip every bit of every frame type.
+  for (const bio::Bytes& frame : small_frames()) {
     for (std::size_t bit = 0; bit < frame.size() * 8; ++bit) {
       bio::Bytes corrupt = frame;
-      corrupt[bit / 8] ^= static_cast<std::byte>(1u << (bit % 8));
+      flip_bit(corrupt, bit);
       EXPECT_THROW(decode_message(std::move(corrupt)), bio::WireError)
           << "frame size " << frame.size() << " bit " << bit;
     }
+  }
+}
+
+TEST(JobCodecProperty, EveryTwoBitErrorIsRejectedInSmallFrames) {
+  // CRC-32C's Hamming distance is at least 4 for frames this short, wherever
+  // the checksum sits. Count misses instead of asserting per pair to keep
+  // the output bounded.
+  for (const bio::Bytes& frame : small_frames()) {
+    const std::size_t bits = frame.size() * 8;
+    std::size_t accepted = 0;
+    for (std::size_t b1 = 0; b1 < bits; ++b1)
+      for (std::size_t b2 = b1 + 1; b2 < bits; ++b2) {
+        bio::Bytes corrupt = frame;
+        flip_bit(corrupt, b1);
+        flip_bit(corrupt, b2);
+        try {
+          (void)decode_message(std::move(corrupt));
+          ++accepted;
+        } catch (const bio::WireError&) {
+        }
+      }
+    EXPECT_EQ(accepted, 0u) << "frame size " << frame.size();
+  }
+}
+
+TEST(JobCodecProperty, EverySingleByteSubstitutionIsRejectedInSmallFrames) {
+  // A substituted byte either sits in the checksum field, where any change
+  // mismatches, or is a burst of at most 8 bits in the covered bytes, which
+  // a CRC-32 always detects.
+  for (const bio::Bytes& frame : small_frames()) {
+    std::size_t accepted = 0;
+    for (std::size_t pos = 0; pos < frame.size(); ++pos)
+      for (unsigned delta = 1; delta < 256; ++delta) {
+        bio::Bytes corrupt = frame;
+        corrupt[pos] ^= static_cast<std::byte>(delta);
+        try {
+          (void)decode_message(std::move(corrupt));
+          ++accepted;
+        } catch (const bio::WireError&) {
+        }
+      }
+    EXPECT_EQ(accepted, 0u) << "frame size " << frame.size();
   }
 }
 

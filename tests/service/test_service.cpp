@@ -40,7 +40,6 @@ TEST(Service, PreprocessesEveryEntryAtLoad) {
   for (std::size_t i = 0; i < svc.size(); ++i) {
     const service::Entry& e = svc.entry(i);
     EXPECT_EQ(e.protein.name(), db[i].name());
-    EXPECT_EQ(e.wire.size(), db[i].wire_size());
   }
 }
 
