@@ -125,8 +125,8 @@ struct RunConfig {
   /// jobs. Implies fault_tolerant; requires slave_count + 2 cores. This is
   /// the only mode in which the fault plan may crash rank 0.
   bool master_ft = false;
-  /// Checkpoint cadence / heartbeat knobs for master_ft (mft.ft is
-  /// overwritten by `ft` above during lowering).
+  /// Checkpoint cadence / heartbeat knobs for master_ft; the master,
+  /// standby and slaves share `ft` above.
   rckskel::MasterFtOptions mft{};
 
   // -- service ----------------------------------------------------------

@@ -150,6 +150,11 @@ std::vector<ConfigIssue> RunConfig::validate() const {
     if (ft.retry_backoff < 1.0) {
       bad("ft.retry_backoff", "must be >= 1 (leases must not shrink on retry)");
     }
+    if (ft.master_silence_timeout == 0) {
+      bad("ft.master_silence_timeout",
+          "must be > 0; a zero window returns from every slave receive "
+          "without advancing simulated time, so the slave spins forever");
+    }
   }
 
   if (batch == 0) {

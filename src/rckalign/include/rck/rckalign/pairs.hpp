@@ -63,7 +63,8 @@ struct PairsOptions {
   /// ft.lease_margin + ft.lease_slack x its longest job's simulated time.
   bool fault_tolerant = false;
   /// Resilience knobs for the fault-tolerant farm (leases, retries,
-  /// timeouts); base.lpt_order is overridden by `lpt` above.
+  /// timeouts); base.lpt_order is overridden by `lpt` above, and under
+  /// master_ft standby_ue by the standby's rank, slave_count + 1.
   rckskel::FaultTolerantFarmOptions ft{};
   /// Survive the master too: run the checkpointed farm master (periodic
   /// snapshots + heartbeats replicated to a standby) with the standby on
@@ -71,9 +72,8 @@ struct PairsOptions {
   /// slave_count + 2 cores on the chip. The final rows are byte-identical
   /// to the fault-free run even when the master crashes mid-farm.
   bool master_ft = false;
-  /// Checkpoint cadence and heartbeat knobs for master_ft. The embedded
-  /// mft.ft is overwritten by `ft` above (with standby_ue auto-derived as
-  /// slave_count + 1), so only the master-ft-specific fields matter here.
+  /// Checkpoint cadence and heartbeat knobs for master_ft; its master,
+  /// standby and slaves share `ft` above.
   rckskel::MasterFtOptions mft{};
 };
 

@@ -91,12 +91,14 @@ PairsRun run_pairs(std::span<const bio::Protein* const> structures,
                           detail::pool_threads(opts.runtime), opts.cache);
   run.kernels = outcomes.size();
 
-  // Options of the fault-tolerant farms. With ft.lease == 0 the master
-  // derives each lease from the job's cost hint read as cycles, but only a
-  // cached TM-align spec carries cycles (detail::has_cycle_hint): the L1*L2
-  // proxy of any other spec predicts microseconds for a job of seconds, and
-  // every lease would expire until the job exhausted max_attempts. A run
-  // with any such spec gets one fixed lease sized by its longest job.
+  // Options of the fault-tolerant farms, shared by master, standby and
+  // slaves (standby_ue is filled in below under master_ft). With
+  // ft.lease == 0 the master derives each lease from the job's cost hint
+  // read as cycles, but only a cached TM-align spec carries cycles
+  // (detail::has_cycle_hint): the L1*L2 proxy of any other spec predicts
+  // microseconds for a job of seconds, and every lease would expire until
+  // the job exhausted max_attempts. A run with any such spec gets one fixed
+  // lease sized by its longest job.
   rckskel::FaultTolerantFarmOptions ft = opts.ft;
   ft.base.lpt_order = opts.lpt;
   if ((opts.fault_tolerant || opts.master_ft) && ft.lease == 0 &&
@@ -115,6 +117,7 @@ PairsRun run_pairs(std::span<const bio::Protein* const> structures,
 
   constexpr int kMaster = 0;
   const int standby_rank = opts.master_ft ? opts.slave_count + 1 : -1;
+  if (opts.master_ft) ft.standby_ue = standby_rank;
 
   // Role-local collection buffers. The master and the standby each decode
   // into their own vector inside the simulation (so obs spans land on the
@@ -179,19 +182,11 @@ PairsRun run_pairs(std::span<const bio::Protein* const> structures,
       }
     };
 
-    const auto master_ft_options = [&]() -> rckskel::MasterFtOptions {
-      rckskel::MasterFtOptions m = opts.mft;
-      m.ft = ft;
-      m.ft.standby_ue = standby_rank;
-      return m;
-    };
-
     if (comm.ue() == kMaster) {
       const rckskel::Task task = load_and_build();
       std::vector<rckskel::JobResult> collected;
       if (opts.master_ft) {
-        collected =
-            rckskel::farm_ft_master(comm, task, master_ft_options(), &master_rep);
+        collected = rckskel::farm_ft_master(comm, task, ft, opts.mft, &master_rep);
       } else if (opts.fault_tolerant) {
         collected = rckskel::farm_ft(comm, task, ft, &master_rep);
       } else {
@@ -204,17 +199,14 @@ PairsRun run_pairs(std::span<const bio::Protein* const> structures,
     } else if (comm.ue() == standby_rank) {
       const rckskel::Task task = load_and_build();
       std::optional<std::vector<rckskel::JobResult>> collected =
-          rckskel::farm_standby(comm, kMaster, task, master_ft_options(),
-                                &standby_rep);
+          rckskel::farm_standby(comm, kMaster, task, ft, opts.mft, &standby_rep);
       if (collected) {
         standby_rows.emplace();
         decode_collected(*collected, *standby_rows);
       }
     } else {
       const rckskel::Worker worker = detail::pair_worker(outcomes);
-      if (opts.master_ft) {
-        rckskel::farm_slave_ft(comm, kMaster, worker, master_ft_options().ft);
-      } else if (opts.fault_tolerant) {
+      if (opts.master_ft || opts.fault_tolerant) {
         rckskel::farm_slave_ft(comm, kMaster, worker, ft);
       } else {
         rckskel::farm_slave(comm, kMaster, worker);

@@ -15,6 +15,9 @@
 //                dynamic greedy dispatch, honours Seq ordering constraints
 //                and per-subtask UE restrictions, and collects everything.
 //
+// Every farm master — farm(), farm_ft(), farm_ft_master() and a promoted
+// farm_standby() — runs one engine. Without lease options it is the paper's
+// FARM, message for message; with them it is the fault-tolerant farm below.
 // Slaves run farm_slave(): a blocking receive loop executing a user Worker
 // on each job until TERMINATE — the paper's client_receive_job template
 // (Figure 4). Batched grants are served by the same loop, job by job.
@@ -164,6 +167,12 @@ std::vector<JobResult> collect(rcce::Comm& comm, std::span<const int> ues,
 /// Jobs are only ever sent to UEs allowed by their subtree; Seq subtrees
 /// release jobs one at a time; when all jobs are done every participating
 /// UE receives TERMINATE. Returns all results (ordered by completion).
+/// Job ids must be unique across the tree. Throws SkelError on a bad tree
+/// (duplicate ids, no or master-including UE sets) or when jobs remain that
+/// no slave may run, SkelProtocolError on an unexpected frame (a second
+/// READY, a reply of the wrong type, a result for an unknown or already
+/// accepted job), SkelBatchError on batch = 0 or a BATCHRESULT of the wrong
+/// size, and bio::WireError on a frame that fails its checksum.
 std::vector<JobResult> farm(rcce::Comm& comm, const Task& task,
                             const FarmOptions& opts = {});
 
@@ -179,16 +188,20 @@ void farm_slave(rcce::Comm& comm, int master_ue, const Worker& worker,
 
 // ---- Fault-tolerant FARM ---------------------------------------------------
 // farm() above assumes perfectly reliable slaves and mesh, like the paper's
-// hardware. farm_ft() tolerates the failure modes the simulator can inject:
-// slave crashes (before READY, mid-job, or after sending a result), dropped
-// or corrupted protocol messages, and slow storage. The master grants each
-// dispatched job a simulated-time *lease*; when the lease expires the job is
-// reassigned to a live slave (bounded retries with geometric backoff), the
-// silent slave is probed via the liveness oracle and blacklisted if dead,
-// and duplicate results from slow-but-alive slaves are deduplicated by job
-// id. Every frame's checksum is verified; a corrupt frame is treated as a
-// loss and the implicated job re-sent. The farm completes all jobs as long
-// as at least one slave allowed to run them survives.
+// hardware: it runs the farm engine without leases, so its waits are untimed
+// and any fault fails the run. farm_ft() runs the same engine with leases
+// and tolerates the failure modes the simulator can inject: slave crashes
+// (before READY, mid-job, or after sending a result), dropped or corrupted
+// protocol messages, and slow storage. The READY handshake gets a deadline,
+// and the master grants each dispatched job a simulated-time *lease*; when
+// the lease expires the job is reassigned to a live slave (bounded retries
+// with geometric backoff), the silent slave is probed via the liveness
+// oracle and blacklisted if dead, and duplicate results from slow-but-alive
+// slaves are deduplicated by job id. Every frame's checksum is verified; a
+// corrupt frame is treated as a loss and the implicated job re-sent. The
+// farm completes all jobs as long as at least one slave allowed to run them
+// survives. Task flattening, LPT order, dispatch order, result acceptance
+// and the obs records are shared with farm().
 
 /// Deliberately broken protocol variants for the model checker's mutant
 /// catalogue (see DESIGN.md "Systematic exploration" and tools/rck_mc).
@@ -216,7 +229,8 @@ enum class ProtocolMutant : std::uint8_t {
   StaleCheckpointTakeover = 3,
 };
 
-/// Options controlling farm_ft / farm_slave_ft.
+/// Lease options of the fault-tolerant farm: farm_ft, farm_ft_master,
+/// farm_standby and farm_slave_ft all take them.
 struct FaultTolerantFarmOptions {
   FarmOptions base{};
   /// How long the master waits for READY handshakes before blacklisting the
@@ -233,7 +247,7 @@ struct FaultTolerantFarmOptions {
   /// short grows geometrically instead of expiring forever.
   double retry_backoff = 2.0;
   /// Slave side: how long a slave waits in silence before checking whether
-  /// the master is still alive (returning if not).
+  /// the master is still alive (returning if not). Must be > 0.
   noc::SimTime master_silence_timeout = 2 * noc::kPsPerSec;
   /// Designated standby core for master failover, or -1 for none. A slave
   /// whose master dies switches to the standby (re-sending READY) instead of
@@ -243,8 +257,9 @@ struct FaultTolerantFarmOptions {
   ProtocolMutant mutant = ProtocolMutant::None;
 };
 
-/// Recovery bookkeeping returned by farm_ft. Deterministic: the same
-/// FaultPlan and task yield a bit-identical report.
+/// Recovery bookkeeping returned by farm_ft, farm_ft_master and
+/// farm_standby (farm() keeps none). Deterministic: the same FaultPlan and
+/// task yield a bit-identical report.
 struct FarmReport {
   std::size_t jobs = 0;              ///< jobs in the task tree
   std::size_t attempts = 0;          ///< total dispatches (>= jobs)
@@ -262,8 +277,12 @@ struct FarmReport {
 };
 
 /// FARM (master side), fault-tolerant. Same task semantics as farm();
-/// results are ordered by completion. Throws std::runtime_error when no live
-/// slave can run a remaining job or a job exhausts max_attempts.
+/// results are ordered by completion. Throws FarmFailedError
+/// ("rck.skel.farm_failed") when no slave answers READY, no live slave can
+/// run a remaining job or a job exhausts max_attempts; SkelError on a bad
+/// tree or send_terminate = false; SkelBatchError on batch != 1; and
+/// SkelProtocolError on a result for an unknown job or a frame that is
+/// neither READY nor RESULT.
 std::vector<JobResult> farm_ft(rcce::Comm& comm, const Task& task,
                                const FaultTolerantFarmOptions& opts = {},
                                FarmReport* report = nullptr);
@@ -271,7 +290,9 @@ std::vector<JobResult> farm_ft(rcce::Comm& comm, const Task& task,
 /// FARM (slave side), fault-tolerant: tolerates corrupt frames (the master's
 /// lease re-sends the job) and a dead master (returns instead of blocking
 /// forever, or — when opts.standby_ue >= 0 — switching to the standby with a
-/// fresh READY and continuing to serve jobs).
+/// fresh READY and continuing to serve jobs). Throws SkelError, before any
+/// traffic, when opts.master_silence_timeout is 0: a zero window would
+/// return from every timed receive without advancing simulated time.
 void farm_slave_ft(rcce::Comm& comm, int master_ue, const Worker& worker,
                    const FaultTolerantFarmOptions& opts = {});
 
@@ -283,29 +304,30 @@ void farm_slave_ft(rcce::Comm& comm, int master_ue, const Worker& worker,
 // standby misses heartbeats and the liveness oracle confirms the master is
 // dead, it loads the latest valid checkpoint, re-establishes leases with the
 // surviving slaves and finishes the farm without re-running any checkpointed
-// job. Slaves point at the same standby via
-// FaultTolerantFarmOptions::standby_ue.
+// job. Master, standby and slaves take the same FaultTolerantFarmOptions,
+// whose standby_ue names the standby.
 
-/// Options controlling the master-ft trio (farm_ft_master / farm_standby /
-/// farm_slave_ft with a standby).
+/// The master-ft protocol's own knobs, next to the FaultTolerantFarmOptions
+/// that farm_ft_master and farm_standby take.
 struct MasterFtOptions {
-  /// Base fault-tolerance knobs; standby_ue must be >= 0 here.
-  FaultTolerantFarmOptions ft{};
   /// Replicate a checkpoint after this many newly accepted results (a final
   /// snapshot is always sent on completion, and an empty one at startup).
   std::size_t checkpoint_every = 8;
   /// Master: heartbeat cadence towards the standby between checkpoints.
   noc::SimTime heartbeat_period = 10 * noc::kPsPerMs;
   /// Standby: silence window after which the master's liveness is probed
-  /// (failover begins only if the oracle says the master is dead).
+  /// (failover begins only if the oracle says the master is dead). Must be
+  /// > 0.
   noc::SimTime heartbeat_timeout = 50 * noc::kPsPerMs;
 };
 
 /// FARM (master side) with standby replication: farm_ft semantics plus
-/// checkpoint/heartbeat streaming to opts.ft.standby_ue. On completion the
-/// standby receives a final checkpoint followed by TERMINATE.
+/// checkpoint/heartbeat streaming to ft.standby_ue, which must be set and
+/// must not be the master (SkelError otherwise). On completion the standby
+/// receives a final checkpoint followed by TERMINATE.
 std::vector<JobResult> farm_ft_master(rcce::Comm& comm, const Task& task,
-                                      const MasterFtOptions& opts,
+                                      const FaultTolerantFarmOptions& ft,
+                                      const MasterFtOptions& mft,
                                       FarmReport* report = nullptr);
 
 /// FARM (standby side): absorb checkpoints and heartbeats from `master_ue`.
@@ -313,10 +335,12 @@ std::vector<JobResult> farm_ft_master(rcce::Comm& comm, const Task& task,
 /// received). If the master dies, takes over: resumes the farm from the
 /// latest valid checkpoint and returns the complete result set (checkpointed
 /// results in their original completion order, then the remainder).
-/// `task` must be the same task tree the master was given.
+/// `task` and `ft` must be the ones the master was given. Throws SkelError,
+/// before any traffic, when mft.heartbeat_timeout is 0.
 std::optional<std::vector<JobResult>> farm_standby(
     rcce::Comm& comm, int master_ue, const Task& task,
-    const MasterFtOptions& opts, FarmReport* report = nullptr);
+    const FaultTolerantFarmOptions& ft, const MasterFtOptions& mft,
+    FarmReport* report = nullptr);
 
 // ---- PIPE ------------------------------------------------------------------
 // The paper motivates rckskel with "combining processes running on different

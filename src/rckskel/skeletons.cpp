@@ -4,7 +4,7 @@
 #include <cstdio>
 #include <deque>
 #include <stdexcept>
-#include <map>
+#include <utility>
 
 #include "rck/rckskel/checkpoint.hpp"
 
@@ -48,10 +48,6 @@ std::size_t Task::job_count() const noexcept {
 
 namespace {
 
-void send_terminate(rcce::Comm& comm, std::span<const int> ues) {
-  for (int ue : ues) comm.send(ue, encode_terminate());
-}
-
 JobResult recv_result(rcce::Comm& comm, int ue) {
   Message msg = decode_message(comm.recv(ue));
   if (msg.type != MsgType::Result)
@@ -59,15 +55,14 @@ JobResult recv_result(rcce::Comm& comm, int ue) {
   return JobResult{msg.job_id, ue, std::move(msg.payload)};
 }
 
-/// Flattened view of a task tree used by farm(): every leaf becomes a group
-/// of jobs with its UE set, Seq mode flag and an optional predecessor group
-/// that must fully complete first (Seq ordering between siblings).
+/// Flattened view of a task tree used by the farm engine: every leaf becomes
+/// a group of jobs with its UE set, Seq mode flag and an optional predecessor
+/// group that must fully complete first (Seq ordering between siblings).
 struct FlatGroup {
   std::vector<int> ues;
   bool seq = false;
   std::vector<const Job*> jobs;  // dispatch order (post cost sorting)
   int after = -1;                // group index that must complete first
-  std::size_t next = 0;          // next job to release
   std::size_t completed = 0;
   bool inflight = false;         // a Seq group has at most one job in flight
 };
@@ -137,176 +132,8 @@ std::vector<JobResult> collect(rcce::Comm& comm, std::span<const int> ues,
   return results;
 }
 
-std::vector<JobResult> farm(rcce::Comm& comm, const Task& task, const FarmOptions& opts) {
-  const obs::Handle h = comm.obs();
-  const noc::SimTime farm_start = comm.ctx().now();
-  if (opts.batch == 0) throw SkelBatchError("farm: batch must be >= 1");
-  std::vector<FlatGroup> groups;
-  flatten(task, {}, groups, -1);
-
-  std::size_t total = 0;
-  std::vector<int> slaves;  // union of all UE sets, ascending, deduplicated
-  for (FlatGroup& g : groups) {
-    total += g.jobs.size();
-    for (int ue : g.ues) {
-      if (ue == comm.ue())
-        throw SkelError("farm: master UE cannot be a slave");
-      slaves.push_back(ue);
-    }
-    if (opts.lpt_order)
-      std::stable_sort(g.jobs.begin(), g.jobs.end(),
-                       [](const Job* a, const Job* b) { return a->cost_hint > b->cost_hint; });
-  }
-  std::sort(slaves.begin(), slaves.end());
-  slaves.erase(std::unique(slaves.begin(), slaves.end()), slaves.end());
-  if (slaves.empty()) throw SkelError("farm: no slave UEs");
-
-  // check_ready: wait for every slave's READY handshake.
-  if (opts.wait_ready) {
-    std::size_t ready = 0;
-    std::vector<char> seen(slaves.size(), 0);
-    while (ready < slaves.size()) {
-      const int ue = comm.wait_any(slaves);
-      const auto it = std::lower_bound(slaves.begin(), slaves.end(), ue);
-      const std::size_t idx = static_cast<std::size_t>(it - slaves.begin());
-      if (seen[idx]) {
-        // A RESULT can't arrive before any job was sent; this must be a
-        // protocol violation.
-        throw SkelProtocolError("farm: duplicate READY from UE " + std::to_string(ue));
-      }
-      const Message msg = decode_message(comm.recv(ue));
-      if (msg.type != MsgType::Ready)
-        throw SkelProtocolError("farm: expected READY from UE " + std::to_string(ue));
-      seen[idx] = 1;
-      ++ready;
-    }
-  }
-
-  std::vector<JobResult> results;
-  results.reserve(total);
-  // inflight[i]: group index the i-th slave is working for, or -1 when free.
-  std::vector<int> inflight(slaves.size(), -1);
-  // grant[i]: number of jobs in that slave's current grant (0 when free).
-  std::vector<std::size_t> grant(slaves.size(), 0);
-  // dispatch_at[i]: dispatch time of that grant (job-latency accounting).
-  std::vector<noc::SimTime> dispatch_at(slaves.size(), 0);
-  std::vector<const Job*> pack;  // scratch for multi-job grants
-
-  auto try_dispatch = [&]() {
-    bool progress = true;
-    while (progress) {
-      progress = false;
-      for (std::size_t si = 0; si < slaves.size(); ++si) {
-        if (inflight[si] != -1) continue;
-        for (std::size_t gi = 0; gi < groups.size(); ++gi) {
-          FlatGroup& g = groups[gi];
-          if (g.next >= g.jobs.size()) continue;
-          if (g.seq && g.inflight) continue;
-          if (!group_complete(groups, g.after)) continue;
-          if (std::find(g.ues.begin(), g.ues.end(), slaves[si]) == g.ues.end()) continue;
-          // Grant size: Seq groups release one job at a time (ordering);
-          // Par groups take up to opts.batch of the group's remaining jobs.
-          // A single-job grant always travels as a plain JOB frame, so
-          // batch == 1 is byte-identical to the classic farm.
-          const std::size_t avail = g.jobs.size() - g.next;
-          const std::size_t n =
-              (g.seq || opts.batch == 1) ? 1 : std::min(opts.batch, avail);
-          const noc::SimTime now = comm.ctx().now();
-          if (n == 1) {
-            comm.send(slaves[si], encode_job(*g.jobs[g.next]));
-          } else {
-            pack.assign(g.jobs.begin() + static_cast<std::ptrdiff_t>(g.next),
-                        g.jobs.begin() + static_cast<std::ptrdiff_t>(g.next + n));
-            comm.send(slaves[si], encode_batch(pack));
-          }
-          for (std::size_t k = 0; k < n; ++k)
-            comm.mc_proto(mc::ProtoKind::Grant, g.jobs[g.next + k]->id,
-                          static_cast<std::uint64_t>(slaves[si]));
-          if (h) {
-            for (std::size_t k = 0; k < n; ++k) {
-              const Job& job = *g.jobs[g.next + k];
-              h.add(h.ids().farm_jobs);
-              h.async_begin(obs::Lane::Farm, h.ids().n_job, now, job.id);
-              h.instant(obs::Lane::Farm, h.ids().n_dispatch, now, job.id);
-            }
-          }
-          g.next += n;
-          g.inflight = g.seq ? true : g.inflight;
-          inflight[si] = static_cast<int>(gi);
-          grant[si] = n;
-          dispatch_at[si] = now;
-          progress = true;
-          break;
-        }
-      }
-    }
-  };
-
-  std::vector<int> busy;
-  std::vector<JobResult> batch_res;  // scratch for BatchResult decoding
-  std::size_t completed = 0;
-  while (completed < total) {
-    try_dispatch();
-    busy.clear();
-    for (std::size_t si = 0; si < slaves.size(); ++si)
-      if (inflight[si] != -1) busy.push_back(slaves[si]);
-    if (busy.empty())
-      throw SkelError("farm: jobs remain but nothing dispatchable");
-    const int ue = comm.wait_any(busy);
-    Message msg = decode_message(comm.recv(ue));
-    const auto it = std::lower_bound(slaves.begin(), slaves.end(), ue);
-    const std::size_t si = static_cast<std::size_t>(it - slaves.begin());
-    FlatGroup& g = groups[static_cast<std::size_t>(inflight[si])];
-    const noc::SimTime now = comm.ctx().now();
-    if (grant[si] == 1) {
-      if (msg.type != MsgType::Result)
-        throw SkelProtocolError("farm: expected RESULT from UE " +
-                                std::to_string(ue));
-      if (h) {
-        h.add(h.ids().farm_results);
-        h.async_end(obs::Lane::Farm, h.ids().n_job, now, msg.job_id);
-        h.observe(h.ids().farm_job_latency_ps, now - dispatch_at[si]);
-      }
-      comm.mc_proto(mc::ProtoKind::ResultAccept, msg.job_id,
-                    static_cast<std::uint64_t>(ue));
-      results.push_back(JobResult{msg.job_id, ue, std::move(msg.payload)});
-      ++g.completed;
-      ++completed;
-    } else {
-      if (msg.type != MsgType::BatchResult)
-        throw SkelProtocolError("farm: expected BATCHRESULT from UE " +
-                                std::to_string(ue));
-      decode_batch_results(msg.payload, ue, batch_res);
-      if (batch_res.size() != grant[si])
-        throw SkelBatchError("farm: UE " + std::to_string(ue) + " returned " +
-                             std::to_string(batch_res.size()) +
-                             " results for a grant of " +
-                             std::to_string(grant[si]));
-      for (JobResult& res : batch_res) {
-        if (h) {
-          h.add(h.ids().farm_results);
-          h.async_end(obs::Lane::Farm, h.ids().n_job, now, res.id);
-          h.observe(h.ids().farm_job_latency_ps, now - dispatch_at[si]);
-        }
-        comm.mc_proto(mc::ProtoKind::ResultAccept, res.id,
-                      static_cast<std::uint64_t>(ue));
-        results.push_back(std::move(res));
-      }
-      g.completed += batch_res.size();
-      completed += batch_res.size();
-    }
-    g.inflight = false;
-    inflight[si] = -1;
-    grant[si] = 0;
-  }
-
-  if (opts.send_terminate) send_terminate(comm, slaves);
-  if (h) h.span(obs::Lane::Core, h.ids().n_farm, farm_start, comm.ctx().now());
-  return results;
-}
-
 void terminate(rcce::Comm& comm, std::span<const int> ues) {
-  send_terminate(comm, ues);
+  for (int ue : ues) comm.send(ue, encode_terminate());
 }
 
 std::vector<JobResult> pipe(rcce::Comm& comm, std::span<const int> stage_ues,
@@ -447,33 +274,44 @@ namespace {
 
 /// Master-side context for the master-ft protocol: checkpoint/heartbeat
 /// replication towards a standby (primary master), or the state to resume
-/// from after a takeover (promoted standby). Null for plain farm_ft.
+/// from after a takeover (promoted standby). Null for farm and farm_ft.
 struct MasterCtx {
   const MasterFtOptions* mft = nullptr;
   const FarmCheckpoint* resume = nullptr;  ///< snapshot to resume from
   noc::SimTime failover_detected = 0;      ///< != 0: running as promoted standby
 };
 
-/// The shared fault-tolerant farm engine behind farm_ft, farm_ft_master and
-/// a promoted farm_standby. See the long comment on farm_ft in the header.
-std::vector<JobResult> run_ft_engine(rcce::Comm& comm, const Task& task,
-                                     const FaultTolerantFarmOptions& opts,
-                                     FarmReport* report, MasterCtx* mctx) {
+/// The one farm master loop behind farm, farm_ft, farm_ft_master and a
+/// promoted farm_standby. A null `lease` is the paper's FARM: an untimed
+/// READY handshake, untimed waits, batched grants, and a throw on any
+/// protocol or wire error. Otherwise every job is leased (see the
+/// fault-tolerant FARM comment in the header), and `mctx` adds standby
+/// replication or a takeover.
+std::vector<JobResult> run_farm(rcce::Comm& comm, const Task& task,
+                                const FarmOptions& opts,
+                                const FaultTolerantFarmOptions* lease,
+                                FarmReport* report, MasterCtx* mctx) {
   const obs::Handle h = comm.obs();
   const noc::SimTime farm_start = comm.ctx().now();
-  if (opts.base.batch != 1)
+  const std::string who = lease != nullptr ? "farm_ft: " : "farm: ";
+  if (lease == nullptr) {
+    if (opts.batch == 0) throw SkelBatchError("farm: batch must be >= 1");
+  } else if (opts.batch != 1) {
     throw SkelBatchError(
         "farm_ft: batched grants are not supported — the fault-tolerant "
         "farms lease, retry and deduplicate individual jobs");
-  // farm_slave_ft treats a silent but live master as alive and stops only
-  // on TERMINATE, so a master that never sends it would strand every slave.
-  if (!opts.base.send_terminate)
+  } else if (!opts.send_terminate) {
+    // farm_slave_ft treats a silent but live master as alive and stops only
+    // on TERMINATE, so a master that never sends it would strand every slave.
     throw SkelError(
         "farm_ft: send_terminate must stay on — fault-tolerant slaves stop "
         "only on TERMINATE");
+  }
   const bool promoted = mctx != nullptr && mctx->failover_detected != 0;
   const bool replicate = mctx != nullptr && !promoted;
-  const int standby = replicate ? opts.standby_ue : -1;
+  const int standby = replicate ? lease->standby_ue : -1;
+  const ProtocolMutant mutant =
+      lease != nullptr ? lease->mutant : ProtocolMutant::None;
   std::vector<FlatGroup> groups;
   flatten(task, {}, groups, -1);
 
@@ -483,16 +321,16 @@ std::vector<JobResult> run_ft_engine(rcce::Comm& comm, const Task& task,
     total += g.jobs.size();
     for (int ue : g.ues) {
       if (ue == comm.ue())
-        throw SkelError("farm_ft: master UE cannot be a slave");
+        throw SkelError(who + "master UE cannot be a slave");
       slaves.push_back(ue);
     }
-    if (opts.base.lpt_order)
+    if (opts.lpt_order)
       std::stable_sort(g.jobs.begin(), g.jobs.end(),
                        [](const Job* a, const Job* b) { return a->cost_hint > b->cost_hint; });
   }
   std::sort(slaves.begin(), slaves.end());
   slaves.erase(std::unique(slaves.begin(), slaves.end()), slaves.end());
-  if (slaves.empty()) throw SkelError("farm_ft: no slave UEs");
+  if (slaves.empty()) throw SkelError(who + "no slave UEs");
   if (replicate && std::binary_search(slaves.begin(), slaves.end(), standby))
     throw SkelError("farm_ft: standby UE cannot be a slave");
   const auto slave_index = [&](int ue) {
@@ -500,9 +338,8 @@ std::vector<JobResult> run_ft_engine(rcce::Comm& comm, const Task& task,
         std::lower_bound(slaves.begin(), slaves.end(), ue) - slaves.begin());
   };
 
-  // Every job gets a tracker carrying its lease and attempt state. Recovery
-  // is keyed by job id, so ids must be unique across the whole task tree
-  // (plain farm() never needed this; the FT protocol does).
+  // Every job gets a tracker carrying its lease and attempt state, keyed by
+  // job id, so ids must be unique across the whole task tree.
   struct Tracked {
     const Job* job = nullptr;
     std::size_t group = 0;
@@ -514,30 +351,39 @@ std::vector<JobResult> run_ft_engine(rcce::Comm& comm, const Task& task,
   };
   std::vector<Tracked> tracked;
   tracked.reserve(total);
-  std::map<std::uint64_t, std::size_t> by_id;  // ordered: deterministic iteration
+  std::vector<std::pair<std::uint64_t, std::size_t>> by_id;  // sorted by id
+  by_id.reserve(total);
   std::vector<std::deque<std::size_t>> pending(groups.size());
   for (std::size_t gi = 0; gi < groups.size(); ++gi) {
     for (const Job* j : groups[gi].jobs) {
-      if (!by_id.emplace(j->id, tracked.size()).second)
-        throw SkelError("farm_ft: duplicate job id " +
-                                    std::to_string(j->id));
+      by_id.emplace_back(j->id, tracked.size());
       pending[gi].push_back(tracked.size());
       tracked.push_back(Tracked{j, gi, 0, -1, 0, 0, false});
     }
   }
+  std::sort(by_id.begin(), by_id.end());
+  const auto dup = std::adjacent_find(
+      by_id.begin(), by_id.end(),
+      [](const auto& a, const auto& b) { return a.first == b.first; });
+  if (dup != by_id.end())
+    throw SkelError(who + "duplicate job id " + std::to_string(dup->first));
+  // Tracked index of job `id`, or tracked.size() when no job has that id.
+  const auto find_job = [&](std::uint64_t id) {
+    const auto it = std::lower_bound(by_id.begin(), by_id.end(),
+                                     std::pair<std::uint64_t, std::size_t>{id, 0});
+    return it != by_id.end() && it->first == id ? it->second : tracked.size();
+  };
 
   FarmReport rep;
   rep.jobs = total;
   std::vector<char> alive(slaves.size(), 1);
-  const auto live_count = [&]() {
-    std::size_t n = 0;
-    for (const char a : alive) n += a != 0 ? 1u : 0u;
-    return n;
-  };
-  if (h) {
-    h.set_gauge(h.ids().farm_live_slaves, static_cast<double>(slaves.size()),
+  const auto publish_live = [&]() {
+    if (!h) return;
+    const auto live = std::count(alive.begin(), alive.end(), char{1});
+    h.set_gauge(h.ids().farm_live_slaves, static_cast<double>(live),
                 comm.ctx().now());
-  }
+  };
+  if (lease != nullptr) publish_live();
   const auto blacklist = [&](std::size_t si) {
     if (!alive[si]) return;
     alive[si] = 0;
@@ -546,78 +392,80 @@ std::vector<JobResult> run_ft_engine(rcce::Comm& comm, const Task& task,
     if (std::find(rep.dead_ues.begin(), rep.dead_ues.end(), slaves[si]) ==
         rep.dead_ues.end())
       rep.dead_ues.push_back(slaves[si]);
-    if (h) {
-      h.set_gauge(h.ids().farm_live_slaves, static_cast<double>(live_count()),
-                  comm.ctx().now());
-    }
+    publish_live();
   };
   const auto rejoin = [&](std::size_t si) {
     if (alive[si]) return;
     alive[si] = 1;
-    if (h) {
-      h.set_gauge(h.ids().farm_live_slaves, static_cast<double>(live_count()),
-                  comm.ctx().now());
-    }
+    publish_live();
   };
 
-  // check_ready with a deadline: any frame from a slave proves it is alive
-  // (a corrupt READY still came from a live core); slaves silent past the
-  // deadline are blacklisted before the first job is risked on them. A
-  // promoted standby skips the handshake: surviving slaves re-home on their
-  // own silence timeout, and their fresh READY is absorbed by the main loop.
-  if (!promoted && opts.base.wait_ready) {
-    const noc::SimTime deadline = comm.ctx().now() + opts.ready_timeout;
+  // check_ready. The plain FARM polls every slave, untimed, and accepts
+  // exactly one READY from each. Under leases the handshake has a deadline:
+  // it polls only the slaves not yet heard from, any frame proves a slave
+  // alive (a corrupt READY still came from a live core), and slaves silent
+  // past the deadline are blacklisted before the first job is risked on
+  // them. A promoted standby skips the handshake: surviving slaves re-home
+  // on their own silence timeout, and the main loop absorbs their READY.
+  if (!promoted && opts.wait_ready) {
+    const noc::SimTime deadline =
+        comm.ctx().now() + (lease != nullptr ? lease->ready_timeout : 0);
     std::vector<char> seen(slaves.size(), 0);
     std::vector<int> waiting;
-    for (;;) {
-      waiting.clear();
-      for (std::size_t si = 0; si < slaves.size(); ++si)
-        if (!seen[si]) waiting.push_back(slaves[si]);
-      if (waiting.empty()) break;
-      const noc::SimTime now = comm.ctx().now();
-      const int ue = now < deadline
-                         ? comm.wait_any_timeout(waiting, deadline - now)
-                         : -1;
-      if (ue < 0) {
+    for (std::size_t ready = 0; ready < slaves.size(); ++ready) {
+      int ue = -1;
+      if (lease == nullptr) {
+        ue = comm.wait_any(slaves);
+      } else {
+        waiting.clear();
         for (std::size_t si = 0; si < slaves.size(); ++si)
-          if (!seen[si]) blacklist(si);
-        break;
+          if (!seen[si]) waiting.push_back(slaves[si]);
+        const noc::SimTime now = comm.ctx().now();
+        ue = now < deadline ? comm.wait_any_timeout(waiting, deadline - now) : -1;
+        if (ue < 0) {
+          for (std::size_t si = 0; si < slaves.size(); ++si)
+            if (!seen[si]) blacklist(si);
+          break;
+        }
       }
       const std::size_t si = slave_index(ue);
+      if (seen[si])  // no job was sent yet, so this frame cannot be a RESULT
+        throw SkelProtocolError(who + "duplicate READY from UE " + std::to_string(ue));
       try {
         const Message msg = decode_message(comm.recv(ue));
         if (msg.type != MsgType::Ready)
-          throw SkelProtocolError("farm_ft: expected READY from UE " +
-                                   std::to_string(ue));
+          throw SkelProtocolError(who + "expected READY from UE " + std::to_string(ue));
       } catch (const bio::WireError&) {
+        if (lease == nullptr) throw;
         ++rep.corrupt_frames;
       }
       seen[si] = 1;
     }
-    if (rep.dead_ues.size() == slaves.size())
+    if (lease != nullptr && rep.dead_ues.size() == slaves.size())
       throw FarmFailedError("farm_ft: no slave answered READY");
   }
 
   const auto lease_for = [&](const Tracked& t) {
-    noc::SimTime base = opts.lease;
+    noc::SimTime base = lease->lease;
     if (base == 0) {
       const noc::SimTime est = comm.ctx().timing().cycles_to_time(t.job->cost_hint);
-      base = opts.lease_margin +
-             static_cast<noc::SimTime>(opts.lease_slack * static_cast<double>(est));
+      base = lease->lease_margin +
+             static_cast<noc::SimTime>(lease->lease_slack * static_cast<double>(est));
     }
     double mult = 1.0;
-    for (int a = 1; a < t.attempts; ++a) mult *= opts.retry_backoff;
+    for (int a = 1; a < t.attempts; ++a) mult *= lease->retry_backoff;
     return static_cast<noc::SimTime>(static_cast<double>(base) * mult);
   };
 
   std::vector<JobResult> results;
   results.reserve(total);
   std::size_t completed = 0;
-  // slave_job[si]: tracked index currently leased to slave si, or -1.
+  // slave_job[si]: a tracked index granted to slave si, or -1 when it is free.
   std::vector<int> slave_job(slaves.size(), -1);
   // Job ids sent to si and not yet resolved: FIFO per-flow ordering lets a
-  // checksum failure be attributed to the oldest outstanding frame.
-  std::vector<std::deque<std::uint64_t>> outstanding(slaves.size());
+  // checksum failure be attributed to the oldest outstanding frame. On the
+  // plain FARM this is the slave's current grant.
+  std::vector<std::vector<std::uint64_t>> outstanding(slaves.size());
   // A promoted standby dispatches before the surviving slaves have noticed
   // the old master is dead; until a slave's first frame reaches *this*
   // master, its leases carry the worst-case re-home latency (the slave's
@@ -633,6 +481,8 @@ std::vector<JobResult> run_ft_engine(rcce::Comm& comm, const Task& task,
   };
 
   bool double_granted = false;  // the DoubleGrant mutant fires once
+  std::vector<std::size_t> grant;  // tracked indices of one dispatch
+  std::vector<const Job*> pack;    // their jobs, for a BATCH frame
   const auto try_dispatch = [&]() {
     bool progress = true;
     while (progress) {
@@ -646,7 +496,7 @@ std::vector<JobResult> run_ft_engine(rcce::Comm& comm, const Task& task,
           if (!group_complete(groups, g.after)) continue;
           if (std::find(g.ues.begin(), g.ues.end(), slaves[si]) == g.ues.end()) continue;
           std::size_t pi = 0;
-          if (opts.mutant == ProtocolMutant::DropLeaseRenewal) {
+          if (mutant == ProtocolMutant::DropLeaseRenewal) {
             // Part of the seeded bug: the retry path shuns the slave whose
             // lease just expired, so the expired job waits for a different
             // slave — and overlaps the still-running original executor.
@@ -655,71 +505,94 @@ std::vector<JobResult> run_ft_engine(rcce::Comm& comm, const Task& task,
               ++pi;
             if (pi == pending[gi].size()) continue;
           }
-          const std::size_t ti = pending[gi][pi];
-          pending[gi].erase(pending[gi].begin() +
-                            static_cast<std::ptrdiff_t>(pi));
-          Tracked& t = tracked[ti];
-          ++t.attempts;
-          ++rep.attempts;
-          if (t.attempts > 1) {
-            ++rep.retries;
-            if (t.slave != static_cast<int>(si)) {
-              ++rep.reassignments;
-              // Annotate the old slave's result flow: if a stale frame from
-              // the previous lease holder later races the replacement's
-              // result, the report's flag chain shows this hand-off.
-              if (t.slave >= 0)
-                comm.chk_note(slaves[static_cast<std::size_t>(t.slave)],
-                              comm.ue(), "farm_ft.reassign", t.job->id);
+          // Grant size: Seq groups release one job at a time (ordering);
+          // Par groups take up to opts.batch of the group's pending jobs
+          // (always 1 under leases). A single-job grant always travels as a
+          // plain JOB frame, so batch == 1 is the classic per-job farm.
+          const std::size_t n = g.seq ? 1 : std::min(opts.batch, pending[gi].size());
+          const auto first = pending[gi].begin() + static_cast<std::ptrdiff_t>(pi);
+          grant.assign(first, first + static_cast<std::ptrdiff_t>(n));
+          pending[gi].erase(first, first + static_cast<std::ptrdiff_t>(n));
+          for (const std::size_t ti : grant) {
+            Tracked& t = tracked[ti];
+            ++t.attempts;
+            ++rep.attempts;
+            if (t.attempts > 1) {
+              ++rep.retries;
+              if (t.slave != static_cast<int>(si)) {
+                ++rep.reassignments;
+                // Annotate the old slave's result flow: if a stale frame
+                // from the previous lease holder later races the
+                // replacement's result, the report's flag chain shows this
+                // hand-off.
+                if (t.slave >= 0)
+                  comm.chk_note(slaves[static_cast<std::size_t>(t.slave)],
+                                comm.ue(), "farm_ft.reassign", t.job->id);
+              }
+            }
+            if (lease != nullptr && t.attempts > lease->max_attempts)
+              throw FarmFailedError("farm_ft: job " + std::to_string(t.job->id) +
+                                    " exceeded max_attempts");
+          }
+          const noc::SimTime t0 = comm.ctx().now();
+          if (n == 1) {
+            comm.send(slaves[si], encode_job(*tracked[grant.front()].job));
+          } else {
+            pack.clear();
+            for (const std::size_t ti : grant) pack.push_back(tracked[ti].job);
+            comm.send(slaves[si], encode_batch(pack));
+          }
+          for (const std::size_t ti : grant)
+            comm.mc_proto(mc::ProtoKind::Grant, tracked[ti].job->id,
+                          static_cast<std::uint64_t>(slaves[si]));
+          // The plain FARM stamps a dispatch before its send, a lease after.
+          const noc::SimTime sent = lease != nullptr ? comm.ctx().now() : t0;
+          for (const std::size_t ti : grant) {
+            Tracked& t = tracked[ti];
+            t.slave = static_cast<int>(si);
+            t.dispatched_at = sent;
+            outstanding[si].push_back(t.job->id);
+            if (lease == nullptr) continue;
+            t.lease_deadline = sent + lease_for(t);
+            if (!rehomed[si]) t.lease_deadline += lease->master_silence_timeout;
+            if (mutant == ProtocolMutant::DropLeaseRenewal) {
+              // Seeded bug: the margin/slack/backoff renewal is dropped — the
+              // lease covers only a quarter of the estimated compute, so it
+              // expires while the slave is still mid-execution and the job
+              // is regranted behind a live executor's back.
+              t.lease_deadline =
+                  sent + std::max<noc::SimTime>(
+                             comm.ctx().timing().cycles_to_time(t.job->cost_hint) / 4,
+                             1);
             }
           }
-          if (t.attempts > opts.max_attempts)
-            throw FarmFailedError("farm_ft: job " + std::to_string(t.job->id) +
-                                     " exceeded max_attempts");
-          comm.send(slaves[si], encode_job(*t.job));
-          comm.mc_proto(mc::ProtoKind::Grant, t.job->id,
-                        static_cast<std::uint64_t>(slaves[si]));
-          t.slave = static_cast<int>(si);
-          t.dispatched_at = comm.ctx().now();
-          t.lease_deadline = t.dispatched_at + lease_for(t);
-          if (!rehomed[si]) t.lease_deadline += opts.master_silence_timeout;
-          if (opts.mutant == ProtocolMutant::DropLeaseRenewal) {
-            // Seeded bug: the margin/slack/backoff renewal is dropped — the
-            // lease covers only a quarter of the estimated compute, so it
-            // expires while the slave is still mid-execution and the job is
-            // regranted behind a live executor's back.
-            t.lease_deadline =
-                t.dispatched_at +
-                std::max<noc::SimTime>(
-                    comm.ctx().timing().cycles_to_time(t.job->cost_hint) / 4,
-                    1);
-          }
-          outstanding[si].push_back(t.job->id);
-          slave_job[si] = static_cast<int>(ti);
+          slave_job[si] = static_cast<int>(grant.front());
           if (g.seq) g.inflight = true;
-          if (opts.mutant == ProtocolMutant::DoubleGrant && !double_granted) {
+          if (mutant == ProtocolMutant::DoubleGrant && !double_granted) {
             // Seeded bug: the same job is also sent to another free live
             // slave, but the lease table is not updated — the master forgets
             // the extra grant entirely.
+            const Job& job = *tracked[grant.front()].job;
             for (std::size_t sj = 0; sj < slaves.size(); ++sj) {
               if (sj == si || !alive[sj] || slave_job[sj] != -1) continue;
-              comm.send(slaves[sj], encode_job(*t.job));
-              comm.mc_proto(mc::ProtoKind::Grant, t.job->id,
+              comm.send(slaves[sj], encode_job(job));
+              comm.mc_proto(mc::ProtoKind::Grant, job.id,
                             static_cast<std::uint64_t>(slaves[sj]));
               double_granted = true;
               break;
             }
           }
           if (h) {
-            h.add(h.ids().farm_jobs);
-            // One async lifecycle span per job id: opened by the first
-            // attempt, closed by the accepted result; retries show up as
-            // extra dispatch markers inside it.
-            if (t.attempts == 1)
-              h.async_begin(obs::Lane::Farm, h.ids().n_job, t.dispatched_at,
-                            t.job->id);
-            h.instant(obs::Lane::Farm, h.ids().n_dispatch, t.dispatched_at,
-                      t.job->id);
+            for (const std::size_t ti : grant) {
+              const Tracked& t = tracked[ti];
+              h.add(h.ids().farm_jobs);
+              // One async lifecycle span per job id: opened by the first
+              // attempt, closed by the accepted result; retries show up as
+              // extra dispatch markers inside it.
+              if (t.attempts == 1)
+                h.async_begin(obs::Lane::Farm, h.ids().n_job, sent, t.job->id);
+              h.instant(obs::Lane::Farm, h.ids().n_dispatch, sent, t.job->id);
+            }
           }
           progress = true;
           break;
@@ -737,18 +610,18 @@ std::vector<JobResult> run_ft_engine(rcce::Comm& comm, const Task& task,
       if (std::binary_search(slaves.begin(), slaves.end(), dead))
         alive[slave_index(dead)] = 0;
     for (const FarmCheckpoint::JobAttempts& a : ck.attempts) {
-      const auto it = by_id.find(a.id);
-      if (it == by_id.end())
+      const std::size_t ti = find_job(a.id);
+      if (ti == tracked.size())
         throw CheckpointError("checkpoint: attempts for unknown job " +
                               std::to_string(a.id));
-      tracked[it->second].attempts = static_cast<int>(a.attempts);
+      tracked[ti].attempts = static_cast<int>(a.attempts);
     }
     for (const JobResult& res : ck.done) {
-      const auto it = by_id.find(res.id);
-      if (it == by_id.end())
+      const std::size_t ti = find_job(res.id);
+      if (ti == tracked.size())
         throw CheckpointError("checkpoint: result for unknown job " +
                               std::to_string(res.id));
-      Tracked& t = tracked[it->second];
+      Tracked& t = tracked[ti];
       if (t.done) continue;
       t.done = true;
       comm.mc_proto(mc::ProtoKind::Restore, res.id);
@@ -759,9 +632,7 @@ std::vector<JobResult> run_ft_engine(rcce::Comm& comm, const Task& task,
     rep.resumed_jobs = ck.done.size();
     for (std::deque<std::size_t>& dq : pending)
       std::erase_if(dq, [&](std::size_t ti) { return tracked[ti].done; });
-    if (h)
-      h.set_gauge(h.ids().farm_live_slaves, static_cast<double>(live_count()),
-                  comm.ctx().now());
+    publish_live();
   }
 
   // ---- Takeover: re-establish leases with the surviving slaves -------------
@@ -809,6 +680,7 @@ std::vector<JobResult> run_ft_engine(rcce::Comm& comm, const Task& task,
   }
 
   std::vector<int> watch;
+  std::vector<JobResult> replies;  // the results one frame carries
   while (completed < total) {
     try_dispatch();
     watch.clear();
@@ -827,86 +699,21 @@ std::vector<JobResult> run_ft_engine(rcce::Comm& comm, const Task& task,
         watch.push_back(slaves[si]);
       }
     }
-    if (leased == 0)
-      throw FarmFailedError(
-          "farm_ft: jobs remain but no live slave may run them");
+    if (leased == 0) {
+      if (lease == nullptr) throw SkelError("farm: jobs remain but nothing dispatchable");
+      throw FarmFailedError("farm_ft: jobs remain but no live slave may run them");
+    }
 
-    noc::SimTime wake = next_deadline;
-    if (replicate && next_heartbeat < wake) wake = next_heartbeat;
-    const noc::SimTime now = comm.ctx().now();
-    const int ue = wake > now ? comm.wait_any_timeout(watch, wake - now) : -1;
-    if (ue >= 0) {
-      const std::size_t si = slave_index(ue);
-      // Any frame addressed to this master proves the slave has re-homed
-      // (even a corrupt one still came here): future leases run ungraced.
-      rehomed[si] = 1;
-      bool ok = true;
-      Message msg;
-      try {
-        msg = decode_message(comm.recv(ue));
-      } catch (const bio::WireError&) {
-        ok = false;
-      }
-      if (!ok) {
-        ++rep.corrupt_frames;
-        if (!outstanding[si].empty()) {
-          const std::uint64_t jid = outstanding[si].front();
-          outstanding[si].pop_front();
-          const std::size_t ti = by_id.at(jid);
-          if (!tracked[ti].done && slave_job[si] == static_cast<int>(ti)) {
-            // The mangled frame was this job's RESULT: retry immediately
-            // instead of waiting out the lease.
-            slave_job[si] = -1;
-            requeue(ti);
-          }
-        }
-        continue;
-      }
-      if (msg.type == MsgType::Ready) {
-        // Liveness noise: a blacklisted slave came back (restarted core, or
-        // a slave re-homing onto a promoted standby). Re-enlist it.
-        rejoin(si);
-        continue;
-      }
-      if (msg.type != MsgType::Result)
-        throw SkelProtocolError("farm_ft: unexpected message type from UE " +
-                                 std::to_string(ue));
-      auto& q = outstanding[si];
-      const auto qit = std::find(q.begin(), q.end(), msg.job_id);
-      if (qit != q.end()) q.erase(qit);
-      const auto it = by_id.find(msg.job_id);
-      if (it == by_id.end())
-        throw SkelProtocolError("farm_ft: result for unknown job " +
-                                 std::to_string(msg.job_id));
-      Tracked& t = tracked[it->second];
-      if (t.done) {
-        ++rep.duplicate_results;  // a slow slave beaten by its replacement
-        comm.mc_proto(mc::ProtoKind::ResultDup, msg.job_id,
-                      static_cast<std::uint64_t>(ue));
-        continue;
-      }
-      t.done = true;
-      comm.mc_proto(mc::ProtoKind::ResultAccept, msg.job_id,
-                    static_cast<std::uint64_t>(ue));
-      ++completed;
-      FlatGroup& g = groups[t.group];
-      ++g.completed;
-      if (g.seq) g.inflight = false;
-      for (std::size_t sj = 0; sj < slaves.size(); ++sj)
-        if (slave_job[sj] == static_cast<int>(it->second)) slave_job[sj] = -1;
-      if (h) {
-        const noc::SimTime t_done = comm.ctx().now();
-        h.add(h.ids().farm_results);
-        h.async_end(obs::Lane::Farm, h.ids().n_job, t_done, msg.job_id);
-        h.observe(h.ids().farm_job_latency_ps, t_done - t.dispatched_at);
-      }
-      results.push_back(JobResult{msg.job_id, ue, std::move(msg.payload)});
-      if (replicate &&
-          (completed == total ||
-           (mctx->mft->checkpoint_every != 0 &&
-            completed % mctx->mft->checkpoint_every == 0)))
-        send_checkpoint();
+    int ue = -1;
+    if (lease == nullptr) {
+      ue = comm.wait_any(watch);
     } else {
+      noc::SimTime wake = next_deadline;
+      if (replicate && next_heartbeat < wake) wake = next_heartbeat;
+      const noc::SimTime now = comm.ctx().now();
+      ue = wake > now ? comm.wait_any_timeout(watch, wake - now) : -1;
+    }
+    if (ue < 0) {
       // Heartbeat first: the timer may have fired for it, not for a lease.
       if (replicate && comm.ctx().now() >= next_heartbeat) {
         comm.send(standby, encode_heartbeat(ck_seq));
@@ -937,6 +744,98 @@ std::vector<JobResult> run_ft_engine(rcce::Comm& comm, const Task& task,
         slave_job[si] = -1;
         requeue(ti);
       }
+      continue;
+    }
+
+    const std::size_t si = slave_index(ue);
+    // Any frame addressed to this master proves the slave has re-homed
+    // (even a corrupt one still came here): future leases run ungraced.
+    rehomed[si] = 1;
+    Message msg;
+    try {
+      msg = decode_message(comm.recv(ue));
+    } catch (const bio::WireError&) {
+      if (lease == nullptr) throw;
+      ++rep.corrupt_frames;
+      if (!outstanding[si].empty()) {
+        const std::size_t ti = find_job(outstanding[si].front());
+        outstanding[si].erase(outstanding[si].begin());
+        if (!tracked[ti].done && slave_job[si] == static_cast<int>(ti)) {
+          // The mangled frame was this job's RESULT: retry immediately
+          // instead of waiting out the lease.
+          slave_job[si] = -1;
+          requeue(ti);
+        }
+      }
+      continue;
+    }
+    replies.clear();
+    if (lease == nullptr && outstanding[si].size() > 1) {
+      if (msg.type != MsgType::BatchResult)
+        throw SkelProtocolError("farm: expected BATCHRESULT from UE " +
+                                std::to_string(ue));
+      decode_batch_results(msg.payload, ue, replies);
+      if (replies.size() != outstanding[si].size())
+        throw SkelBatchError("farm: UE " + std::to_string(ue) + " returned " +
+                             std::to_string(replies.size()) +
+                             " results for a grant of " +
+                             std::to_string(outstanding[si].size()));
+    } else if (msg.type == MsgType::Ready && lease != nullptr) {
+      // Liveness noise: a blacklisted slave came back (restarted core, or a
+      // slave re-homing onto a promoted standby). Re-enlist it.
+      rejoin(si);
+      continue;
+    } else if (msg.type != MsgType::Result) {
+      throw SkelProtocolError(
+          who + (lease != nullptr ? "unexpected message type from UE "
+                                  : "expected RESULT from UE ") +
+          std::to_string(ue));
+    } else {
+      replies.push_back(JobResult{msg.job_id, ue, std::move(msg.payload)});
+    }
+    for (JobResult& res : replies) {
+      auto& q = outstanding[si];
+      const auto qit = std::find(q.begin(), q.end(), res.id);
+      if (qit != q.end()) q.erase(qit);
+      const std::size_t ti = find_job(res.id);
+      if (ti == tracked.size())
+        throw SkelProtocolError(who + "result for unknown job " +
+                                std::to_string(res.id));
+      Tracked& t = tracked[ti];
+      if (t.done) {
+        if (lease == nullptr)
+          throw SkelProtocolError("farm: second result for job " +
+                                  std::to_string(res.id));
+        ++rep.duplicate_results;  // a slow slave beaten by its replacement
+        comm.mc_proto(mc::ProtoKind::ResultDup, res.id,
+                      static_cast<std::uint64_t>(ue));
+        continue;
+      }
+      t.done = true;
+      comm.mc_proto(mc::ProtoKind::ResultAccept, res.id,
+                    static_cast<std::uint64_t>(ue));
+      ++completed;
+      FlatGroup& g = groups[t.group];
+      ++g.completed;
+      if (g.seq) g.inflight = false;
+      for (std::size_t sj = 0; sj < slaves.size(); ++sj)
+        if (slave_job[sj] == static_cast<int>(ti)) slave_job[sj] = -1;
+      if (h) {
+        const noc::SimTime t_done = comm.ctx().now();
+        h.add(h.ids().farm_results);
+        h.async_end(obs::Lane::Farm, h.ids().n_job, t_done, res.id);
+        h.observe(h.ids().farm_job_latency_ps, t_done - t.dispatched_at);
+      }
+      results.push_back(std::move(res));
+      if (replicate &&
+          (completed == total ||
+           (mctx->mft->checkpoint_every != 0 &&
+            completed % mctx->mft->checkpoint_every == 0)))
+        send_checkpoint();
+    }
+    if (lease == nullptr) {  // the reply answered the whole grant
+      outstanding[si].clear();
+      slave_job[si] = -1;
     }
   }
 
@@ -947,8 +846,9 @@ std::vector<JobResult> run_ft_engine(rcce::Comm& comm, const Task& task,
   // TERMINATE goes to every slave, dead or not: a blacklisted-but-alive
   // slave (e.g. one whose READY was dropped) must not block forever, and a
   // dead core simply never receives it.
-  send_terminate(comm, slaves);
+  if (opts.send_terminate) terminate(comm, slaves);
   if (h) {
+    // All three stay zero on the plain FARM, where adding them is a no-op.
     h.add(h.ids().farm_retries, rep.retries);
     h.add(h.ids().farm_corrupt_frames, rep.corrupt_frames);
     h.add(h.ids().farm_duplicates, rep.duplicate_results);
@@ -960,33 +860,43 @@ std::vector<JobResult> run_ft_engine(rcce::Comm& comm, const Task& task,
 
 }  // namespace
 
+std::vector<JobResult> farm(rcce::Comm& comm, const Task& task, const FarmOptions& opts) {
+  return run_farm(comm, task, opts, nullptr, nullptr, nullptr);
+}
+
 std::vector<JobResult> farm_ft(rcce::Comm& comm, const Task& task,
                                const FaultTolerantFarmOptions& opts,
                                FarmReport* report) {
-  return run_ft_engine(comm, task, opts, report, nullptr);
+  return run_farm(comm, task, opts.base, &opts, report, nullptr);
 }
 
 std::vector<JobResult> farm_ft_master(rcce::Comm& comm, const Task& task,
-                                      const MasterFtOptions& opts,
+                                      const FaultTolerantFarmOptions& ft,
+                                      const MasterFtOptions& mft,
                                       FarmReport* report) {
-  if (opts.ft.standby_ue < 0)
+  if (ft.standby_ue < 0)
     throw SkelError("farm_ft_master: standby_ue must be set");
-  if (opts.ft.standby_ue == comm.ue())
+  if (ft.standby_ue == comm.ue())
     throw SkelError("farm_ft_master: master cannot be its own standby");
   MasterCtx mc;
-  mc.mft = &opts;
-  return run_ft_engine(comm, task, opts.ft, report, &mc);
+  mc.mft = &mft;
+  return run_farm(comm, task, ft.base, &ft, report, &mc);
 }
 
 std::optional<std::vector<JobResult>> farm_standby(
     rcce::Comm& comm, int master_ue, const Task& task,
-    const MasterFtOptions& opts, FarmReport* report) {
+    const FaultTolerantFarmOptions& ft, const MasterFtOptions& mft,
+    FarmReport* report) {
+  // A zero window returns from every timed receive at once without
+  // advancing simulated time: the standby would spin on its fiber forever.
+  if (mft.heartbeat_timeout == 0)
+    throw SkelError("farm_standby: heartbeat_timeout must be > 0");
   const obs::Handle h = comm.obs();
   FarmCheckpoint best;
   bool have = false;
   for (;;) {
     std::optional<bio::Bytes> frame =
-        comm.recv_timeout(master_ue, opts.heartbeat_timeout);
+        comm.recv_timeout(master_ue, mft.heartbeat_timeout);
     if (!frame) {
       if (comm.ue_alive(master_ue)) continue;  // slow master, not a dead one
       break;                                   // missed heartbeats + dead: failover
@@ -1005,7 +915,7 @@ std::optional<std::vector<JobResult>> farm_standby(
         // snapshot is retained, so a takeover resumes from a checkpoint
         // older than ones this standby demonstrably received.
         const bool keep =
-            opts.ft.mutant == ProtocolMutant::StaleCheckpointTakeover
+            ft.mutant == ProtocolMutant::StaleCheckpointTakeover
                 ? !have
                 : (!have || ck.seq >= best.seq);
         if (keep) {
@@ -1030,14 +940,18 @@ std::optional<std::vector<JobResult>> farm_standby(
     h.instant(obs::Lane::Farm, h.ids().n_failover, detected,
               static_cast<std::uint64_t>(master_ue));
   MasterCtx mc;
-  mc.mft = &opts;
+  mc.mft = &mft;
   mc.resume = have ? &best : nullptr;
   mc.failover_detected = detected;
-  return run_ft_engine(comm, task, opts.ft, report, &mc);
+  return run_farm(comm, task, ft.base, &ft, report, &mc);
 }
 
 void farm_slave_ft(rcce::Comm& comm, int master_ue, const Worker& worker,
                    const FaultTolerantFarmOptions& opts) {
+  // A zero window returns from every timed receive at once without
+  // advancing simulated time: the slave would spin on its fiber forever.
+  if (opts.master_silence_timeout == 0)
+    throw SkelError("farm_slave_ft: master_silence_timeout must be > 0");
   const obs::Handle h = comm.obs();
   const auto send_ready = [&](int to) {
     comm.send(to, encode_ready());

@@ -93,6 +93,28 @@ TEST(RunConfig, FaultPlanValidatesFtKnobsEvenWithoutExplicitFt) {
   EXPECT_TRUE(has_issue(cfg.validate(), "ft.max_attempts"));
 }
 
+TEST(RunConfig, RejectsZeroMasterSilenceTimeoutUnderTheFtFarm) {
+  // A zero window returns from the FT slave's timed receive at once without
+  // advancing simulated time, so the slave would poll its master forever.
+  RunConfig plain;
+  plain.ft.master_silence_timeout = 0;
+  EXPECT_TRUE(plain.validate().empty());  // the plain farm never reads it
+
+  RunConfig ft = plain;
+  ft.with_fault_tolerance();
+  EXPECT_TRUE(has_issue(ft.validate(), "ft.master_silence_timeout"));
+
+  RunConfig mft = plain;
+  mft.with_master_ft();
+  EXPECT_TRUE(has_issue(mft.validate(), "ft.master_silence_timeout"));
+
+  RunConfig faulty = plain;
+  scc::FaultPlan plan;
+  plan.crashes.push_back({3, 1'000'000});
+  faulty.with_faults(plan);
+  EXPECT_TRUE(has_issue(faulty.validate(), "ft.master_silence_timeout"));
+}
+
 TEST(RunConfig, RejectsBadBatch) {
   RunConfig cfg;
   cfg.with_batch(0);

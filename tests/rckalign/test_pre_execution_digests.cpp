@@ -10,7 +10,10 @@
 // cost-derived leases, a cached method partition, a k-vs-all spec list) and
 // was recorded from the pre-execution farm with one SPMD program per driver.
 // Both must hold at every host width: kernel pre-execution may change how
-// fast a run finishes on the host, never what it simulates.
+// fast a run finishes on the host, never what it simulates. A third table
+// pins the obs trace bytes of each flat-farm flavour at one host width; it
+// was recorded from the farm whose plain and fault-tolerant masters were
+// still two loops, and holds for the one engine that replaced them.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -21,6 +24,7 @@
 #include "rck/bio/dataset.hpp"
 #include "rck/bio/synthetic.hpp"
 #include "rck/obs/obs.hpp"
+#include "rck/obs/sink.hpp"
 #include "rck/rck.hpp"
 #include "rck/rckalign/app.hpp"
 #include "rck/rckalign/blocked.hpp"
@@ -144,7 +148,7 @@ scc::RuntimeConfig runtime(int width) {
 
 enum class Farm { Plain, Batch4, FtSlaveCrash, MasterFt };
 
-std::string farm_digest(bool lpt, Farm farm, int width, const PairCache* cache) {
+RckAlignRun farm_run(bool lpt, Farm farm, int width, const PairCache* cache) {
   RckAlignOptions o;
   o.slave_count = kSlaves;
   o.runtime = runtime(width);
@@ -176,6 +180,11 @@ std::string farm_digest(bool lpt, Farm farm, int width, const PairCache* cache) 
   } else if (farm == Farm::MasterFt) {
     EXPECT_EQ(run.farm_report.failovers, 1u);
   }
+  return run;
+}
+
+std::string farm_digest(bool lpt, Farm farm, int width, const PairCache* cache) {
+  const RckAlignRun run = farm_run(lpt, farm, width, cache);
   Fnv f;
   f.pod(run.makespan);
   add_rows(f, run.results);
@@ -352,6 +361,40 @@ std::string one_vs_all_digest(int width) {
   return hex(f.h);
 }
 
+std::string trace_digest(const obs::Recorder& rec) {
+  const std::string json = obs::chrome_trace_json(rec);
+  Fnv f;
+  f.bytes(json.data(), json.size());
+  return hex(f.h);
+}
+
+template <bool Lpt, Farm F>
+std::string cached_farm_trace(int width) {
+  return trace_digest(*farm_run(Lpt, F, width, &ck34_cache()).obs);
+}
+
+/// CK34's cached all-vs-all pairs straight through run_pairs, split into two
+/// groups: the first 8 slaves serve the first half of the pairs, the other 4
+/// the rest.
+std::string partition_trace(int width) {
+  std::vector<const bio::Protein*> structures;
+  for (const bio::Protein& p : ck34()) structures.push_back(&p);
+  const auto n = static_cast<std::uint32_t>(ck34().size());
+  std::vector<PairSpec> specs;
+  for (std::uint32_t a = 0; a < n; ++a)
+    for (std::uint32_t b = a + 1; b < n; ++b)
+      specs.push_back(PairSpec{a, b, Method::TmAlign});
+
+  PairsOptions o;
+  o.slave_count = kSlaves;
+  o.runtime = runtime(width);
+  o.runtime.obs = obs::Config::collect();
+  o.cache = &ck34_cache();
+  const std::vector<SlaveGroup> partition = {
+      {8, specs.size() / 2}, {kSlaves - 8, specs.size() - specs.size() / 2}};
+  return trace_digest(*run_pairs(structures, specs, o, partition).obs);
+}
+
 struct Pinned {
   const char* name;
   const char* digest;
@@ -394,6 +437,23 @@ const std::vector<Pinned>& parent_pinned() {
   return table;
 }
 
+/// FNV-1a of the Chrome trace bytes (obs::chrome_trace_json) of each flat-farm
+/// flavour on cached CK34 at host width 1. The metrics-snapshot pins above do
+/// not cover them: a reordered span, instant or async begin/end changes these
+/// alone.
+const std::vector<Pinned>& trace_pinned() {
+  static const std::vector<Pinned> table = {
+      {"trace/fifo/plain", "6d1dec00de2fc2bc", cached_farm_trace<false, Farm::Plain>},
+      {"trace/lpt/batch4", "b5504c9ee510d7da", cached_farm_trace<true, Farm::Batch4>},
+      {"trace/fifo/ft-slave-crash", "8b7efa323ff7e564",
+       cached_farm_trace<false, Farm::FtSlaveCrash>},
+      {"trace/fifo/master-ft", "db3b789da961d8b2",
+       cached_farm_trace<false, Farm::MasterFt>},
+      {"trace/partition", "7702641adb45a594", partition_trace},
+  };
+  return table;
+}
+
 class PinnedDigests : public ::testing::TestWithParam<int> {};
 
 TEST_P(PinnedDigests, EveryDriverMatchesTheInlineKernelFarm) {
@@ -409,6 +469,12 @@ TEST_P(PinnedDigests, CachedAndSpecListPathsMatchTheParentFarm) {
 }
 
 INSTANTIATE_TEST_SUITE_P(HostWidth, PinnedDigests, ::testing::Values(1, 2, 4));
+
+TEST(PinnedTraces, FlatFarmTraceBytesMatchTheParentFarm) {
+  for (const Pinned& p : trace_pinned()) {
+    EXPECT_EQ(p.run(1), p.digest) << p.name;
+  }
+}
 
 }  // namespace
 }  // namespace rck::rckalign

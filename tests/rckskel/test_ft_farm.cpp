@@ -4,6 +4,7 @@
 
 #include <gtest/gtest.h>
 
+#include <functional>
 #include <map>
 #include <set>
 #include <vector>
@@ -220,21 +221,43 @@ TEST(FtFarm, AllSlavesDeadThrows) {
 }
 
 TEST(FtFarm, DuplicateJobIdsRejected) {
+  // Both master flavours key their job tracking by id.
+  const std::function<void(rcce::Comm&, const Task&)> masters[] = {
+      [](rcce::Comm& comm, const Task& task) {
+        (void)farm_ft(comm, task, test_ft_options());
+      },
+      [](rcce::Comm& comm, const Task& task) { (void)farm(comm, task); },
+  };
+  for (const auto& master : masters) {
+    scc::SpmdRuntime rt{scc::RuntimeConfig{}};
+    EXPECT_THROW(rt.run(2,
+                        [&](scc::CoreCtx& ctx) {
+                          rcce::Comm comm(ctx);
+                          if (comm.ue() == 0) {
+                            std::vector<Job> jobs = numbered_jobs(2);
+                            jobs[1].id = jobs[0].id;
+                            master(comm, Task::make_par({1}, std::move(jobs)));
+                          }
+                          // Slave exits immediately; the master throws
+                          // before any protocol traffic.
+                        }),
+                 rck::rckskel::SkelError);
+  }
+}
+
+TEST(FtFarm, ZeroMasterSilenceTimeoutRejected) {
+  // A zero window makes every timed receive return at once without
+  // advancing simulated time: the slave would spin on its fiber forever.
+  FaultTolerantFarmOptions opts = test_ft_options();
+  opts.master_silence_timeout = 0;
   scc::SpmdRuntime rt{scc::RuntimeConfig{}};
   EXPECT_THROW(rt.run(2,
                       [&](scc::CoreCtx& ctx) {
                         rcce::Comm comm(ctx);
-                        if (comm.ue() == 0) {
-                          std::vector<Job> jobs = numbered_jobs(2);
-                          jobs[1].id = jobs[0].id;
-                          const Task task =
-                              Task::make_par({1}, std::move(jobs));
-                          (void)farm_ft(comm, task, test_ft_options());
-                        }
-                        // Slave exits immediately; the master throws before
-                        // any protocol traffic.
+                        if (comm.ue() == 1)
+                          farm_slave_ft(comm, 0, slow_doubling_worker, opts);
                       }),
-               rck::rckskel::SkelError);
+               SkelError);
 }
 
 TEST(FtFarm, CollectRejectsEmptyUeSet) {

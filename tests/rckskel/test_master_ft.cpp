@@ -42,12 +42,18 @@ std::uint32_t result_value(const JobResult& r) {
   return rd.u32();
 }
 
-MasterFtOptions test_mft_options(int nslaves) {
+/// Lease options shared by master, standby and slaves.
+FaultTolerantFarmOptions test_ft_options(int nslaves) {
+  FaultTolerantFarmOptions o;
+  o.ready_timeout = 10 * noc::kPsPerMs;
+  o.lease = 20 * noc::kPsPerMs;
+  o.master_silence_timeout = 10 * noc::kPsPerMs;
+  o.standby_ue = nslaves + 1;
+  return o;
+}
+
+MasterFtOptions test_mft_options() {
   MasterFtOptions o;
-  o.ft.ready_timeout = 10 * noc::kPsPerMs;
-  o.ft.lease = 20 * noc::kPsPerMs;
-  o.ft.master_silence_timeout = 10 * noc::kPsPerMs;
-  o.ft.standby_ue = nslaves + 1;
   o.checkpoint_every = 4;
   o.heartbeat_period = 2 * noc::kPsPerMs;
   o.heartbeat_timeout = 10 * noc::kPsPerMs;
@@ -72,7 +78,8 @@ struct MftRun {
 };
 
 MftRun run_mft(const scc::FaultPlan& plan, std::uint32_t njobs, int nslaves,
-               const MasterFtOptions& opts) {
+               const MasterFtOptions& mft = test_mft_options()) {
+  const FaultTolerantFarmOptions ft = test_ft_options(nslaves);
   scc::RuntimeConfig cfg;
   cfg.faults = plan;
   scc::SpmdRuntime rt(cfg);
@@ -95,13 +102,13 @@ MftRun run_mft(const scc::FaultPlan& plan, std::uint32_t njobs, int nslaves,
     for (int s = 1; s <= nslaves; ++s) slaves.push_back(s);
     if (comm.ue() == 0) {
       const Task task = Task::make_par(slaves, numbered_jobs(njobs));
-      out.results = farm_ft_master(comm, task, opts, &out.master_report);
+      out.results = farm_ft_master(comm, task, ft, mft, &out.master_report);
     } else if (comm.ue() == nslaves + 1) {
       const Task task = Task::make_par(slaves, numbered_jobs(njobs));
       out.standby_results =
-          farm_standby(comm, 0, task, opts, &out.standby_report);
+          farm_standby(comm, 0, task, ft, mft, &out.standby_report);
     } else {
-      farm_slave_ft(comm, 0, worker, opts.ft);
+      farm_slave_ft(comm, 0, worker, ft);
     }
   });
   out.executions.resize(njobs);
@@ -121,7 +128,7 @@ void expect_all_jobs_done(const std::vector<JobResult>& results,
 }
 
 TEST(MasterFt, CleanRunReplicatesAndTerminatesStandby) {
-  const MftRun run = run_mft({}, 20, 4, test_mft_options(4));
+  const MftRun run = run_mft({}, 20, 4);
   expect_all_jobs_done(run.results, 20);
   EXPECT_FALSE(run.standby_results.has_value());  // TERMINATE, no takeover
   EXPECT_EQ(run.master_report.failovers, 0u);
@@ -134,14 +141,32 @@ TEST(MasterFt, CleanRunReplicatesAndTerminatesStandby) {
 
 TEST(MasterFt, MasterMustNameAStandby) {
   scc::SpmdRuntime rt{scc::RuntimeConfig{}};
-  MasterFtOptions opts;  // standby_ue left at -1
+  const FaultTolerantFarmOptions ft;  // standby_ue left at -1
   EXPECT_THROW(rt.run(2,
                       [&](scc::CoreCtx& ctx) {
                         rcce::Comm comm(ctx);
                         if (comm.ue() == 0) {
                           const Task task =
                               Task::make_par({1}, numbered_jobs(2));
-                          (void)farm_ft_master(comm, task, opts);
+                          (void)farm_ft_master(comm, task, ft, {});
+                        }
+                      }),
+               SkelError);
+}
+
+TEST(MasterFt, ZeroHeartbeatTimeoutRejected) {
+  // A zero silence window would spin the standby on its fiber forever.
+  MasterFtOptions mft = test_mft_options();
+  mft.heartbeat_timeout = 0;
+  scc::SpmdRuntime rt{scc::RuntimeConfig{}};
+  EXPECT_THROW(rt.run(3,
+                      [&](scc::CoreCtx& ctx) {
+                        rcce::Comm comm(ctx);
+                        if (comm.ue() == 2) {
+                          const Task task =
+                              Task::make_par({1}, numbered_jobs(2));
+                          (void)farm_standby(comm, 0, task,
+                                             test_ft_options(1), mft);
                         }
                       }),
                SkelError);
@@ -156,7 +181,7 @@ TEST_P(MasterFtCrash, AllJobsCompleteViaFailover) {
   plan.crashes.push_back({0, GetParam()});
   const int nslaves = 4;
   const std::uint32_t njobs = 20;
-  const MftRun run = run_mft(plan, njobs, nslaves, test_mft_options(nslaves));
+  const MftRun run = run_mft(plan, njobs, nslaves);
   ASSERT_TRUE(run.standby_results.has_value());
   expect_all_jobs_done(*run.standby_results, njobs);
   EXPECT_EQ(run.standby_report.failovers, 1u);
@@ -169,8 +194,7 @@ TEST_P(MasterFtCrash, AllJobsCompleteViaFailover) {
     reruns += n - 1;
   }
   EXPECT_LE(reruns,
-            nslaves + static_cast<int>(test_mft_options(nslaves)
-                                           .checkpoint_every) - 1);
+            nslaves + static_cast<int>(test_mft_options().checkpoint_every) - 1);
 }
 
 INSTANTIATE_TEST_SUITE_P(CrashPhases, MasterFtCrash,
@@ -184,7 +208,7 @@ TEST(MasterFt, EventScheduledMasterCrashFailsOver) {
   // simulated time — deterministic under both serial and parallel hosts.
   scc::FaultPlan plan;
   plan.event_crashes.push_back({0, 40});
-  const MftRun run = run_mft(plan, 20, 4, test_mft_options(4));
+  const MftRun run = run_mft(plan, 20, 4);
   ASSERT_TRUE(run.standby_results.has_value());
   expect_all_jobs_done(*run.standby_results, 20);
   EXPECT_EQ(run.standby_report.failovers, 1u);
@@ -193,11 +217,11 @@ TEST(MasterFt, EventScheduledMasterCrashFailsOver) {
 TEST(MasterFt, LateCrashResumesFromCheckpointWithoutRerun) {
   // Checkpoint after every result: by the time the master dies mid-run, the
   // standby's snapshot carries completed jobs which must not run again.
-  MasterFtOptions opts = test_mft_options(4);
-  opts.checkpoint_every = 1;
+  MasterFtOptions mft = test_mft_options();
+  mft.checkpoint_every = 1;
   scc::FaultPlan plan;
   plan.crashes.push_back({0, 12 * noc::kPsPerMs});
-  const MftRun run = run_mft(plan, 20, 4, opts);
+  const MftRun run = run_mft(plan, 20, 4, mft);
   ASSERT_TRUE(run.standby_results.has_value());
   expect_all_jobs_done(*run.standby_results, 20);
   EXPECT_GT(run.standby_report.resumed_jobs, 0u);
@@ -210,7 +234,7 @@ TEST(MasterFt, MasterAndSlaveCrashCompose) {
   scc::FaultPlan plan;
   plan.crashes.push_back({2, 3 * noc::kPsPerMs});   // slave dies first
   plan.crashes.push_back({0, 15 * noc::kPsPerMs});  // then the master
-  const MftRun run = run_mft(plan, 20, 4, test_mft_options(4));
+  const MftRun run = run_mft(plan, 20, 4);
   ASSERT_TRUE(run.standby_results.has_value());
   expect_all_jobs_done(*run.standby_results, 20);
   EXPECT_EQ(run.standby_report.failovers, 1u);
@@ -225,7 +249,7 @@ TEST(MasterFt, StandbyCrashLeavesMasterUnharmed) {
   // Losing the safety net must not take the farm down with it.
   scc::FaultPlan plan;
   plan.crashes.push_back({5, 5 * noc::kPsPerMs});  // the standby itself
-  const MftRun run = run_mft(plan, 20, 4, test_mft_options(4));
+  const MftRun run = run_mft(plan, 20, 4);
   expect_all_jobs_done(run.results, 20);
   EXPECT_EQ(run.master_report.failovers, 0u);
 }
@@ -236,7 +260,7 @@ TEST(MasterFt, RestartedSlaveRejoinsTheFarm) {
   scc::FaultPlan plan;
   plan.crashes.push_back({2, 2 * noc::kPsPerMs});
   plan.restarts.push_back({2, 30 * noc::kPsPerMs});
-  const MftRun run = run_mft(plan, 20, 4, test_mft_options(4));
+  const MftRun run = run_mft(plan, 20, 4);
   expect_all_jobs_done(run.results, 20);
   // The crash was observed (blacklist) even though the core later revived.
   bool found = false;
@@ -250,8 +274,8 @@ TEST(MasterFt, DeterministicReplayAcrossFailover) {
   scc::FaultPlan plan;
   plan.crashes.push_back({0, 10 * noc::kPsPerMs});
   plan.crashes.push_back({3, 4 * noc::kPsPerMs});
-  const MftRun a = run_mft(plan, 20, 4, test_mft_options(4));
-  const MftRun b = run_mft(plan, 20, 4, test_mft_options(4));
+  const MftRun a = run_mft(plan, 20, 4);
+  const MftRun b = run_mft(plan, 20, 4);
   EXPECT_EQ(a.makespan, b.makespan);
   EXPECT_TRUE(a.final_report() == b.final_report());
   ASSERT_EQ(a.final_results().size(), b.final_results().size());

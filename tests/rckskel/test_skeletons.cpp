@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <functional>
 #include <numeric>
 #include <set>
 
@@ -286,6 +287,115 @@ TEST(Farm, EmptyUeSetRejected) {
                         farm(comm, Task::make_par({}, numbered_jobs(2)));
                       }),
                rck::rckskel::SkelError);
+}
+
+// ---- Master-side protocol checks -------------------------------------------
+// Scripted slaves break the farm protocol on purpose; the master must raise
+// SkelProtocolError rather than accept the frame. Each script sends its
+// frames and returns, so the run ends however the master fails.
+
+/// Run `master` on rank 0 and `script` on ranks 1..slaves.
+void run_scripted(int slaves, const std::function<void(rcce::Comm&)>& master,
+                  const std::function<void(rcce::Comm&)>& script) {
+  scc::SpmdRuntime rt{scc::RuntimeConfig{}};
+  rt.run(slaves + 1, [&](scc::CoreCtx& ctx) {
+    rcce::Comm comm(ctx);
+    if (comm.ue() == 0)
+      master(comm);
+    else
+      script(comm);
+  });
+}
+
+void plain_master(rcce::Comm& comm, std::vector<int> slaves,
+                  const FarmOptions& opts = {}) {
+  (void)farm(comm, Task::make_par(std::move(slaves), numbered_jobs(4)), opts);
+}
+
+FaultTolerantFarmOptions scripted_ft_options() {
+  FaultTolerantFarmOptions o;
+  o.ready_timeout = 10 * noc::kPsPerMs;
+  o.lease = 20 * noc::kPsPerMs;
+  return o;
+}
+
+void ft_master(rcce::Comm& comm) {
+  (void)farm_ft(comm, Task::make_par({1}, numbered_jobs(4)),
+                scripted_ft_options());
+}
+
+/// Announce READY, then return the first frame the master sends.
+Message ready_then_recv(rcce::Comm& comm) {
+  comm.send(0, encode_ready());
+  return decode_message(comm.recv(0));
+}
+
+TEST(FarmProtocol, PlainFarmRejectsSecondReady) {
+  // Slave 1 announces itself twice while slave 2 is still starting up, so
+  // the master's handshake sees slave 1 again before slave 2.
+  EXPECT_THROW(run_scripted(
+                   2, [](rcce::Comm& comm) { plain_master(comm, {1, 2}); },
+                   [](rcce::Comm& comm) {
+                     if (comm.ue() == 2) comm.charge_time(noc::kPsPerMs);
+                     comm.send(0, encode_ready());
+                     if (comm.ue() == 1) comm.send(0, encode_ready());
+                   }),
+               SkelProtocolError);
+}
+
+TEST(FarmProtocol, PlainFarmRejectsResultInPlaceOfReady) {
+  EXPECT_THROW(run_scripted(
+                   1, [](rcce::Comm& comm) { plain_master(comm, {1}); },
+                   [](rcce::Comm& comm) {
+                     comm.send(0, encode_result(0, Bytes{}));
+                   }),
+               SkelProtocolError);
+}
+
+TEST(FarmProtocol, PlainFarmRejectsReadyAnsweringJob) {
+  EXPECT_THROW(run_scripted(
+                   1, [](rcce::Comm& comm) { plain_master(comm, {1}); },
+                   [](rcce::Comm& comm) {
+                     EXPECT_EQ(ready_then_recv(comm).type, MsgType::Job);
+                     comm.send(0, encode_ready());
+                   }),
+               SkelProtocolError);
+}
+
+TEST(FarmProtocol, PlainFarmRejectsResultAnsweringBatch) {
+  FarmOptions opts;
+  opts.batch = 2;
+  EXPECT_THROW(run_scripted(
+                   1, [&](rcce::Comm& comm) { plain_master(comm, {1}, opts); },
+                   [](rcce::Comm& comm) {
+                     const Message grant = ready_then_recv(comm);
+                     EXPECT_EQ(grant.type, MsgType::Batch);
+                     std::vector<Job> jobs;
+                     decode_batch_jobs(grant.payload, jobs);
+                     comm.send(0, encode_result(jobs.front().id, Bytes{}));
+                   }),
+               SkelProtocolError);
+}
+
+TEST(FarmProtocol, FtFarmRejectsResultForUnknownJob) {
+  EXPECT_THROW(run_scripted(1, ft_master,
+                            [](rcce::Comm& comm) {
+                              EXPECT_EQ(ready_then_recv(comm).type, MsgType::Job);
+                              comm.send(0, encode_result(999, Bytes{}));
+                            }),
+               SkelProtocolError);
+}
+
+TEST(FarmProtocol, FtFarmRejectsJobFromSlave) {
+  EXPECT_THROW(run_scripted(1, ft_master,
+                            [](rcce::Comm& comm) {
+                              const Message job = ready_then_recv(comm);
+                              EXPECT_EQ(job.type, MsgType::Job);
+                              Job echo;
+                              echo.id = job.job_id;
+                              comm.send(0, encode_job(echo));
+                            }),
+               SkelProtocolError);
 }
 
 TEST(ParCollect, RoundTrip) {

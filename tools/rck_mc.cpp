@@ -198,7 +198,7 @@ int main(int argc, char** argv) {
               "directory for the witnesses --all writes")
       .flag("all", &all,
             "run the acceptance matrix: clean exploration on plain-farm, "
-            "master-ft and batch; every mutant caught with a replayable "
+            "ft, master-ft and batch; every mutant caught with a replayable "
             "witness");
   try {
     if (!cli.parse(argc, argv)) return 0;
@@ -219,6 +219,7 @@ int main(int argc, char** argv) {
         const char* expect;  // violated invariant, or "" for clean
       } matrix[] = {
           {{"plain-farm"}, ""},
+          {{"ft", true}, ""},
           {{"master-ft", true, true}, ""},
           {{"batch", false, false, 4}, ""},
           {{"ft-drop-lease", true, false, 1,
