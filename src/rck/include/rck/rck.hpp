@@ -118,6 +118,8 @@ struct RunConfig {
   /// Fault-tolerant farm (leases, retry, blacklist). Forced on whenever
   /// `runtime.faults` is non-empty.
   bool fault_tolerant = false;
+  /// Lease knobs of the fault-tolerant farm; its farm options come from
+  /// `lpt` and `batch`, and master_ft sets standby_ue to slave_count + 1.
   rckskel::FaultTolerantFarmOptions ft{};
   /// Checkpointed master + standby failover: the master replicates farm
   /// state to a standby core at rank slave_count + 1, which takes over on

@@ -155,6 +155,11 @@ std::vector<ConfigIssue> RunConfig::validate() const {
           "must be > 0; a zero window returns from every slave receive "
           "without advancing simulated time, so the slave spins forever");
     }
+    if (ft.ready_timeout == 0) {
+      bad("ft.ready_timeout",
+          "must be > 0; a READY deadline that is already due blacklists "
+          "every slave before it can answer, so the farm always fails");
+    }
   }
 
   if (batch == 0) {

@@ -63,8 +63,9 @@ struct PairsOptions {
   /// ft.lease_margin + ft.lease_slack x its longest job's simulated time.
   bool fault_tolerant = false;
   /// Resilience knobs for the fault-tolerant farm (leases, retries,
-  /// timeouts); base.lpt_order is overridden by `lpt` above, and under
-  /// master_ft standby_ue by the standby's rank, slave_count + 1.
+  /// timeouts); under master_ft standby_ue is overridden by the standby's
+  /// rank, slave_count + 1. The farm options every role shares come from
+  /// `lpt` and `batch` above.
   rckskel::FaultTolerantFarmOptions ft{};
   /// Survive the master too: run the checkpointed farm master (periodic
   /// snapshots + heartbeats replicated to a standby) with the standby on

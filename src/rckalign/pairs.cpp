@@ -91,16 +91,17 @@ PairsRun run_pairs(std::span<const bio::Protein* const> structures,
                           detail::pool_threads(opts.runtime), opts.cache);
   run.kernels = outcomes.size();
 
-  // Options of the fault-tolerant farms, shared by master, standby and
-  // slaves (standby_ue is filled in below under master_ft). With
-  // ft.lease == 0 the master derives each lease from the job's cost hint
-  // read as cycles, but only a cached TM-align spec carries cycles
-  // (detail::has_cycle_hint): the L1*L2 proxy of any other spec predicts
-  // microseconds for a job of seconds, and every lease would expire until
-  // the job exhausted max_attempts. A run with any such spec gets one fixed
-  // lease sized by its longest job.
+  // Farm and lease options, shared by master, standby and slaves (standby_ue
+  // is filled in below under master_ft). With ft.lease == 0 the master
+  // derives each lease from the job's cost hint read as cycles, but only a
+  // cached TM-align spec carries cycles (detail::has_cycle_hint): the L1*L2
+  // proxy of any other spec predicts microseconds for a job of seconds, and
+  // every lease would expire until the job exhausted max_attempts. A run
+  // with any such spec gets one fixed lease sized by its longest job.
+  rckskel::FarmOptions fopts;
+  fopts.lpt_order = opts.lpt;
+  fopts.batch = opts.batch;
   rckskel::FaultTolerantFarmOptions ft = opts.ft;
-  ft.base.lpt_order = opts.lpt;
   if ((opts.fault_tolerant || opts.master_ft) && ft.lease == 0 &&
       std::any_of(specs.begin(), specs.end(), [&](const PairSpec& s) {
         return !detail::has_cycle_hint(s, opts.cache);
@@ -186,20 +187,18 @@ PairsRun run_pairs(std::span<const bio::Protein* const> structures,
       const rckskel::Task task = load_and_build();
       std::vector<rckskel::JobResult> collected;
       if (opts.master_ft) {
-        collected = rckskel::farm_ft_master(comm, task, ft, opts.mft, &master_rep);
+        collected =
+            rckskel::farm_ft_master(comm, task, fopts, ft, opts.mft, &master_rep);
       } else if (opts.fault_tolerant) {
-        collected = rckskel::farm_ft(comm, task, ft, &master_rep);
+        collected = rckskel::farm_ft(comm, task, fopts, ft, &master_rep);
       } else {
-        rckskel::FarmOptions fopts;
-        fopts.lpt_order = opts.lpt;
-        fopts.batch = opts.batch;
         collected = rckskel::farm(comm, task, fopts);
       }
       decode_collected(collected, master_rows);
     } else if (comm.ue() == standby_rank) {
       const rckskel::Task task = load_and_build();
       std::optional<std::vector<rckskel::JobResult>> collected =
-          rckskel::farm_standby(comm, kMaster, task, ft, opts.mft, &standby_rep);
+          rckskel::farm_standby(comm, kMaster, task, fopts, ft, opts.mft, &standby_rep);
       if (collected) {
         standby_rows.emplace();
         decode_collected(*collected, *standby_rows);
@@ -207,9 +206,9 @@ PairsRun run_pairs(std::span<const bio::Protein* const> structures,
     } else {
       const rckskel::Worker worker = detail::pair_worker(outcomes);
       if (opts.master_ft || opts.fault_tolerant) {
-        rckskel::farm_slave_ft(comm, kMaster, worker, ft);
+        rckskel::farm_slave_ft(comm, kMaster, worker, fopts, ft);
       } else {
-        rckskel::farm_slave(comm, kMaster, worker);
+        rckskel::farm_slave(comm, kMaster, worker, fopts);
       }
     }
   };

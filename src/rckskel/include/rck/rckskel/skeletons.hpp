@@ -16,11 +16,11 @@
 //                and per-subtask UE restrictions, and collects everything.
 //
 // Every farm master — farm(), farm_ft(), farm_ft_master() and a promoted
-// farm_standby() — runs one engine. Without lease options it is the paper's
-// FARM, message for message; with them it is the fault-tolerant farm below.
-// Slaves run farm_slave(): a blocking receive loop executing a user Worker
-// on each job until TERMINATE — the paper's client_receive_job template
-// (Figure 4). Batched grants are served by the same loop, job by job.
+// farm_standby() — runs one engine, and both slaves, farm_slave() and
+// farm_slave_ft(), one receive loop that runs a user Worker on each job (a
+// batched grant job by job) until TERMINATE: the paper's client_receive_job
+// (Figure 4). Without lease options both are the paper's FARM, message for
+// message; with them, the fault-tolerant farm below.
 #pragma once
 
 #include <functional>
@@ -122,9 +122,9 @@ struct FarmOptions {
   /// Send TERMINATE to every slave when the task completes. Disable when
   /// the same slaves will serve further farm() rounds (e.g. the
   /// hierarchical-masters extension); the caller then terminates them
-  /// explicitly with terminate(). farm() only: the fault-tolerant farms
-  /// reject false with SkelError, because their slaves stop only on
-  /// TERMINATE.
+  /// explicitly with terminate(). farm() only: farm_ft, farm_ft_master and
+  /// farm_standby reject false with SkelError, because farm_slave_ft stops
+  /// only on TERMINATE.
   bool send_terminate = true;
   /// Slave side: longest silence a farm_slave() tolerates before deciding
   /// something is wrong. A dead master raises scc::FaultStallError, an
@@ -135,7 +135,7 @@ struct FarmOptions {
   /// slave whose group finished early hears nothing until the slowest
   /// group's last job completes, which on CK34 with CE-class methods runs
   /// to hundreds of simulated seconds. Tighten it for workloads with a
-  /// known makespan bound.
+  /// known makespan bound. Must be > 0; farm_slave_ft ignores it.
   noc::SimTime slave_idle_timeout = 3600 * noc::kPsPerSec;
   /// Grant size: how many jobs the master packs into one BATCH frame per
   /// free slave (1 = classic per-job dispatch, the default). Batching
@@ -143,7 +143,8 @@ struct FarmOptions {
   /// job through its per-job Worker and answers with one BATCHRESULT.
   /// Purely a scheduling knob: per-job payloads, results and cycle charges
   /// are identical to unbatched dispatch. Seq groups always release one job
-  /// at a time regardless of this setting. 0 is invalid.
+  /// at a time regardless of this setting. 0 is invalid, and farm_ft,
+  /// farm_ft_master and farm_standby accept only 1 (SkelBatchError).
   std::size_t batch = 1;
 };
 
@@ -182,7 +183,8 @@ using Worker = std::function<bio::Bytes(rcce::Comm&, const bio::Bytes&)>;
 
 /// FARM (slave side): READY handshake, then serve jobs until TERMINATE. A
 /// JOB frame gets one RESULT; a BATCH grant is served job by job, in grant
-/// order, and answered with one BATCHRESULT.
+/// order, and answered with one BATCHRESULT. Throws SkelError, before any
+/// traffic, when opts.slave_idle_timeout is 0.
 void farm_slave(rcce::Comm& comm, int master_ue, const Worker& worker,
                 const FarmOptions& opts = {});
 
@@ -201,7 +203,8 @@ void farm_slave(rcce::Comm& comm, int master_ue, const Worker& worker,
 // corrupt frame is treated as a loss and the implicated job re-sent. The
 // farm completes all jobs as long as at least one slave allowed to run them
 // survives. Task flattening, LPT order, dispatch order, result acceptance
-// and the obs records are shared with farm().
+// and the obs records are shared with farm(), and farm_slave_ft() runs
+// farm_slave()'s loop; every lease entry also takes the shared FarmOptions.
 
 /// Deliberately broken protocol variants for the model checker's mutant
 /// catalogue (see DESIGN.md "Systematic exploration" and tools/rck_mc).
@@ -230,11 +233,10 @@ enum class ProtocolMutant : std::uint8_t {
 };
 
 /// Lease options of the fault-tolerant farm: farm_ft, farm_ft_master,
-/// farm_standby and farm_slave_ft all take them.
+/// farm_standby and farm_slave_ft take them after the shared FarmOptions.
 struct FaultTolerantFarmOptions {
-  FarmOptions base{};
   /// How long the master waits for READY handshakes before blacklisting the
-  /// slaves that stayed silent.
+  /// slaves that stayed silent. Must be > 0 when FarmOptions::wait_ready is on.
   noc::SimTime ready_timeout = 100 * noc::kPsPerMs;
   /// Fixed per-job lease. 0 (default) derives the lease from the job's
   /// cost_hint: lease_margin + lease_slack * predicted compute time.
@@ -280,21 +282,23 @@ struct FarmReport {
 /// results are ordered by completion. Throws FarmFailedError
 /// ("rck.skel.farm_failed") when no slave answers READY, no live slave can
 /// run a remaining job or a job exhausts max_attempts; SkelError on a bad
-/// tree or send_terminate = false; SkelBatchError on batch != 1; and
-/// SkelProtocolError on a result for an unknown job or a frame that is
-/// neither READY nor RESULT.
+/// tree, send_terminate = false or a zero ready_timeout (with wait_ready);
+/// SkelBatchError on batch != 1; and SkelProtocolError on a result for an
+/// unknown job or a frame that is neither READY nor RESULT.
 std::vector<JobResult> farm_ft(rcce::Comm& comm, const Task& task,
-                               const FaultTolerantFarmOptions& opts = {},
+                               const FarmOptions& opts = {},
+                               const FaultTolerantFarmOptions& ft = {},
                                FarmReport* report = nullptr);
 
-/// FARM (slave side), fault-tolerant: tolerates corrupt frames (the master's
-/// lease re-sends the job) and a dead master (returns instead of blocking
-/// forever, or — when opts.standby_ue >= 0 — switching to the standby with a
-/// fresh READY and continuing to serve jobs). Throws SkelError, before any
-/// traffic, when opts.master_silence_timeout is 0: a zero window would
-/// return from every timed receive without advancing simulated time.
+/// FARM (slave side), fault-tolerant: farm_slave's loop, but it skips
+/// corrupt or unexpected frames (the master's lease re-sends the job) and
+/// survives a dead master (returns instead of blocking forever, or — when
+/// ft.standby_ue >= 0 — switches to the standby with a fresh READY and
+/// keeps serving jobs). Throws SkelError, before any traffic, when
+/// ft.master_silence_timeout is 0.
 void farm_slave_ft(rcce::Comm& comm, int master_ue, const Worker& worker,
-                   const FaultTolerantFarmOptions& opts = {});
+                   const FarmOptions& opts = {},
+                   const FaultTolerantFarmOptions& ft = {});
 
 // ---- Master failover (checkpointed farm state) -----------------------------
 // farm_ft tolerates slave faults; the master itself is still a single point
@@ -304,11 +308,11 @@ void farm_slave_ft(rcce::Comm& comm, int master_ue, const Worker& worker,
 // standby misses heartbeats and the liveness oracle confirms the master is
 // dead, it loads the latest valid checkpoint, re-establishes leases with the
 // surviving slaves and finishes the farm without re-running any checkpointed
-// job. Master, standby and slaves take the same FaultTolerantFarmOptions,
-// whose standby_ue names the standby.
+// job. Master, standby and slaves take the same FarmOptions and
+// FaultTolerantFarmOptions, whose standby_ue names the standby.
 
-/// The master-ft protocol's own knobs, next to the FaultTolerantFarmOptions
-/// that farm_ft_master and farm_standby take.
+/// The master-ft protocol's own knobs, next to the FarmOptions and
+/// FaultTolerantFarmOptions that farm_ft_master and farm_standby take.
 struct MasterFtOptions {
   /// Replicate a checkpoint after this many newly accepted results (a final
   /// snapshot is always sent on completion, and an empty one at startup).
@@ -326,6 +330,7 @@ struct MasterFtOptions {
 /// must not be the master (SkelError otherwise). On completion the standby
 /// receives a final checkpoint followed by TERMINATE.
 std::vector<JobResult> farm_ft_master(rcce::Comm& comm, const Task& task,
+                                      const FarmOptions& opts,
                                       const FaultTolerantFarmOptions& ft,
                                       const MasterFtOptions& mft,
                                       FarmReport* report = nullptr);
@@ -335,10 +340,10 @@ std::vector<JobResult> farm_ft_master(rcce::Comm& comm, const Task& task,
 /// received). If the master dies, takes over: resumes the farm from the
 /// latest valid checkpoint and returns the complete result set (checkpointed
 /// results in their original completion order, then the remainder).
-/// `task` and `ft` must be the ones the master was given. Throws SkelError,
-/// before any traffic, when mft.heartbeat_timeout is 0.
+/// `task`, `opts` and `ft` must be the ones the master was given. Throws
+/// SkelError, before any traffic, when mft.heartbeat_timeout is 0.
 std::optional<std::vector<JobResult>> farm_standby(
-    rcce::Comm& comm, int master_ue, const Task& task,
+    rcce::Comm& comm, int master_ue, const Task& task, const FarmOptions& opts,
     const FaultTolerantFarmOptions& ft, const MasterFtOptions& mft,
     FarmReport* report = nullptr);
 

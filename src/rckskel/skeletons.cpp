@@ -189,68 +189,89 @@ void pipe_stage(rcce::Comm& comm, int upstream_ue, int downstream_ue,
 
 namespace {
 
-/// Serve one JOB frame: run `worker` on its payload and send the RESULT to
-/// `master`. The one job-serving routine of farm_slave and farm_slave_ft.
-void serve_job(rcce::Comm& comm, int master, const Worker& worker,
-               const Message& msg) {
+/// The one farm-slave loop behind farm_slave and farm_slave_ft: the paper's
+/// client_receive_job. A null `lease` is the plain FARM's slave. Under
+/// leases the loop reads master_silence_timeout instead of
+/// slave_idle_timeout, outlasts or re-homes from a silent master instead of
+/// failing, and skips corrupt frames and protocol noise.
+void run_slave(rcce::Comm& comm, int master_ue, const Worker& worker,
+               const FarmOptions& opts, const FaultTolerantFarmOptions* lease) {
+  const noc::SimTime window =
+      lease != nullptr ? lease->master_silence_timeout : opts.slave_idle_timeout;
+  // A zero window returns from every timed receive at once without
+  // advancing simulated time: the slave would spin on its fiber forever.
+  if (window == 0)
+    throw SkelError(lease != nullptr
+                        ? "farm_slave_ft: master_silence_timeout must be > 0"
+                        : "farm_slave: slave_idle_timeout must be > 0");
   const obs::Handle h = comm.obs();
-  const noc::SimTime t0 = comm.ctx().now();
-  comm.mc_proto(mc::ProtoKind::Exec, msg.job_id);
-  const bio::Bytes out = worker(comm, msg.payload);
-  comm.send(master, encode_result(msg.job_id, out));
-  comm.mc_proto(mc::ProtoKind::ResultSent, msg.job_id);
-  if (h) {
-    const noc::SimTime t1 = comm.ctx().now();
-    h.span(obs::Lane::Core, h.ids().n_job, t0, t1, msg.job_id);
-    h.observe(h.ids().farm_slave_job_ps, t1 - t0);
-  }
-}
-
-}  // namespace
-
-void farm_slave(rcce::Comm& comm, int master_ue, const Worker& worker,
-                const FarmOptions& opts) {
-  const obs::Handle h = comm.obs();
-  if (opts.wait_ready) {
-    comm.send(master_ue, encode_ready());
+  const auto send_ready = [&](int to) {
+    comm.send(to, encode_ready());
     if (h)
       h.instant(obs::Lane::Core, h.ids().n_ready, comm.ctx().now(),
                 static_cast<std::uint64_t>(comm.ue()));
-  }
+  };
+  int master = master_ue;
+  if (opts.wait_ready) send_ready(master);
   // BATCH scratch: the decoded grant and its results grow to the largest
   // grant once and are reused after that.
   std::vector<Job> grant;
   std::vector<bio::Bytes> outs;
   for (;;) {
-    // Bounded idle wait: the plain farm assumes a reliable master, but a
-    // crashed (or wedged) one must fail the simulation loudly rather than
-    // leave this slave blocked in recv() forever.
-    std::optional<bio::Bytes> frame =
-        comm.recv_timeout(master_ue, opts.slave_idle_timeout);
+    std::optional<bio::Bytes> frame = comm.recv_timeout(master, window);
     if (!frame) {
-      if (!comm.ue_alive(master_ue))
-        throw scc::FaultStallError(
-            "farm_slave: master UE " + std::to_string(master_ue) +
-            " crashed; slave " + std::to_string(comm.ue()) + " orphaned");
-      throw scc::DeadlockError(
-          "farm_slave: no traffic from master UE " + std::to_string(master_ue) +
-          " within the idle timeout; slave " + std::to_string(comm.ue()) +
-          " giving up");
+      const bool alive = comm.ue_alive(master);
+      if (lease == nullptr) {
+        // The plain farm assumes a reliable master, but a crashed (or
+        // wedged) one must fail the simulation loudly rather than leave
+        // this slave waiting forever.
+        if (!alive)
+          throw scc::FaultStallError(
+              "farm_slave: master UE " + std::to_string(master) +
+              " crashed; slave " + std::to_string(comm.ue()) + " orphaned");
+        throw scc::DeadlockError(
+            "farm_slave: no traffic from master UE " + std::to_string(master) +
+            " within the idle timeout; slave " + std::to_string(comm.ue()) +
+            " giving up");
+      }
+      if (alive) continue;  // quiet spell; keep listening
+      // Orphaned by a master crash: re-home onto the standby (announcing
+      // ourselves with a fresh READY) or, with no standby configured, return.
+      if (lease->standby_ue < 0 || lease->standby_ue == master ||
+          lease->standby_ue == comm.ue())
+        return;
+      master = lease->standby_ue;
+      send_ready(master);
+      continue;
     }
-    Message msg = decode_message(std::move(*frame));
+    Message msg;
+    try {
+      msg = decode_message(std::move(*frame));
+      if (msg.type == MsgType::Batch) decode_batch_jobs(msg.payload, grant);
+    } catch (const bio::WireError&) {
+      if (lease == nullptr) throw;
+      continue;  // corrupted frame: the master's lease re-sends its job
+    }
+    const noc::SimTime t0 = comm.ctx().now();
     switch (msg.type) {
-      case MsgType::Job:
-        serve_job(comm, master_ue, worker, msg);
+      case MsgType::Job: {
+        comm.mc_proto(mc::ProtoKind::Exec, msg.job_id);
+        const bio::Bytes out = worker(comm, msg.payload);
+        comm.send(master, encode_result(msg.job_id, out));
+        comm.mc_proto(mc::ProtoKind::ResultSent, msg.job_id);
+        if (h) {
+          const noc::SimTime t1 = comm.ctx().now();
+          h.span(obs::Lane::Core, h.ids().n_job, t0, t1, msg.job_id);
+          h.observe(h.ids().farm_slave_job_ps, t1 - t0);
+        }
         break;
+      }
       case MsgType::Batch: {
-        // A grant of several jobs, served one by one in grant order and
-        // answered with one BATCHRESULT. Every job's span covers the grant.
-        const noc::SimTime t0 = comm.ctx().now();
-        decode_batch_jobs(msg.payload, grant);
+        // Every job's span covers the whole grant.
         outs.clear();
         for (const Job& job : grant) comm.mc_proto(mc::ProtoKind::Exec, job.id);
         for (const Job& job : grant) outs.push_back(worker(comm, job.payload));
-        comm.send(master_ue, encode_batch_result(grant, outs));
+        comm.send(master, encode_batch_result(grant, outs));
         for (const Job& job : grant)
           comm.mc_proto(mc::ProtoKind::ResultSent, job.id);
         if (h) {
@@ -265,12 +286,12 @@ void farm_slave(rcce::Comm& comm, int master_ue, const Worker& worker,
       case MsgType::Terminate:
         return;
       default:
-        throw SkelProtocolError("farm_slave: unexpected message type");
+        if (lease == nullptr)
+          throw SkelProtocolError("farm_slave: unexpected message type");
+        break;  // protocol noise under leases
     }
   }
 }
-
-namespace {
 
 /// Master-side context for the master-ft protocol: checkpoint/heartbeat
 /// replication towards a standby (primary master), or the state to resume
@@ -294,6 +315,7 @@ std::vector<JobResult> run_farm(rcce::Comm& comm, const Task& task,
   const obs::Handle h = comm.obs();
   const noc::SimTime farm_start = comm.ctx().now();
   const std::string who = lease != nullptr ? "farm_ft: " : "farm: ";
+  const bool promoted = mctx != nullptr && mctx->failover_detected != 0;
   if (lease == nullptr) {
     if (opts.batch == 0) throw SkelBatchError("farm: batch must be >= 1");
   } else if (opts.batch != 1) {
@@ -306,8 +328,11 @@ std::vector<JobResult> run_farm(rcce::Comm& comm, const Task& task,
     throw SkelError(
         "farm_ft: send_terminate must stay on — fault-tolerant slaves stop "
         "only on TERMINATE");
+  } else if (!promoted && opts.wait_ready && lease->ready_timeout == 0) {
+    // A deadline that is already due blacklists every slave before any
+    // READY can arrive, so the farm could only fail.
+    throw SkelError("farm_ft: ready_timeout must be > 0 while waiting for READY");
   }
-  const bool promoted = mctx != nullptr && mctx->failover_detected != 0;
   const bool replicate = mctx != nullptr && !promoted;
   const int standby = replicate ? lease->standby_ue : -1;
   const ProtocolMutant mutant =
@@ -864,13 +889,20 @@ std::vector<JobResult> farm(rcce::Comm& comm, const Task& task, const FarmOption
   return run_farm(comm, task, opts, nullptr, nullptr, nullptr);
 }
 
+void farm_slave(rcce::Comm& comm, int master_ue, const Worker& worker,
+                const FarmOptions& opts) {
+  run_slave(comm, master_ue, worker, opts, nullptr);
+}
+
 std::vector<JobResult> farm_ft(rcce::Comm& comm, const Task& task,
-                               const FaultTolerantFarmOptions& opts,
+                               const FarmOptions& opts,
+                               const FaultTolerantFarmOptions& ft,
                                FarmReport* report) {
-  return run_farm(comm, task, opts.base, &opts, report, nullptr);
+  return run_farm(comm, task, opts, &ft, report, nullptr);
 }
 
 std::vector<JobResult> farm_ft_master(rcce::Comm& comm, const Task& task,
+                                      const FarmOptions& opts,
                                       const FaultTolerantFarmOptions& ft,
                                       const MasterFtOptions& mft,
                                       FarmReport* report) {
@@ -880,11 +912,11 @@ std::vector<JobResult> farm_ft_master(rcce::Comm& comm, const Task& task,
     throw SkelError("farm_ft_master: master cannot be its own standby");
   MasterCtx mc;
   mc.mft = &mft;
-  return run_farm(comm, task, ft.base, &ft, report, &mc);
+  return run_farm(comm, task, opts, &ft, report, &mc);
 }
 
 std::optional<std::vector<JobResult>> farm_standby(
-    rcce::Comm& comm, int master_ue, const Task& task,
+    rcce::Comm& comm, int master_ue, const Task& task, const FarmOptions& opts,
     const FaultTolerantFarmOptions& ft, const MasterFtOptions& mft,
     FarmReport* report) {
   // A zero window returns from every timed receive at once without
@@ -943,55 +975,12 @@ std::optional<std::vector<JobResult>> farm_standby(
   mc.mft = &mft;
   mc.resume = have ? &best : nullptr;
   mc.failover_detected = detected;
-  return run_farm(comm, task, ft.base, &ft, report, &mc);
+  return run_farm(comm, task, opts, &ft, report, &mc);
 }
 
 void farm_slave_ft(rcce::Comm& comm, int master_ue, const Worker& worker,
-                   const FaultTolerantFarmOptions& opts) {
-  // A zero window returns from every timed receive at once without
-  // advancing simulated time: the slave would spin on its fiber forever.
-  if (opts.master_silence_timeout == 0)
-    throw SkelError("farm_slave_ft: master_silence_timeout must be > 0");
-  const obs::Handle h = comm.obs();
-  const auto send_ready = [&](int to) {
-    comm.send(to, encode_ready());
-    if (h)
-      h.instant(obs::Lane::Core, h.ids().n_ready, comm.ctx().now(),
-                static_cast<std::uint64_t>(comm.ue()));
-  };
-  int master = master_ue;
-  if (opts.base.wait_ready) send_ready(master);
-  for (;;) {
-    std::optional<bio::Bytes> frame =
-        comm.recv_timeout(master, opts.master_silence_timeout);
-    if (!frame) {
-      if (comm.ue_alive(master)) continue;  // quiet spell; keep listening
-      // Orphaned by a master crash: re-home onto the standby (announcing
-      // ourselves with a fresh READY) or, with no standby configured,
-      // return as before.
-      if (opts.standby_ue < 0 || opts.standby_ue == master ||
-          opts.standby_ue == comm.ue())
-        return;
-      master = opts.standby_ue;
-      send_ready(master);
-      continue;
-    }
-    Message msg;
-    try {
-      msg = decode_message(std::move(*frame));
-    } catch (const bio::WireError&) {
-      continue;  // corrupted JOB: the master's lease re-sends it
-    }
-    switch (msg.type) {
-      case MsgType::Job:
-        serve_job(comm, master, worker, msg);
-        break;
-      case MsgType::Terminate:
-        return;
-      default:
-        break;  // tolerate protocol noise instead of dying on it
-    }
-  }
+                   const FarmOptions& opts, const FaultTolerantFarmOptions& ft) {
+  run_slave(comm, master_ue, worker, opts, &ft);
 }
 
 }  // namespace rck::rckskel

@@ -1,12 +1,13 @@
-// rck::service — a long-running alignment query engine over a resident,
-// preprocessed structure database.
+// rck::service — a long-running alignment query engine over a resident
+// structure database.
 //
 // Where rck::run() answers one offline all-vs-all batch and rck::run_query()
 // answers one standalone query, the Service owns state that outlives any
 // single request:
 //
-//   * a database of Entry records, validated once at load time (each round's
-//     job build serializes every structure it references once);
+//   * a database of structures, each checked non-empty once at load time
+//     (each round's job build serializes every structure it references
+//     once);
 //   * the lower-triangular all-vs-all similarity matrix over that database,
 //     kept incrementally: adding one structure to an N-entry database costs
 //     exactly N comparisons (one new matrix column), never a rebuild;
@@ -58,12 +59,6 @@ class OverloadError : public Error {
       : Error("rck.service.overload", message) {}
 };
 
-/// One database structure, validated (non-empty) when it enters the
-/// service.
-struct Entry {
-  bio::Protein protein;
-};
-
 /// One cell of the resident all-vs-all matrix: the comparison of entry i
 /// (chain a) onto entry j (chain b), i < j, under the service's matrix
 /// method (RunConfig::methods.front()).
@@ -93,7 +88,7 @@ struct Stats {
 
 class Service {
  public:
-  /// Take ownership of `database`, preprocess every entry, and build the
+  /// Take ownership of `database`, check every entry, and build the
   /// all-vs-all matrix eagerly in one farm run (C(N,2) comparisons).
   /// Throws ConfigError on an invalid `cfg`, ServiceError on an empty
   /// database entry. Matrix and query work both honor cfg's farm knobs;
@@ -102,7 +97,7 @@ class Service {
 
   // -- database ---------------------------------------------------------
   std::size_t size() const noexcept { return entries_.size(); }
-  const Entry& entry(std::size_t i) const { return entries_.at(i); }
+  const bio::Protein& entry(std::size_t i) const { return entries_.at(i); }
   /// Matrix cell for entries i and j (i != j, any order; the cell is
   /// stored once for i < j).
   const MatrixCell& matrix_at(std::size_t i, std::size_t j) const;
@@ -113,7 +108,7 @@ class Service {
 
   /// Add one structure to the resident database. Issues exactly size()
   /// comparisons (the new matrix column) in one farm run — never a
-  /// rebuild — and preprocesses the entry like the constructor did.
+  /// rebuild — and checks the entry like the constructor does.
   /// Returns the new entry's index. Offline matrix work does not advance
   /// the query clock.
   std::size_t add_structure(bio::Protein p);
@@ -154,15 +149,12 @@ class Service {
     Query query;
   };
 
-  Entry preprocess(bio::Protein p) const;
   void rebuild_tables();
-  rckalign::PairsRun run_round(std::span<const rckalign::PairSpec> specs,
-                               std::span<const bio::Protein* const> structures);
   void shed_query(Pending&& p, std::vector<QueryResult>& out);
 
   RunConfig cfg_;
   rckalign::PairsOptions round_opts_;  ///< cfg_ lowered, obs/chk stripped
-  std::vector<Entry> entries_;
+  std::vector<bio::Protein> entries_;
   std::vector<MatrixCell> matrix_;
   /// Pointer table over entries_, rebuilt whenever the database changes.
   std::vector<const bio::Protein*> db_ptrs_;

@@ -28,6 +28,13 @@ MatrixCell cell_of(const rckalign::PairsRow& row) {
   return c;
 }
 
+/// Database structures must have residues: an empty chain has nothing to
+/// align.
+void check_entry(const bio::Protein& p) {
+  if (p.empty())
+    throw ServiceError("database structure '" + p.name() + "' has no residues");
+}
+
 std::string join_query_issues(const std::vector<ConfigIssue>& issues) {
   std::string msg = "rejected query";
   for (const ConfigIssue& issue : issues) {
@@ -67,7 +74,10 @@ Service::Service(std::vector<bio::Protein> database, RunConfig cfg)
   rec_->seal();
 
   entries_.reserve(database.size());
-  for (bio::Protein& p : database) entries_.push_back(preprocess(std::move(p)));
+  for (bio::Protein& p : database) {
+    check_entry(p);
+    entries_.push_back(std::move(p));
+  }
   rebuild_tables();
 
   // Eager all-vs-all build: spec k is exactly matrix_[k] (tri_index order),
@@ -80,7 +90,7 @@ Service::Service(std::vector<bio::Protein> database, RunConfig cfg)
     for (std::uint32_t j = 1; j < n; ++j)
       for (std::uint32_t i = 0; i < j; ++i)
         specs.push_back(rckalign::PairSpec{i, j, method});
-    rckalign::PairsRun run = run_round(specs, db_ptrs_);
+    rckalign::PairsRun run = rckalign::run_pairs(db_ptrs_, specs, round_opts_);
     matrix_.resize(specs.size());
     for (const rckalign::PairsRow& row : run.rows)
       matrix_[row.spec] = cell_of(row);
@@ -89,22 +99,10 @@ Service::Service(std::vector<bio::Protein> database, RunConfig cfg)
   }
 }
 
-Entry Service::preprocess(bio::Protein p) const {
-  if (p.empty())
-    throw ServiceError("database structure '" + p.name() + "' has no residues");
-  return Entry{std::move(p)};
-}
-
 void Service::rebuild_tables() {
   db_ptrs_.clear();
   db_ptrs_.reserve(entries_.size());
-  for (const Entry& e : entries_) db_ptrs_.push_back(&e.protein);
-}
-
-rckalign::PairsRun Service::run_round(
-    std::span<const rckalign::PairSpec> specs,
-    std::span<const bio::Protein* const> structures) {
-  return rckalign::run_pairs(structures, specs, round_opts_);
+  for (const bio::Protein& p : entries_) db_ptrs_.push_back(&p);
 }
 
 const MatrixCell& Service::matrix_at(std::size_t i, std::size_t j) const {
@@ -117,9 +115,9 @@ const MatrixCell& Service::matrix_at(std::size_t i, std::size_t j) const {
 }
 
 std::size_t Service::add_structure(bio::Protein p) {
-  Entry e = preprocess(std::move(p));
+  check_entry(p);
   const auto n = static_cast<std::uint32_t>(entries_.size());
-  entries_.push_back(std::move(e));
+  entries_.push_back(std::move(p));
   rebuild_tables();
 
   // Exactly n comparisons: the new column (i, n) for every existing i,
@@ -130,7 +128,7 @@ std::size_t Service::add_structure(bio::Protein p) {
     const rckalign::Method method = cfg_.methods.front();
     for (std::uint32_t i = 0; i < n; ++i)
       specs.push_back(rckalign::PairSpec{i, n, method});
-    rckalign::PairsRun run = run_round(specs, db_ptrs_);
+    rckalign::PairsRun run = rckalign::run_pairs(db_ptrs_, specs, round_opts_);
     const std::size_t base = matrix_.size();
     matrix_.resize(base + n);
     for (const rckalign::PairsRow& row : run.rows)
@@ -241,7 +239,7 @@ std::vector<QueryResult> Service::drain() {
       owner.resize(specs.size(), static_cast<std::uint32_t>(qi));
     }
 
-    rckalign::PairsRun run = run_round(specs, structures);
+    rckalign::PairsRun run = rckalign::run_pairs(structures, specs, round_opts_);
     stats_.clock += static_cast<noc::SimTime>(run.makespan);
     stats_.busy += static_cast<noc::SimTime>(run.makespan);
     stats_.rounds += 1;

@@ -115,6 +115,28 @@ TEST(RunConfig, RejectsZeroMasterSilenceTimeoutUnderTheFtFarm) {
   EXPECT_TRUE(has_issue(faulty.validate(), "ft.master_silence_timeout"));
 }
 
+TEST(RunConfig, RejectsZeroReadyTimeoutUnderTheFtFarm) {
+  // A READY deadline that is already due blacklists every slave before it
+  // can answer, so every such FT run would fail in the farm.
+  RunConfig plain;
+  plain.ft.ready_timeout = 0;
+  EXPECT_TRUE(plain.validate().empty());  // the plain farm never reads it
+
+  RunConfig ft = plain;
+  ft.with_fault_tolerance();
+  EXPECT_TRUE(has_issue(ft.validate(), "ft.ready_timeout"));
+
+  RunConfig mft = plain;
+  mft.with_master_ft();
+  EXPECT_TRUE(has_issue(mft.validate(), "ft.ready_timeout"));
+
+  RunConfig faulty = plain;
+  scc::FaultPlan plan;
+  plan.crashes.push_back({3, 1'000'000});
+  faulty.with_faults(plan);
+  EXPECT_TRUE(has_issue(faulty.validate(), "ft.ready_timeout"));
+}
+
 TEST(RunConfig, RejectsBadBatch) {
   RunConfig cfg;
   cfg.with_batch(0);
@@ -292,13 +314,22 @@ TEST(Run, UncachedFaultTolerantRunMatchesThePlainRun) {
 TEST(Run, FaultTolerantRunRejectsSendTerminateOff) {
   // Fault-tolerant slaves stop only on TERMINATE, so a master that would
   // never send it is rejected before the READY phase instead of stranding
-  // every slave.
-  const std::vector<bio::Protein> dataset = bio::build_dataset(bio::tiny_spec());
-  const rckalign::PairCache cache = rckalign::PairCache::build(dataset, 1);
-  RunConfig cfg;
-  cfg.with_slaves(3).with_cache(&cache).with_fault_tolerance();
-  cfg.ft.base.send_terminate = false;
-  EXPECT_THROW(rck::run(dataset, cfg), rckskel::SkelError);
+  // every slave. RunConfig cannot ask for that; the farm entry point can.
+  rckskel::FarmOptions opts;
+  opts.send_terminate = false;
+  const rckskel::Worker echo = [](rcce::Comm&, const bio::Bytes& p) { return p; };
+  scc::SpmdRuntime rt{scc::RuntimeConfig{}};
+  EXPECT_THROW(rt.run(2,
+                      [&](scc::CoreCtx& ctx) {
+                        rcce::Comm comm(ctx);
+                        if (comm.ue() == 0)
+                          (void)rckskel::farm_ft(
+                              comm, rckskel::Task::make_par({1}, {rckskel::Job{}}),
+                              opts);
+                        else
+                          rckskel::farm_slave_ft(comm, 0, echo, opts);
+                      }),
+               rckskel::SkelError);
 }
 
 // -- error taxonomy -----------------------------------------------------

@@ -287,8 +287,8 @@ TEST(BatchFarm, FaultTolerantFarmsRejectBatching) {
   // The FT farms lease/retry individual jobs; batched grants are explicitly
   // unsupported rather than silently un-batched.
   scc::SpmdRuntime rt{scc::RuntimeConfig{}};
-  FaultTolerantFarmOptions opts;
-  opts.base.batch = 2;
+  FarmOptions opts;
+  opts.batch = 2;
   EXPECT_THROW(rt.run(2,
                       [&](scc::CoreCtx& ctx) {
                         rcce::Comm comm(ctx);

@@ -73,9 +73,9 @@ FtRun run_ft(const scc::FaultPlan& plan, std::uint32_t njobs, int nslaves,
       std::vector<int> slaves;
       for (int s = 1; s <= nslaves; ++s) slaves.push_back(s);
       const Task task = Task::make_par(slaves, numbered_jobs(njobs));
-      out.results = farm_ft(comm, task, opts, &out.report);
+      out.results = farm_ft(comm, task, {}, opts, &out.report);
     } else {
-      farm_slave_ft(comm, 0, slow_doubling_worker, opts);
+      farm_slave_ft(comm, 0, slow_doubling_worker, {}, opts);
     }
   });
   return out;
@@ -211,9 +211,9 @@ TEST(FtFarm, AllSlavesDeadThrows) {
                         if (comm.ue() == 0) {
                           const Task task =
                               Task::make_par({1, 2}, numbered_jobs(4));
-                          (void)farm_ft(comm, task, test_ft_options());
+                          (void)farm_ft(comm, task, {}, test_ft_options());
                         } else {
-                          farm_slave_ft(comm, 0, slow_doubling_worker,
+                          farm_slave_ft(comm, 0, slow_doubling_worker, {},
                                         test_ft_options());
                         }
                       }),
@@ -224,7 +224,7 @@ TEST(FtFarm, DuplicateJobIdsRejected) {
   // Both master flavours key their job tracking by id.
   const std::function<void(rcce::Comm&, const Task&)> masters[] = {
       [](rcce::Comm& comm, const Task& task) {
-        (void)farm_ft(comm, task, test_ft_options());
+        (void)farm_ft(comm, task, {}, test_ft_options());
       },
       [](rcce::Comm& comm, const Task& task) { (void)farm(comm, task); },
   };
@@ -255,7 +255,25 @@ TEST(FtFarm, ZeroMasterSilenceTimeoutRejected) {
                       [&](scc::CoreCtx& ctx) {
                         rcce::Comm comm(ctx);
                         if (comm.ue() == 1)
-                          farm_slave_ft(comm, 0, slow_doubling_worker, opts);
+                          farm_slave_ft(comm, 0, slow_doubling_worker, {}, opts);
+                      }),
+               SkelError);
+}
+
+TEST(FtFarm, ZeroReadyTimeoutRejected) {
+  // A READY deadline that is already due would blacklist every slave before
+  // it could answer; the lease master refuses it before the handshake.
+  FaultTolerantFarmOptions opts = test_ft_options();
+  opts.ready_timeout = 0;
+  scc::SpmdRuntime rt{scc::RuntimeConfig{}};
+  EXPECT_THROW(rt.run(2,
+                      [&](scc::CoreCtx& ctx) {
+                        rcce::Comm comm(ctx);
+                        if (comm.ue() == 0)
+                          (void)farm_ft(comm, Task::make_par({1}, numbered_jobs(2)),
+                                        {}, opts);
+                        else
+                          farm_slave_ft(comm, 0, slow_doubling_worker, {}, opts);
                       }),
                SkelError);
 }

@@ -102,13 +102,13 @@ MftRun run_mft(const scc::FaultPlan& plan, std::uint32_t njobs, int nslaves,
     for (int s = 1; s <= nslaves; ++s) slaves.push_back(s);
     if (comm.ue() == 0) {
       const Task task = Task::make_par(slaves, numbered_jobs(njobs));
-      out.results = farm_ft_master(comm, task, ft, mft, &out.master_report);
+      out.results = farm_ft_master(comm, task, {}, ft, mft, &out.master_report);
     } else if (comm.ue() == nslaves + 1) {
       const Task task = Task::make_par(slaves, numbered_jobs(njobs));
       out.standby_results =
-          farm_standby(comm, 0, task, ft, mft, &out.standby_report);
+          farm_standby(comm, 0, task, {}, ft, mft, &out.standby_report);
     } else {
-      farm_slave_ft(comm, 0, worker, ft);
+      farm_slave_ft(comm, 0, worker, {}, ft);
     }
   });
   out.executions.resize(njobs);
@@ -148,7 +148,7 @@ TEST(MasterFt, MasterMustNameAStandby) {
                         if (comm.ue() == 0) {
                           const Task task =
                               Task::make_par({1}, numbered_jobs(2));
-                          (void)farm_ft_master(comm, task, ft, {});
+                          (void)farm_ft_master(comm, task, {}, ft, {});
                         }
                       }),
                SkelError);
@@ -165,7 +165,7 @@ TEST(MasterFt, ZeroHeartbeatTimeoutRejected) {
                         if (comm.ue() == 2) {
                           const Task task =
                               Task::make_par({1}, numbered_jobs(2));
-                          (void)farm_standby(comm, 0, task,
+                          (void)farm_standby(comm, 0, task, {},
                                              test_ft_options(1), mft);
                         }
                       }),

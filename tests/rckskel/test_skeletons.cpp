@@ -133,6 +133,23 @@ TEST(Farm, OrphanedSlaveRaisesDeadlockWhenMasterIsAliveButSilent) {
                scc::DeadlockError);
 }
 
+TEST(Farm, ZeroSlaveIdleTimeoutRejected) {
+  // A zero window makes every timed receive return at once: the slave would
+  // give up on a live master before its first job could arrive.
+  scc::SpmdRuntime rt{scc::RuntimeConfig{}};
+  FarmOptions opts;
+  opts.slave_idle_timeout = 0;
+  EXPECT_THROW(rt.run(2,
+                      [&](scc::CoreCtx& ctx) {
+                        rcce::Comm comm(ctx);
+                        if (comm.ue() == 0)
+                          (void)farm(comm, Task::make_par({1}, numbered_jobs(2)));
+                        else
+                          farm_slave(comm, 0, doubling_worker, opts);
+                      }),
+               SkelError);
+}
+
 TEST(Farm, SingleSlave) {
   scc::SpmdRuntime rt{scc::RuntimeConfig{}};
   std::size_t count = 0;
@@ -320,7 +337,7 @@ FaultTolerantFarmOptions scripted_ft_options() {
 }
 
 void ft_master(rcce::Comm& comm) {
-  (void)farm_ft(comm, Task::make_par({1}, numbered_jobs(4)),
+  (void)farm_ft(comm, Task::make_par({1}, numbered_jobs(4)), {},
                 scripted_ft_options());
 }
 

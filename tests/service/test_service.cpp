@@ -37,10 +37,8 @@ TEST(Service, PreprocessesEveryEntryAtLoad) {
   const auto db = make_db(3);
   service::Service svc(db, config(3));
   ASSERT_EQ(svc.size(), 3u);
-  for (std::size_t i = 0; i < svc.size(); ++i) {
-    const service::Entry& e = svc.entry(i);
-    EXPECT_EQ(e.protein.name(), db[i].name());
-  }
+  for (std::size_t i = 0; i < svc.size(); ++i)
+    EXPECT_EQ(svc.entry(i).name(), db[i].name());
 }
 
 TEST(Service, MatrixMatchesDirectKernel) {
