@@ -253,7 +253,7 @@ int main(int argc, char** argv) {
                              ? scc::HostParallelism::hardware().threads
                              : host_threads)
       .with_obs(obs_cfg);
-  cfg.runtime.enable_trace = gantt || heatmap;
+  if (gantt || heatmap) cfg.with_collect();  // both pictures read the recorder
   if (crash_master_ms >= 0.0) master_ft = true;
   if (master_ft) cfg.with_master_ft();
   if (crash_master_ms >= 0.0) {
@@ -310,11 +310,11 @@ int main(int argc, char** argv) {
     return 2;
   }
 
-  if (gantt) {
-    std::printf("\n%s\n",
-                scc::render_gantt(run.trace, slaves + 1, run.makespan).c_str());
+  if (gantt) std::printf("\n%s\n", scc::render_gantt(*run.obs, run.makespan).c_str());
+  if (heatmap) {
+    const noc::Mesh mesh = cfg.runtime.chip.make_mesh();
+    std::printf("\n%s\n", noc::render_link_heatmap(*run.obs, mesh, run.makespan).c_str());
   }
-  if (heatmap) std::printf("\n%s\n", run.link_heatmap.c_str());
 
   std::printf("rckAlign: %d slaves%s -> %.2f simulated seconds, %llu sim events\n",
               slaves, lpt ? " (LPT)" : "", noc::to_seconds(run.makespan),

@@ -4,7 +4,7 @@
 #include <algorithm>
 #include <cstdio>
 #include <sstream>
-#include <stdexcept>
+#include <vector>
 
 namespace rck::noc {
 
@@ -15,17 +15,28 @@ char utilization_digit(double fraction) noexcept {
   return static_cast<char>('0' + tenth);
 }
 
-std::string render_link_heatmap(const Network& net, SimTime makespan) {
+std::string render_link_heatmap(const obs::Recorder& rec, const Mesh& mesh,
+                                SimTime makespan) {
   if (makespan == 0) throw NocError("render_link_heatmap: zero makespan");
-  const Mesh& mesh = net.mesh();
   const double span = static_cast<double>(makespan);
 
-  const auto pair_util = [&](int a, int b) {
-    // Busier direction of the {a->b, b->a} pair.
-    const double fwd = static_cast<double>(net.link_stats({a, b}).busy) / span;
-    const double rev = static_cast<double>(net.link_stats({b, a}).busy) / span;
-    return std::max(fwd, rev);
+  // Busy time per directed link, indexed like Mesh::link_index.
+  std::vector<SimTime> busy(static_cast<std::size_t>(mesh.link_index_bound()), 0);
+  const obs::NameId link = rec.std_ids().n_link;
+  for (int s = 0; s < rec.shard_count(); ++s) {
+    for (const obs::TraceRecord& r : rec.shard_trace(s)) {
+      if (r.ph == obs::Ph::Span && r.name == link && r.id < busy.size() &&
+          (r.lane == obs::Lane::LinkX || r.lane == obs::Lane::LinkY))
+        busy[r.id] += r.dur;
+    }
+  }
+
+  const auto util = [&](int from, int to) {
+    const auto idx = static_cast<std::size_t>(mesh.link_index({from, to}));
+    return static_cast<double>(busy[idx]) / span;
   };
+  // Busier direction of the {a->b, b->a} pair.
+  const auto pair_util = [&](int a, int b) { return std::max(util(a, b), util(b, a)); };
 
   std::ostringstream os;
   char buf[16];

@@ -1,6 +1,6 @@
 // ASCII utilization heatmap of the mesh links.
 //
-// Renders the network's per-link busy fractions onto the chip floorplan:
+// Renders a run's per-link busy fractions onto the chip floorplan:
 //
 //   [00] 4>[01] 2>[02] ...
 //    v1     v0     v3
@@ -13,13 +13,19 @@
 
 #include <string>
 
-#include "rck/noc/network.hpp"
+#include "rck/noc/mesh.hpp"
+#include "rck/noc/sim_time.hpp"
+#include "rck/obs/obs.hpp"
 
 namespace rck::noc {
 
-/// Render the utilization of every adjacent link pair over [0, makespan].
-/// Throws std::invalid_argument when makespan is 0.
-std::string render_link_heatmap(const Network& net, SimTime makespan);
+/// Render the utilization of every adjacent link pair of `mesh` over
+/// [0, makespan]. A link's busy time is the sum of the `link` spans on the
+/// X and Y lanes with its link index, in any shard of `rec` (the spans a
+/// Network records through its observer; they sum to LinkStats::busy).
+/// Throws NocError ("rck.noc.invalid") when makespan is 0.
+std::string render_link_heatmap(const obs::Recorder& rec, const Mesh& mesh,
+                                SimTime makespan);
 
 /// Digit for a utilization fraction: '0'..'9', '*' for >= 0.95, clamped.
 char utilization_digit(double fraction) noexcept;

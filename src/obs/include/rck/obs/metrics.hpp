@@ -32,7 +32,7 @@ class ObsError : public rck::Error {
       : Error("rck.obs.misuse", message) {}
 };
 
-/// Sink I/O failure (cannot open / short write). Code "rck.obs.io".
+/// obs::flush I/O failure (cannot open / short write). Code "rck.obs.io".
 class ObsIoError : public rck::Error {
  public:
   explicit ObsIoError(const std::string& message)

@@ -44,9 +44,6 @@ struct Config {
   std::string trace_path;
   /// Write the merged metrics JSON here after the run (implies enable).
   std::string metrics_path;
-  /// Trace records reserved per shard up front (vector growth after that is
-  /// amortized; metrics are allocation-free regardless).
-  std::size_t trace_reserve = 4096;
 
   bool active() const noexcept {
     return enable || !trace_path.empty() || !metrics_path.empty();
@@ -207,6 +204,10 @@ class Recorder {
     bool operator==(const MergedRecord&) const = default;
   };
   std::vector<MergedRecord> merged_trace() const;
+  /// Shard `shard`'s trace records in append order. Valid after seal().
+  const std::vector<TraceRecord>& shard_trace(int shard) const {
+    return shards_[static_cast<std::size_t>(shard)].trace;
+  }
 
  private:
   struct GaugeCell {

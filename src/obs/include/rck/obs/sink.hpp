@@ -1,15 +1,12 @@
-// Output sinks for the rck::obs recorder.
+// Output of the rck::obs recorder.
 //
-// A Sink consumes the post-run state of a Recorder and materializes it
-// somewhere (a file, a string, nowhere). Sinks run strictly after the
-// simulation finishes, on the calling host thread; serialization is pure
-// (integer-only formatting, fixed iteration orders), so identical recorder
-// contents produce byte-identical output.
+// Serialization runs strictly after the simulation finishes, on the calling
+// host thread, and is pure (integer-only formatting, fixed iteration
+// orders), so identical recorder contents produce byte-identical output.
 #pragma once
 
 #include <memory>
 #include <string>
-#include <vector>
 
 #include "rck/obs/obs.hpp"
 
@@ -21,43 +18,10 @@ namespace rck::obs {
 /// precision, derived from integer ps by division — no floating point.
 std::string chrome_trace_json(const Recorder& rec);
 
-class Sink {
- public:
-  virtual ~Sink() = default;
-  virtual void consume(const Recorder& rec) = 0;
-};
-
-/// Discards everything. Useful to exercise serialization costs in benches.
-class NullSink final : public Sink {
- public:
-  void consume(const Recorder& rec) override;
-};
-
-/// Writes Snapshot::to_json() ("rck-obs-metrics-v1") to a file.
-class JsonFileSink final : public Sink {
- public:
-  explicit JsonFileSink(std::string path) : path_(std::move(path)) {}
-  void consume(const Recorder& rec) override;
-
- private:
-  std::string path_;
-};
-
-/// Writes chrome_trace_json() to a file.
-class ChromeTraceSink final : public Sink {
- public:
-  explicit ChromeTraceSink(std::string path) : path_(std::move(path)) {}
-  void consume(const Recorder& rec) override;
-
- private:
-  std::string path_;
-};
-
-/// Builds the sinks a Config asks for (metrics_path -> JsonFileSink,
-/// trace_path -> ChromeTraceSink). Empty when the config names no outputs.
-std::vector<std::unique_ptr<Sink>> make_sinks(const Config& cfg);
-
-/// Runs every configured sink over the recorder. No-op for a null recorder.
+/// Writes the files the recorder's Config names: the metrics snapshot
+/// (Snapshot::to_json(), "rck-obs-metrics-v1") to metrics_path, then
+/// chrome_trace_json() to trace_path. Throws ObsIoError ("rck.obs.io") when
+/// a file cannot be written. No-op for a null recorder.
 void flush(const std::shared_ptr<Recorder>& rec);
 
 }  // namespace rck::obs

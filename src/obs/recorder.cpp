@@ -6,6 +6,14 @@
 
 namespace rck::obs {
 
+namespace {
+
+// Trace records reserved per shard up front; growth past it is amortized
+// (metrics are allocation-free regardless).
+constexpr std::size_t kTraceReserve = 4096;
+
+}  // namespace
+
 Recorder::Recorder(Config cfg, int core_shards)
     : cfg_(std::move(cfg)), core_shards_(core_shards) {
   if (core_shards < 0) throw ObsError("obs: negative shard count");
@@ -103,7 +111,7 @@ void Recorder::seal() {
     sh.counters.assign(registry_.counters().size(), 0);
     sh.gauges.assign(registry_.gauges().size(), GaugeCell{});
     sh.hists.assign(registry_.histograms().size(), Histogram{});
-    sh.trace.reserve(cfg_.trace_reserve);
+    sh.trace.reserve(kTraceReserve);
   }
   sealed_ = true;
 }

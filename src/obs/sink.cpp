@@ -209,36 +209,12 @@ std::string chrome_trace_json(const Recorder& rec) {
   return out;
 }
 
-void NullSink::consume(const Recorder& rec) {
-  // Exercise both serializers so benches measure real cost, then drop.
-  (void)rec.snapshot().to_json();
-  (void)chrome_trace_json(rec);
-}
-
-void JsonFileSink::consume(const Recorder& rec) {
-  write_text_file(path_, rec.snapshot().to_json());
-}
-
-void ChromeTraceSink::consume(const Recorder& rec) {
-  write_text_file(path_, chrome_trace_json(rec));
-}
-
-std::vector<std::unique_ptr<Sink>> make_sinks(const Config& cfg) {
-  std::vector<std::unique_ptr<Sink>> sinks;
-  if (!cfg.metrics_path.empty()) {
-    sinks.push_back(std::make_unique<JsonFileSink>(cfg.metrics_path));
-  }
-  if (!cfg.trace_path.empty()) {
-    sinks.push_back(std::make_unique<ChromeTraceSink>(cfg.trace_path));
-  }
-  return sinks;
-}
-
 void flush(const std::shared_ptr<Recorder>& rec) {
   if (!rec) return;
-  for (const std::unique_ptr<Sink>& sink : make_sinks(rec->config())) {
-    sink->consume(*rec);
-  }
+  const Config& cfg = rec->config();
+  if (!cfg.metrics_path.empty())
+    write_text_file(cfg.metrics_path, rec->snapshot().to_json());
+  if (!cfg.trace_path.empty()) write_text_file(cfg.trace_path, chrome_trace_json(*rec));
 }
 
 }  // namespace rck::obs

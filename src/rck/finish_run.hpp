@@ -10,9 +10,9 @@
 
 namespace rck::detail {
 
-/// Flush the run's configured obs sinks, then write the chk report when
-/// cfg.chk.report_path is set. The report is written even when clean, so
-/// callers (and CI artifact steps) can always rely on the file existing
+/// Write the run's configured obs files (obs::flush), then the chk report
+/// when cfg.chk.report_path is set. The report is written even when clean,
+/// so callers (and CI artifact steps) can always rely on the file existing
 /// after the run.
 inline void finish_run(const RunConfig& cfg,
                        const std::shared_ptr<obs::Recorder>& recorder,

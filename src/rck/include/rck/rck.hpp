@@ -213,11 +213,11 @@ struct RunConfig {
 };
 
 /// run_rckalign's outcome under the umbrella API (alias, not a wrapper: the
-/// run struct already carries reports, traces and the obs recorder).
+/// run struct already carries reports and the obs recorder).
 using RunResult = rckalign::RckAlignRun;
 
-/// Validate `cfg`, execute the all-vs-all task, flush configured obs sinks
-/// and write the chk report when cfg.chk.report_path is set.
+/// Validate `cfg`, execute the all-vs-all task, write the configured obs
+/// files (obs::flush) and write the chk report when cfg.chk.report_path is set.
 RunResult run(const std::vector<bio::Protein>& dataset, const RunConfig& cfg);
 
 /// Outcome of one bounded exploration (or replay) of `cfg`'s schedule tree.
@@ -297,9 +297,9 @@ void rank_query_hits(std::vector<QueryHit>& hits,
 
 /// Validate `cfg` and the query shape (throwing ConfigError listing every
 /// issue), execute the query's comparisons over the database through
-/// rckalign::run_pairs(), flush configured obs sinks, write the chk report
-/// when cfg.chk.report_path is set, and return the ranked result. The
-/// database is untouched; probes ride inside `q`.
+/// rckalign::run_pairs(), write the configured obs files (obs::flush) and
+/// the chk report when cfg.chk.report_path is set, and return the ranked
+/// result. The database is untouched; probes ride inside `q`.
 QueryResult run_query(const std::vector<bio::Protein>& database,
                       const Query& q, const RunConfig& cfg);
 

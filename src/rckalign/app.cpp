@@ -27,8 +27,6 @@ RckAlignRun run_rckalign(const std::vector<bio::Protein>& dataset,
   run.core_reports = std::move(pr.core_reports);
   run.network = pr.network;
   run.events = pr.events;
-  run.trace = std::move(pr.trace);
-  run.link_heatmap = std::move(pr.link_heatmap);
   run.farm_report = std::move(pr.farm_report);
   run.obs = std::move(pr.obs);
   run.chk = std::move(pr.chk);

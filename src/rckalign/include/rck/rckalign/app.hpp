@@ -59,14 +59,12 @@ struct RckAlignRun {
   std::vector<scc::CoreReport> core_reports;
   noc::NetworkStats network;
   std::uint64_t events = 0;
-  /// Activity trace (only populated when opts.runtime.enable_trace is set).
-  std::vector<scc::TraceEvent> trace;
-  /// Link-utilization heatmap (populated when opts.runtime.enable_trace).
-  std::string link_heatmap;
   /// Recovery bookkeeping (populated when opts.fault_tolerant is set).
   rckskel::FarmReport farm_report{};
   /// Observability recorder (null unless opts.runtime.obs is active). Kept
-  /// alive past the runtime so sinks and tests can read metrics + trace.
+  /// alive past the runtime so obs::flush and tests can read metrics +
+  /// trace, and scc::render_gantt / noc::render_link_heatmap can draw the
+  /// run from it.
   std::shared_ptr<obs::Recorder> obs;
   /// Race checker (null unless opts.runtime.chk is active). Kept alive past
   /// the runtime so callers can inspect reports() / write report_json().

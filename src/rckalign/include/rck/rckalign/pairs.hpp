@@ -111,13 +111,11 @@ struct PairsRun {
   std::vector<scc::CoreReport> core_reports;
   noc::NetworkStats network;
   std::uint64_t events = 0;
-  /// Activity trace and link-utilization heatmap (populated when
-  /// opts.runtime.enable_trace or obs is set).
-  std::vector<scc::TraceEvent> trace;
-  std::string link_heatmap;
   rckskel::FarmReport farm_report{};  ///< populated under the FT farms
   /// Observability recorder (null unless opts.runtime.obs is active). Kept
-  /// alive past the runtime so sinks and tests can read metrics + trace.
+  /// alive past the runtime so obs::flush and tests can read metrics +
+  /// trace, and scc::render_gantt / noc::render_link_heatmap can draw the
+  /// run from it.
   std::shared_ptr<obs::Recorder> obs;
   /// Race checker (null unless opts.runtime.chk is active). Kept alive past
   /// the runtime so callers can inspect reports() / write report_json().

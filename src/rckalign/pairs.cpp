@@ -6,7 +6,6 @@
 #include <optional>
 #include <utility>
 
-#include "rck/noc/heatmap.hpp"
 #include "rck/rcce/rcce.hpp"
 #include "rck/rckalign/error.hpp"
 
@@ -227,12 +226,6 @@ PairsRun run_pairs(std::span<const bio::Protein* const> structures,
   run.events = rt.events_fired();
   run.obs = rt.obs();
   run.chk = rt.chk();
-  // obs forces the runtime's internal trace on (to derive per-core lanes),
-  // so the trace/heatmap fields follow either switch.
-  if (opts.runtime.enable_trace || run.obs != nullptr) {
-    run.trace = rt.trace();
-    run.link_heatmap = noc::render_link_heatmap(rt.network(), run.makespan);
-  }
   return run;
 }
 

@@ -4,52 +4,67 @@
 #include <array>
 #include <cstdio>
 #include <sstream>
-#include <stdexcept>
+#include <vector>
 
 namespace rck::scc {
 
-char gantt_char(TraceEvent::Kind kind) noexcept {
-  switch (kind) {
-    case TraceEvent::Kind::Compute: return 'C';
-    case TraceEvent::Kind::Send: return 'S';
-    case TraceEvent::Kind::Recv: return 'R';
-    case TraceEvent::Kind::Poll: return 'P';
-    case TraceEvent::Kind::Dram: return 'D';
-    case TraceEvent::Kind::Blocked: return 'b';
-  }
-  return '?';
+namespace {
+
+constexpr std::size_t kKinds = 6;
+
+/// Chart characters in Compute, Send, Recv, Poll, Dram, Blocked order, which
+/// is also the order a tie for the busiest kind resolves in.
+constexpr std::array<char, kKinds> kKindChars{'C', 'S', 'R', 'P', 'D', 'b'};
+
+/// Index of `name` among the activity span names, or -1.
+int kind_of(const obs::Std& ids, obs::NameId name) noexcept {
+  const std::array<obs::NameId, kKinds> names{ids.n_compute, ids.n_send, ids.n_recv,
+                                              ids.n_poll,    ids.n_dram, ids.n_blocked};
+  for (std::size_t k = 0; k < kKinds; ++k)
+    if (names[k] == name) return static_cast<int>(k);
+  return -1;
 }
 
-std::string render_gantt(const std::vector<TraceEvent>& trace, int nranks,
-                         noc::SimTime makespan, const GanttOptions& opts) {
+}  // namespace
+
+char gantt_char(const obs::Std& ids, obs::NameId name) noexcept {
+  const int kind = kind_of(ids, name);
+  return kind < 0 ? '?' : kKindChars[static_cast<std::size_t>(kind)];
+}
+
+std::string render_gantt(const obs::Recorder& rec, noc::SimTime makespan,
+                         const GanttOptions& opts) {
+  const int nranks = rec.core_shards();
   if (nranks < 1 || opts.width < 1)
     throw ChipError("render_gantt: bad dimensions");
   const std::size_t width = static_cast<std::size_t>(opts.width);
   const double span = makespan > 0 ? static_cast<double>(makespan) : 1.0;
 
-  constexpr std::size_t kKinds = 6;
   // occupancy[rank][column][kind] = accumulated time
   std::vector<double> occupancy(static_cast<std::size_t>(nranks) * width * kKinds, 0.0);
   auto cell = [&](int rank, std::size_t col, std::size_t kind) -> double& {
     return occupancy[(static_cast<std::size_t>(rank) * width + col) * kKinds + kind];
   };
 
-  for (const TraceEvent& ev : trace) {
-    if (ev.rank < 0 || ev.rank >= nranks) continue;
-    const double t0 = static_cast<double>(ev.start) / span * static_cast<double>(width);
-    const double t1 = static_cast<double>(ev.end) / span * static_cast<double>(width);
-    const std::size_t c0 = std::min(width - 1, static_cast<std::size_t>(std::max(0.0, t0)));
-    const std::size_t c1 = std::min(width - 1, static_cast<std::size_t>(std::max(0.0, t1)));
-    for (std::size_t c = c0; c <= c1; ++c) {
-      const double lo = std::max(t0, static_cast<double>(c));
-      const double hi = std::min(t1, static_cast<double>(c + 1));
-      if (hi > lo) cell(ev.rank, c, static_cast<std::size_t>(ev.kind)) += hi - lo;
+  const auto column = [width](double t) {
+    return std::min(width - 1, static_cast<std::size_t>(std::max(0.0, t)));
+  };
+  for (int rank = 0; rank < nranks; ++rank) {
+    for (const obs::TraceRecord& r : rec.shard_trace(rank)) {
+      if (r.ph != obs::Ph::Span || r.lane != obs::Lane::Core) continue;
+      const int kind = kind_of(rec.std_ids(), r.name);
+      if (kind < 0) continue;
+      const double t0 = static_cast<double>(r.ts) / span * static_cast<double>(width);
+      const double t1 =
+          static_cast<double>(r.ts + r.dur) / span * static_cast<double>(width);
+      const std::size_t last = column(t1);
+      for (std::size_t c = column(t0); c <= last; ++c) {
+        const double lo = std::max(t0, static_cast<double>(c));
+        const double hi = std::min(t1, static_cast<double>(c + 1));
+        if (hi > lo) cell(rank, c, static_cast<std::size_t>(kind)) += hi - lo;
+      }
     }
   }
-
-  static constexpr std::array<TraceEvent::Kind, kKinds> kKindOrder{
-      TraceEvent::Kind::Compute, TraceEvent::Kind::Send, TraceEvent::Kind::Recv,
-      TraceEvent::Kind::Poll, TraceEvent::Kind::Dram, TraceEvent::Kind::Blocked};
 
   std::ostringstream os;
   char label[16];
@@ -59,11 +74,11 @@ std::string render_gantt(const std::vector<TraceEvent>& trace, int nranks,
     for (std::size_t c = 0; c < width; ++c) {
       double best = 0.0;
       char ch = '.';
-      for (TraceEvent::Kind k : kKindOrder) {
-        const double v = cell(rank, c, static_cast<std::size_t>(k));
+      for (std::size_t k = 0; k < kKinds; ++k) {
+        const double v = cell(rank, c, k);
         if (v > best) {
           best = v;
-          ch = gantt_char(k);
+          ch = kKindChars[k];
         }
       }
       os << ch;

@@ -172,9 +172,6 @@ struct RuntimeConfig {
   /// (ranks beyond the vector get 1.0). Affects charge_cycles only;
   /// mesh and MPB timing are on their own clock domain, as on the SCC.
   std::vector<double> core_freq_scale{};
-  /// Record a per-core activity trace (see SpmdRuntime::trace). Adds a few
-  /// hundred bytes per simulated operation; off by default.
-  bool enable_trace = false;
   /// Deterministic fault injection (core crashes, message loss/corruption,
   /// storage stalls). Empty by default: no faults.
   FaultPlan faults{};
@@ -186,8 +183,10 @@ struct RuntimeConfig {
   /// "Observability"). Off by default: no recorder is created and every
   /// hook short-circuits, so simulated results and their cost are exactly
   /// those of an uninstrumented run. When active, a per-core-sharded
-  /// obs::Recorder is built for the run (and enable_trace above is forced
-  /// on so the per-core activity lanes can be derived).
+  /// obs::Recorder is built for the run. Once run() returns, each core's
+  /// shard also holds that core's compute/send/recv/poll/dram/blocked spans
+  /// (what scc::render_gantt draws), and the system shard the network's
+  /// link spans (what noc::render_link_heatmap sums).
   obs::Config obs{};
   /// Protocol race detection (vector-clock MPB/flag checker, see DESIGN.md
   /// "Analysis & invariants"). Off by default: no checker is constructed
@@ -202,24 +201,6 @@ struct RuntimeConfig {
   /// the canonical schedule exactly, so a session that always picks 0 leaves
   /// every simulated result bit-identical to an mc-off run.
   std::shared_ptr<mc::Session> mc{};
-};
-
-/// One recorded activity interval of a core (when tracing is enabled).
-struct TraceEvent {
-  enum class Kind : std::uint8_t {
-    Compute,  ///< charge_cycles / charge
-    Send,     ///< endpoint occupancy of a send
-    Recv,     ///< endpoint occupancy of a receive
-    Poll,     ///< probe / wait_any sweep
-    Dram,     ///< dram_read
-    Blocked,  ///< waiting for a message or barrier
-  };
-  int rank = 0;
-  Kind kind = Kind::Compute;
-  noc::SimTime start = 0;
-  noc::SimTime end = 0;
-
-  bool operator==(const TraceEvent&) const = default;
 };
 
 /// Per-core execution statistics, available after run().
@@ -360,14 +341,8 @@ class SpmdRuntime {
 
   const RuntimeConfig& config() const noexcept { return cfg_; }
   const noc::NetworkStats& network_stats() const noexcept;
-  /// The simulated fabric (per-link stats for heatmaps and analysis).
-  const noc::Network& network() const noexcept;
   const std::vector<CoreReport>& core_reports() const noexcept { return reports_; }
   std::uint64_t events_fired() const noexcept;
-
-  /// Recorded activity intervals, in simulated-time order (empty unless
-  /// RuntimeConfig::enable_trace was set).
-  const std::vector<TraceEvent>& trace() const noexcept;
 
   /// The run's observability recorder (null unless RuntimeConfig::obs is
   /// active). Shared so callers can keep metrics/trace alive after the

@@ -190,8 +190,6 @@ struct SpmdRuntime::Impl {
   std::uint64_t barrier_epoch = 0;
   noc::SimTime barrier_time = 0;
 
-  std::vector<TraceEvent> trace;
-
   // Fiber switching (see resume/suspend). `sched_ctx` is where a yielding
   // or finished fiber returns to: the context saved by the resume() call
   // that entered it. `current` names the fiber being entered, for
@@ -218,6 +216,16 @@ struct SpmdRuntime::Impl {
   // parked), and the network writes the trailing system shard.
   std::shared_ptr<obs::Recorder> rec;
   std::vector<std::uint64_t> mpb_bytes;  // queued inbox bytes per core
+
+  /// One core activity span, held back until run() appends it to the core's
+  /// shard (see record()).
+  struct Activity {
+    int rank = 0;
+    obs::NameId name = 0;
+    noc::SimTime start = 0;
+    noc::SimTime end = 0;
+  };
+  std::vector<Activity> activity;
 
   /// Recording handle for core `rank`'s shard; empty when obs is off.
   obs::Handle oh(int rank) const noexcept {
@@ -305,8 +313,14 @@ struct SpmdRuntime::Impl {
     return true;
   }
 
-  void record(int rank, TraceEvent::Kind kind, noc::SimTime start, noc::SimTime end) {
-    if (cfg.enable_trace && end > start) trace.push_back({rank, kind, start, end});
+  /// Which of the Std core-op names (n_compute ... n_blocked) a span gets.
+  using ActivityName = obs::NameId obs::Std::*;
+
+  /// Note that core `rank` spent [start, end) on `kind` (obs only). The spans
+  /// reach the core's shard after the run, in recording order, so no other
+  /// record the core writes meanwhile is reordered around them.
+  void record(int rank, ActivityName kind, noc::SimTime start, noc::SimTime end) {
+    if (rec && end > start) activity.push_back({rank, rec->std_ids().*kind, start, end});
   }
 
   int router_of(int rank) const { return cfg.chip.router_of_core(rank); }
@@ -427,8 +441,7 @@ struct SpmdRuntime::Impl {
 
   /// Advance the core's clock (busy) and give the scheduler a chance to
   /// reorder.
-  void advance(CoreState& st, noc::SimTime dt,
-               TraceEvent::Kind kind = TraceEvent::Kind::Compute) {
+  void advance(CoreState& st, noc::SimTime dt, ActivityName kind = &obs::Std::n_compute) {
     record(st.rank, kind, st.vtime, st.vtime + dt);
     st.vtime += dt;
     st.report.busy += dt;
@@ -445,7 +458,7 @@ struct SpmdRuntime::Impl {
   /// Wake a blocked core at time `t` (>= its blocking time).
   void wake(CoreState& st, noc::SimTime t) {
     const noc::SimTime resume = std::max(st.vtime, t);
-    record(st.rank, TraceEvent::Kind::Blocked, st.blocked_since, resume);
+    record(st.rank, &obs::Std::n_blocked, st.blocked_since, resume);
     st.report.blocked += resume - st.blocked_since;
     st.vtime = resume;
     st.wait_src = CoreState::kWaitNone;
@@ -493,7 +506,7 @@ struct SpmdRuntime::Impl {
     }
     if (st.status == CoreState::Status::Blocked) {
       const noc::SimTime until = std::max(st.vtime, t);
-      record(st.rank, TraceEvent::Kind::Blocked, st.blocked_since, until);
+      record(st.rank, &obs::Std::n_blocked, st.blocked_since, until);
       st.report.blocked += until - st.blocked_since;
     }
     st.vtime = std::max(st.vtime, t);
@@ -613,7 +626,7 @@ struct SpmdRuntime::Impl {
                   static_cast<std::uint64_t>(st.rank));
       }
     }
-    advance(st, cost, TraceEvent::Kind::Dram);
+    advance(st, cost, &obs::Std::n_dram);
   }
 
   void op_send(CoreState& st, int dst, bio::Bytes payload) {
@@ -674,7 +687,7 @@ struct SpmdRuntime::Impl {
                      chk_sites.send, st.rank, dst);
       chk->flag_set(st.rank, st.rank, dst, st.vtime, chk_sites.send);
     }
-    advance(st, network.endpoint_occupancy(bytes), TraceEvent::Kind::Send);
+    advance(st, network.endpoint_occupancy(bytes), &obs::Std::n_send);
   }
 
   bio::Bytes op_recv(CoreState& st, int src) {
@@ -683,7 +696,7 @@ struct SpmdRuntime::Impl {
       if (probe_pending(st, src, chk_sites.recv)) {
         std::uint64_t bytes = 0;
         Message msg = take_message(st, src, chk_sites.recv, bytes);
-        advance(st, network.endpoint_occupancy(bytes), TraceEvent::Kind::Recv);
+        advance(st, network.endpoint_occupancy(bytes), &obs::Std::n_recv);
         return std::move(msg.payload);
       }
       st.wait_src = src;
@@ -701,7 +714,7 @@ struct SpmdRuntime::Impl {
   bool op_probe(CoreState& st, int src) {
     check_rank(src, "probe");
     count_poll(st);
-    advance(st, cfg.poll_cost, TraceEvent::Kind::Poll);
+    advance(st, cfg.poll_cost, &obs::Std::n_poll);
     return probe_pending(st, src, chk_sites.probe);
   }
 
@@ -710,7 +723,7 @@ struct SpmdRuntime::Impl {
     for (int s : srcs) check_rank(s, "wait_any");
     for (;;) {
       count_poll(st);
-      advance(st, cfg.poll_cost, TraceEvent::Kind::Poll);  // one polling sweep
+      advance(st, cfg.poll_cost, &obs::Std::n_poll);  // one polling sweep
       const int s = sweep_pending(st, srcs, chk_sites.wait_any);
       if (s >= 0) return s;
       st.wait_src = CoreState::kWaitAny;
@@ -734,7 +747,7 @@ struct SpmdRuntime::Impl {
       if (probe_pending(st, src, chk_sites.recv_timeout)) {
         std::uint64_t bytes = 0;
         Message msg = take_message(st, src, chk_sites.recv_timeout, bytes);
-        advance(st, network.endpoint_occupancy(bytes), TraceEvent::Kind::Recv);
+        advance(st, network.endpoint_occupancy(bytes), &obs::Std::n_recv);
         return std::move(msg.payload);
       }
       if (st.vtime >= deadline) return std::nullopt;
@@ -752,7 +765,7 @@ struct SpmdRuntime::Impl {
     const noc::SimTime deadline = st.vtime + timeout;
     for (;;) {
       count_poll(st);
-      advance(st, cfg.poll_cost, TraceEvent::Kind::Poll);  // one polling sweep
+      advance(st, cfg.poll_cost, &obs::Std::n_poll);  // one polling sweep
       const int s = sweep_pending(st, srcs, chk_sites.wait_any_timeout);
       if (s >= 0) return s;
       if (st.vtime >= deadline) return -1;
@@ -847,7 +860,7 @@ struct SpmdRuntime::Impl {
         if (c->in_barrier) {
           c->in_barrier = false;
           if (chk) joined.push_back(c->rank);
-          record(c->rank, TraceEvent::Kind::Blocked, c->blocked_since, release);
+          record(c->rank, &obs::Std::n_blocked, c->blocked_since, release);
           c->report.blocked += release - c->blocked_since;
           c->vtime = release;
           c->wait_src = CoreState::kWaitNone;
@@ -1099,13 +1112,7 @@ const noc::NetworkStats& SpmdRuntime::network_stats() const noexcept {
   return impl_->network.stats();
 }
 
-const noc::Network& SpmdRuntime::network() const noexcept { return impl_->network; }
-
 std::uint64_t SpmdRuntime::events_fired() const noexcept { return impl_->queue.fired(); }
-
-const std::vector<TraceEvent>& SpmdRuntime::trace() const noexcept {
-  return impl_->trace;
-}
 
 std::shared_ptr<obs::Recorder> SpmdRuntime::obs() const noexcept {
   return impl_->rec;
@@ -1153,10 +1160,6 @@ noc::SimTime SpmdRuntime::run(int nranks, const Program& program) {
   if (im.cfg.obs.active()) {
     im.rec = std::make_shared<obs::Recorder>(im.cfg.obs, nranks);
     im.rec->seal();
-    // Per-core activity lanes are derived from the runtime's own trace at
-    // the end of the run; recording it adds host memory, never simulated
-    // time, so forcing it on cannot perturb results.
-    im.cfg.enable_trace = true;
     im.mpb_bytes.assign(static_cast<std::size_t>(nranks), 0);
     im.network.set_observer(
         obs::Handle(im.rec.get(), im.rec->system_shard()));
@@ -1261,22 +1264,12 @@ noc::SimTime SpmdRuntime::run(int nranks, const Program& program) {
   if (failure) std::rethrow_exception(failure);
 
   if (im.rec) {
-    // Import the activity trace as the per-core lanes. Appending in global
-    // trace order keeps each shard's sequence consistent with the schedule.
+    // The activity spans become the per-core lanes. Appending in recording
+    // order keeps each shard's sequence consistent with the schedule.
+    for (const Impl::Activity& a : im.activity)
+      im.rec->span(a.rank, obs::Lane::Core, a.name, a.start, a.end,
+                   static_cast<std::uint64_t>(a.rank));
     const obs::Std& ids = im.rec->std_ids();
-    for (const TraceEvent& ev : im.trace) {
-      obs::NameId name = ids.n_compute;
-      switch (ev.kind) {
-        case TraceEvent::Kind::Compute: name = ids.n_compute; break;
-        case TraceEvent::Kind::Send: name = ids.n_send; break;
-        case TraceEvent::Kind::Recv: name = ids.n_recv; break;
-        case TraceEvent::Kind::Poll: name = ids.n_poll; break;
-        case TraceEvent::Kind::Dram: name = ids.n_dram; break;
-        case TraceEvent::Kind::Blocked: name = ids.n_blocked; break;
-      }
-      im.rec->span(ev.rank, obs::Lane::Core, name, ev.start, ev.end,
-                   static_cast<std::uint64_t>(ev.rank));
-    }
     if (im.chk && im.chk->stats().races > 0) {
       // Race markers + the "chk" snapshot section exist only when a race was
       // detected: a clean chk-enabled run stays byte-identical to chk-off.

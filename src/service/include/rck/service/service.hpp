@@ -136,8 +136,9 @@ class Service {
   /// Byte-stable metrics snapshot (obs::Snapshot::to_json) of the
   /// service-lifetime recorder.
   std::string obs_json() const;
-  /// Flush the recorder through the configured obs sinks (metrics_path
-  /// from RunConfig::obs; the service never writes a Chrome trace).
+  /// Write the recorder's configured obs files through obs::flush
+  /// (metrics_path from RunConfig::obs; the service never writes a Chrome
+  /// trace).
   void write_obs() const;
   const std::shared_ptr<obs::Recorder>& recorder() const noexcept {
     return rec_;

@@ -15,6 +15,7 @@
 
 #include "rck/bio/dataset.hpp"
 #include "rck/bio/synthetic.hpp"
+#include "rck/obs/sink.hpp"
 #include "rck/rckalign/app.hpp"
 #include "rck/rckalign/cost_cache.hpp"
 #include "rck/rckalign/error.hpp"
@@ -171,7 +172,7 @@ TEST(PreExecution, ShortChainRaisesCoreInvalidAtEveryWidth) {
 TEST(PreExecution, UncachedTinyRunIsIdenticalAtFourThreads) {
   RckAlignOptions serial;
   serial.slave_count = 5;
-  serial.runtime.enable_trace = true;
+  serial.runtime.obs = obs::Config::collect();
   RckAlignOptions pooled = serial;
   pooled.runtime.host.threads = 4;
   const RckAlignRun a = run_rckalign(tiny(), serial);
@@ -181,7 +182,9 @@ TEST(PreExecution, UncachedTinyRunIsIdenticalAtFourThreads) {
   EXPECT_EQ(a.core_reports, b.core_reports);
   EXPECT_EQ(a.network, b.network);
   EXPECT_EQ(a.events, b.events);
-  EXPECT_EQ(a.trace, b.trace);
+  ASSERT_NE(a.obs, nullptr);
+  ASSERT_NE(b.obs, nullptr);
+  EXPECT_EQ(obs::chrome_trace_json(*a.obs), obs::chrome_trace_json(*b.obs));
   EXPECT_EQ(a.results.size(), tiny().size() * (tiny().size() - 1) / 2);
 }
 

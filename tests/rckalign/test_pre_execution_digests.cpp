@@ -13,7 +13,12 @@
 // fast a run finishes on the host, never what it simulates. A third table
 // pins the obs trace bytes of each flat-farm flavour at one host width; it
 // was recorded from the farm whose plain and fault-tolerant masters were
-// still two loops, and holds for the one engine that replaced them.
+// still two loops, and holds for the one engine that replaced them. A fourth
+// pins the Gantt chart and link heatmap of four of those flavours. It was
+// recorded when the runtime still kept a separate activity trace: the chart
+// was render_gantt over that trace for every core, and the heatmap was read
+// from the network's link statistics. Both pictures are now drawn from the
+// obs recorder and must keep those bytes.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -23,6 +28,7 @@
 
 #include "rck/bio/dataset.hpp"
 #include "rck/bio/synthetic.hpp"
+#include "rck/noc/heatmap.hpp"
 #include "rck/obs/obs.hpp"
 #include "rck/obs/sink.hpp"
 #include "rck/rck.hpp"
@@ -30,6 +36,7 @@
 #include "rck/rckalign/blocked.hpp"
 #include "rck/rckalign/extensions.hpp"
 #include "rck/rckalign/pairs.hpp"
+#include "rck/scc/gantt.hpp"
 
 namespace rck::rckalign {
 namespace {
@@ -361,11 +368,14 @@ std::string one_vs_all_digest(int width) {
   return hex(f.h);
 }
 
-std::string trace_digest(const obs::Recorder& rec) {
-  const std::string json = obs::chrome_trace_json(rec);
+std::string text_digest(const std::string& text) {
   Fnv f;
-  f.bytes(json.data(), json.size());
+  f.bytes(text.data(), text.size());
   return hex(f.h);
+}
+
+std::string trace_digest(const obs::Recorder& rec) {
+  return text_digest(obs::chrome_trace_json(rec));
 }
 
 template <bool Lpt, Farm F>
@@ -454,6 +464,29 @@ const std::vector<Pinned>& trace_pinned() {
   return table;
 }
 
+/// FNV-1a of the Gantt chart (every core, default options) and of the link
+/// heatmap of each flat-farm flavour on cached CK34 at host width 1, both
+/// drawn from the run's obs recorder.
+struct PinnedPictures {
+  const char* name;
+  bool lpt;
+  Farm farm;
+  const char* gantt;
+  const char* heatmap;
+};
+
+const std::vector<PinnedPictures>& pictures_pinned() {
+  static const std::vector<PinnedPictures> table = {
+      {"fifo/plain", false, Farm::Plain, "029107b35b471384", "79aaae35868cce3d"},
+      {"lpt/batch4", true, Farm::Batch4, "a14a86d39916ba72", "79aaae35868cce3d"},
+      {"fifo/ft-slave-crash", false, Farm::FtSlaveCrash, "116434041cafb10c",
+       "79aaae35868cce3d"},
+      {"fifo/master-ft", false, Farm::MasterFt, "eb71c39d468b2c3a",
+       "79aaae35868cce3d"},
+  };
+  return table;
+}
+
 class PinnedDigests : public ::testing::TestWithParam<int> {};
 
 TEST_P(PinnedDigests, EveryDriverMatchesTheInlineKernelFarm) {
@@ -473,6 +506,17 @@ INSTANTIATE_TEST_SUITE_P(HostWidth, PinnedDigests, ::testing::Values(1, 2, 4));
 TEST(PinnedTraces, FlatFarmTraceBytesMatchTheParentFarm) {
   for (const Pinned& p : trace_pinned()) {
     EXPECT_EQ(p.run(1), p.digest) << p.name;
+  }
+}
+
+TEST(PinnedTraces, GanttAndHeatmapBytesMatchTheParent) {
+  const noc::Mesh mesh = runtime(1).chip.make_mesh();
+  for (const PinnedPictures& p : pictures_pinned()) {
+    const RckAlignRun run = farm_run(p.lpt, p.farm, 1, &ck34_cache());
+    EXPECT_EQ(text_digest(scc::render_gantt(*run.obs, run.makespan)), p.gantt) << p.name;
+    EXPECT_EQ(text_digest(noc::render_link_heatmap(*run.obs, mesh, run.makespan)),
+              p.heatmap)
+        << p.name;
   }
 }
 

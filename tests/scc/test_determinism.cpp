@@ -46,7 +46,7 @@ class Ck34Determinism : public ::testing::Test {
     rckalign::RckAlignOptions o;
     o.slave_count = slaves;
     o.cache = cache_;
-    o.runtime.enable_trace = true;
+    o.runtime.obs = obs::Config::collect();
     o.runtime.host.threads = host_threads;
     return o;
   }
@@ -58,7 +58,9 @@ class Ck34Determinism : public ::testing::Test {
     EXPECT_EQ(a.core_reports, b.core_reports);
     EXPECT_EQ(a.network, b.network);
     EXPECT_EQ(a.events, b.events);
-    EXPECT_EQ(a.trace, b.trace);
+    ASSERT_NE(a.obs, nullptr);
+    ASSERT_NE(b.obs, nullptr);
+    EXPECT_EQ(obs::chrome_trace_json(*a.obs), obs::chrome_trace_json(*b.obs));
     EXPECT_TRUE(a.farm_report == b.farm_report);
   }
 
@@ -111,7 +113,7 @@ TEST_F(Ck34Determinism, FaultPlanEndToEndBitIdentical) {
 // {2, 4, 8} host threads, composed with everything that constrains the
 // scheduler at once — a chaos FaultPlan (timed master crash under master_ft,
 // slave crash + restart, an event-indexed crash, message corruption, a DRAM
-// stall) and obs sinks enabled. The obs recorder bytes (Chrome trace JSON +
+// stall) and obs collection enabled. The obs recorder bytes (Chrome trace JSON +
 // metrics snapshot) are compared verbatim: any change that lets the host
 // width reorder a simulated observable shows up as a byte diff here.
 TEST_F(Ck34Determinism, ThreadMatrixChaosMasterFtObsBitIdentical) {
@@ -173,7 +175,7 @@ TEST_F(Ck34Determinism, SeedSweepStaysBitIdentical) {
     rckalign::RckAlignOptions o;
     o.slave_count = 5;
     o.cache = &cache;
-    o.runtime.enable_trace = true;
+    o.runtime.obs = obs::Config::collect();
     const auto serial = rckalign::run_rckalign(ds, o);
     o.runtime.host.threads = kHostThreads;
     const auto parallel = rckalign::run_rckalign(ds, o);

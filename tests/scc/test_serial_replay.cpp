@@ -3,16 +3,24 @@
 // The serial scheduler is the one reference order of the simulated SCC, so
 // its output on randomized raw programs is pinned here byte for byte. Each
 // digest is an FNV-1a hash over everything a run reports about the simulated
-// execution — the makespan, every CoreReport, the activity trace, the
-// network statistics and the fired-event count — and every program runs
-// twice. The farms, random plans and skewed section streams run again at
-// host widths above one, which must not move a byte. The programs mix what
-// the farm drivers never exercise on their own: barrier-separated rings and
-// gathers, timed waits and probes, runtime DVFS, skewed streams of tiny
-// compute sections, fault plans, and the race checker's seeded schedule
-// perturbation.
+// execution — the makespan, every CoreReport, the per-core activity spans of
+// the run's obs recorder, the network statistics and the fired-event count —
+// and every program runs twice. The farms, random plans and skewed section
+// streams run again at host widths above one, which must not move a byte.
+// The programs mix what the farm drivers never exercise on their own:
+// barrier-separated rings and gathers, timed waits and probes, runtime DVFS,
+// skewed streams of tiny compute sections, fault plans, and the race
+// checker's seeded schedule perturbation.
+//
+// The digests were recorded by building this file against the runtime that
+// still kept its own activity trace and copied it into the recorder's core
+// lanes after each run. The spans are hashed in the recorder's canonical
+// (time, shard, sequence) order, so a schedule perturbation that only
+// reorders same-instant work on different cores leaves the digest alone:
+// the chk-perturbed mini_farm pins the same value as the unperturbed one.
 #include <gtest/gtest.h>
 
+#include <array>
 #include <cstdint>
 #include <cstdio>
 #include <exception>
@@ -26,6 +34,7 @@
 
 #include "rck/mc/mc.hpp"
 #include "rck/noc/network.hpp"
+#include "rck/obs/obs.hpp"
 #include "rck/scc/runtime.hpp"
 
 namespace rck::scc {
@@ -47,10 +56,37 @@ std::string hex(std::uint64_t h) {
   return buf;
 }
 
-/// Run `program` on a traced runtime built from `cfg` and digest every
-/// simulated observable.
+/// The activity spans of a collecting recorder in merged_trace() order:
+/// (shard, kind, start, end), kind 0-5 in Compute, Send, Recv, Poll, Dram,
+/// Blocked order.
+struct Activity {
+  int shard = 0;
+  std::uint8_t kind = 0;
+  noc::SimTime start = 0;
+  noc::SimTime end = 0;
+};
+
+std::vector<Activity> activity_spans(const obs::Recorder& rec) {
+  const obs::Std& ids = rec.std_ids();
+  const std::array<obs::NameId, 6> kinds = {ids.n_compute, ids.n_send, ids.n_recv,
+                                            ids.n_poll,    ids.n_dram, ids.n_blocked};
+  std::vector<Activity> out;
+  for (const obs::Recorder::MergedRecord& m : rec.merged_trace()) {
+    if (m.shard >= rec.core_shards() || m.rec.ph != obs::Ph::Span ||
+        m.rec.lane != obs::Lane::Core)
+      continue;
+    for (std::size_t k = 0; k < kinds.size(); ++k)
+      if (m.rec.name == kinds[k])
+        out.push_back({m.shard, static_cast<std::uint8_t>(k), m.rec.ts,
+                       m.rec.ts + m.rec.dur});
+  }
+  return out;
+}
+
+/// Run `program` on a runtime built from `cfg` with a collecting recorder
+/// and digest every simulated observable.
 std::string digest(int nranks, const Program& program, RuntimeConfig cfg) {
-  cfg.enable_trace = true;
+  cfg.obs = obs::Config::collect();
   SpmdRuntime rt(cfg);
   Fnv f;
   f.pod(rt.run(nranks, program));
@@ -68,12 +104,13 @@ std::string digest(int nranks, const Program& program, RuntimeConfig cfg) {
     f.pod(c.crashed_at);
     f.pod(c.restarts);
   }
-  f.pod(rt.trace().size());
-  for (const TraceEvent& e : rt.trace()) {
-    f.pod(e.rank);
-    f.pod(e.kind);
-    f.pod(e.start);
-    f.pod(e.end);
+  const std::vector<Activity> spans = activity_spans(*rt.obs());
+  f.pod(spans.size());
+  for (const Activity& a : spans) {
+    f.pod(a.shard);
+    f.pod(a.kind);
+    f.pod(a.start);
+    f.pod(a.end);
   }
   const noc::NetworkStats& n = rt.network_stats();
   f.pod(n.messages);
@@ -302,7 +339,7 @@ RuntimeConfig chk_perturbed_cfg() {
 
 struct Case {
   std::string name;
-  std::string digest;  ///< recorded on the parent scheduler at host width 1
+  std::string digest;  ///< recorded at host width 1 (see the file comment)
   int nranks;
   Program program;
   RuntimeConfig cfg;
@@ -320,9 +357,9 @@ void expect_pinned(Case c, int width = 1, int runs = 2) {
 /// mini_farm on 6, 5 and 4 ranks, with 4, 3 and 2 rounds.
 Case mini_farm_case(int nranks) {
   static const std::map<int, std::pair<int, std::string>> pinned = {
-      {6, {4, "df9995f6b4377aa6"}},
-      {5, {3, "6cc6b7f5fee770e4"}},
-      {4, {2, "aab5d8f229ee843b"}},
+      {6, {4, "3df0df472f081c8c"}},
+      {5, {3, "d490da59a013bf00"}},
+      {4, {2, "5ba4f14b182af78d"}},
   };
   const auto& [rounds, d] = pinned.at(nranks);
   return {"mini_farm " + std::to_string(nranks) + "x" + std::to_string(rounds),
@@ -332,32 +369,32 @@ Case mini_farm_case(int nranks) {
 /// make_plan seeds 1-24, 99 and 1234.
 const std::map<std::uint64_t, std::string>& plan_digests() {
   static const std::map<std::uint64_t, std::string> pinned = {
-      {1, "ba334222332d8558"},
-      {2, "b6445a6202102952"},
-      {3, "158871fac62b934c"},
-      {4, "2769f689424f930a"},
-      {5, "f9a5d49d905f6245"},
-      {6, "ba4aa336d387a693"},
-      {7, "ceb776aa89e14016"},
-      {8, "6d2be75c562fddf1"},
-      {9, "dd1ccab761b49904"},
-      {10, "155b0f241d126b67"},
-      {11, "375312e717cff3a4"},
-      {12, "c192672db250449e"},
-      {13, "32071fe9f123f7fc"},
-      {14, "9392a50fc05bf7e3"},
-      {15, "417bad542f94f90d"},
-      {16, "e9ba2c9cf6a621cf"},
-      {17, "97527b3e5a558f6c"},
-      {18, "b4cb3e4b94d4f079"},
-      {19, "8287d8fbfacf9555"},
-      {20, "9ef949e93eb5c658"},
-      {21, "a8132db4944936da"},
-      {22, "c75062f0b3237c79"},
-      {23, "5121fd4e52181932"},
-      {24, "7b1670d99fb09283"},
-      {99, "1e0a93d39d905106"},
-      {1234, "5b7d4b8907066d9d"},
+      {1, "c716bcb90da91cf0"},
+      {2, "d21a9aba93ac5e22"},
+      {3, "aab01ae102424eec"},
+      {4, "6be2771095ec0a18"},
+      {5, "faead41b87433d03"},
+      {6, "ea55949e4eba50f7"},
+      {7, "a4c2a5941dfe8978"},
+      {8, "f1a524b3017424a9"},
+      {9, "fdcc7ad872c8adb8"},
+      {10, "73514561855fd673"},
+      {11, "dbcb214acdeb1222"},
+      {12, "99842502be19239e"},
+      {13, "90a7bfd043708a66"},
+      {14, "d1afe8f7bef53dcf"},
+      {15, "cdaac6127cea4725"},
+      {16, "37a4062984836f2f"},
+      {17, "10bfd6b0524e9d36"},
+      {18, "2ede82cac1d6193d"},
+      {19, "7885b24a4f455bd9"},
+      {20, "21b950f8a32130c8"},
+      {21, "c78865f4f816f31c"},
+      {22, "2cf1cc7757681ebf"},
+      {23, "f6b26442b29e5dfc"},
+      {24, "cdf3b020d0f7f41d"},
+      {99, "f512d29de492910c"},
+      {1234, "2d53d5db3f0b145f"},
   };
   return pinned;
 }
@@ -377,10 +414,10 @@ Case steal_heavy_case(std::uint64_t seed) {
     std::string digest;
   };
   static const std::map<std::uint64_t, Shape> pinned = {
-      {3, {9, 96, "bc210b9c5c33ebf3"}},
-      {17, {9, 96, "a3517545d291a5fe"}},
-      {451, {9, 96, "b3d084afe4d33258"}},
-      {29, {12, 128, "a49159362eea491e"}},
+      {3, {9, 96, "9942ccc8435de679"}},
+      {17, {9, 96, "98db08d95c0f89d6"}},
+      {451, {9, 96, "1568687050fad30c"}},
+      {29, {12, 128, "597b7d2b98666a04"}},
   };
   const Shape& s = pinned.at(seed);
   return {"steal_heavy " + std::to_string(seed), s.digest, s.nranks,
@@ -393,7 +430,7 @@ TEST(SerialReplay, MiniFarmsMatchPinnedDigests) {
 
 /// fault_farm on 5 ranks under fault_cfg.
 Case fault_farm_case() {
-  return {"fault_farm 5", "80c1577dedcb9a67", 5, fault_farm(), fault_cfg()};
+  return {"fault_farm 5", "f7dfe29606412295", 5, fault_farm(), fault_cfg()};
 }
 
 TEST(SerialReplay, FaultPlanMatchesPinnedDigest) {
@@ -404,9 +441,9 @@ TEST(SerialReplay, FaultPlanMatchesPinnedDigest) {
 
 TEST(SerialReplay, TimedCommMixesMatchPinnedDigests) {
   const std::vector<std::pair<std::uint64_t, std::string>> pinned = {
-      {11, "6ad9c8661935e103"},
-      {202, "bb1b169ee0706506"},
-      {3003, "8022f984cf87fc15"},
+      {11, "e94ce38e445958a3"},
+      {202, "158476125860a17a"},
+      {3003, "a5a32a41e3bcbd9d"},
   };
   for (const auto& [seed, d] : pinned) {
     const int nranks = 3 + static_cast<int>(seed % 6);
@@ -426,7 +463,7 @@ TEST(SerialReplay, StealHeavyMatchesPinnedDigests) {
 
 TEST(SerialReplay, ChkPerturbedScheduleMatchesPinnedDigest) {
   expect_pinned(
-      {"mini_farm 6x4 chk", "5648b7f424fd152a", 6, mini_farm(4), chk_perturbed_cfg()});
+      {"mini_farm 6x4 chk", "3df0df472f081c8c", 6, mini_farm(4), chk_perturbed_cfg()});
 }
 
 // ---- Host width ------------------------------------------------------------
