@@ -33,7 +33,7 @@ Scaled run_scaled(const harness::ExperimentContext& ctx, std::vector<double> sca
   opts.runtime.core_freq_scale = scales;
   opts.cache = &ctx.ck34_cache;
   opts.lpt = lpt;
-  const rckalign::RckAlignRun run = rckalign::run_rckalign(ctx.ck34, opts);
+  const rckalign::PairsRun run = rckalign::run_rckalign(ctx.ck34, opts);
   const scc::EnergyReport energy =
       scc::estimate_energy(run.core_reports, run.makespan, scales);
   return {noc::to_seconds(run.makespan), energy.total_j};

@@ -33,7 +33,7 @@ constexpr int kSlaves = 47;
 /// Sweep 3 gives one core back to the standby: 1 + 46 + 1 = 48.
 constexpr int kMftSlaves = 46;
 
-rck::rckalign::RckAlignRun run_with_crashes(const rck::harness::ExperimentContext& ctx,
+rck::rckalign::PairsRun run_with_crashes(const rck::harness::ExperimentContext& ctx,
                                             int k, rck::noc::SimTime at) {
   rck::rckalign::RckAlignOptions opts;
   opts.slave_count = kSlaves;
@@ -44,7 +44,7 @@ rck::rckalign::RckAlignRun run_with_crashes(const rck::harness::ExperimentContex
   return rck::rckalign::run_rckalign(ctx.ck34, opts);
 }
 
-rck::rckalign::RckAlignRun run_master_ft(const rck::harness::ExperimentContext& ctx,
+rck::rckalign::PairsRun run_master_ft(const rck::harness::ExperimentContext& ctx,
                                          rck::noc::SimTime crash_at) {
   using namespace rck;
   rckalign::RckAlignOptions opts;
@@ -133,7 +133,7 @@ int main() {
   std::cout << "Ablation: fault tolerance on CK34 (47 slaves, FT farm)\n";
   const harness::ExperimentContext ctx = harness::ExperimentContext::load_ck34_only();
 
-  const rckalign::RckAlignRun base = run_with_crashes(ctx, 0, 0);
+  const rckalign::PairsRun base = run_with_crashes(ctx, 0, 0);
   const double t0 = noc::to_seconds(base.makespan);
   std::cout << "no-fault makespan: " << harness::fmt_seconds(t0) << "\n\n";
 
@@ -150,7 +150,7 @@ int main() {
     const noc::SimTime at = static_cast<noc::SimTime>(f * static_cast<double>(base.makespan));
     double prev_inflation = 0.0;
     for (const int k : {0, 4, 8, 16, 24}) {
-      const rckalign::RckAlignRun run = k == 0 ? base : run_with_crashes(ctx, k, at);
+      const rckalign::PairsRun run = k == 0 ? base : run_with_crashes(ctx, k, at);
       const double t = noc::to_seconds(run.makespan);
       const double inflation = t / t0;
       const double predicted =
@@ -188,7 +188,7 @@ int main() {
     for (const double f : {0.05, 0.50, 0.90}) {
       const noc::SimTime at =
           static_cast<noc::SimTime>(f * static_cast<double>(base.makespan));
-      const rckalign::RckAlignRun run = run_with_crashes(ctx, 8, at);
+      const rckalign::PairsRun run = run_with_crashes(ctx, 8, at);
       const double t = noc::to_seconds(run.makespan);
       const double predicted =
           f + (1.0 - f) * static_cast<double>(kSlaves) / static_cast<double>(kSlaves - 8);
@@ -209,7 +209,7 @@ int main() {
 
   // ---- Sweep 3: master crash under checkpointed failover (PR 6) ------------
   {
-    const rckalign::RckAlignRun clean = run_master_ft(ctx, 0);
+    const rckalign::PairsRun clean = run_master_ft(ctx, 0);
     const double t_clean = noc::to_seconds(clean.makespan);
     ok = ok && clean.results.size() == 561u && clean.farm_report.failovers == 0;
 
@@ -227,7 +227,7 @@ int main() {
     for (const double f : {0.05, 0.50, 0.90}) {
       const noc::SimTime at =
           static_cast<noc::SimTime>(f * static_cast<double>(clean.makespan));
-      const rckalign::RckAlignRun run = run_master_ft(ctx, at);
+      const rckalign::PairsRun run = run_master_ft(ctx, at);
       const double t = noc::to_seconds(run.makespan);
       const double overhead = t / t_clean;
       char label[16];

@@ -40,14 +40,14 @@ struct Point {
   double speedup = 1.0;
 };
 
-rckalign::RckAlignRun run_once(const std::vector<bio::Protein>& dataset,
+rckalign::PairsRun run_once(const std::vector<bio::Protein>& dataset,
                                int slaves, int host_threads, double& wall_s) {
   rckalign::RckAlignOptions opts;
   opts.slave_count = slaves;
   opts.cache = nullptr;  // the run pre-executes every comparison itself
   opts.runtime.host.threads = host_threads;
   const auto t0 = std::chrono::steady_clock::now();
-  rckalign::RckAlignRun run = rckalign::run_rckalign(dataset, opts);
+  rckalign::PairsRun run = rckalign::run_rckalign(dataset, opts);
   wall_s = std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
                .count();
   return run;
@@ -96,13 +96,13 @@ int main(int argc, char** argv) {
   settings.erase(std::unique(settings.begin(), settings.end()), settings.end());
 
   double serial_wall = 0.0;
-  const rckalign::RckAlignRun serial = run_once(dataset, slaves, 1, serial_wall);
+  const rckalign::PairsRun serial = run_once(dataset, slaves, 1, serial_wall);
 
   std::vector<Point> points{{1, serial_wall, 1.0}};
   bool identical = true;
   for (std::size_t k = 1; k < settings.size(); ++k) {
     double wall = 0.0;
-    const rckalign::RckAlignRun run = run_once(dataset, slaves, settings[k], wall);
+    const rckalign::PairsRun run = run_once(dataset, slaves, settings[k], wall);
     identical = identical && run.makespan == serial.makespan &&
                 run.results == serial.results &&
                 run.core_reports == serial.core_reports &&

@@ -194,8 +194,7 @@ int main(int argc, char** argv) {
           specs.push_back(rckalign::PairSpec{base + p, e, method});
     }
   }
-  const rckalign::PairsRun batch =
-      rckalign::run_pairs(structures, specs, cfg.to_pairs_options());
+  const rckalign::PairsRun batch = rckalign::run_pairs(structures, specs, cfg);
   const double batch_throughput =
       batch.makespan > 0 ? static_cast<double>(specs.size()) /
                                noc::to_seconds(batch.makespan)

@@ -24,7 +24,7 @@ int main() {
   rckalign::RckAlignOptions opts;
   opts.slave_count = 47;
   opts.cache = &cache;
-  const rckalign::RckAlignRun run = rckalign::run_rckalign(dataset, opts);
+  const rckalign::PairsRun run = rckalign::run_rckalign(dataset, opts);
   std::printf("simulated makespan: %.1f s; %zu pairwise scores collected\n\n",
               noc::to_seconds(run.makespan), run.results.size());
 

@@ -40,7 +40,7 @@ int main() {
   rckalign::RckAlignOptions opts;
   opts.slave_count = 7;
 
-  const rckalign::RckAlignRun run = rckalign::run_rckalign(dataset, opts);
+  const rckalign::PairsRun run = rckalign::run_rckalign(dataset, opts);
   std::printf("rckAlign on the simulated SCC: %zu chains, %zu pairs, %d slaves\n",
               dataset.size(), run.results.size(), opts.slave_count);
   std::printf("  simulated makespan: %.2f s (on 800 MHz P54C cores)\n",

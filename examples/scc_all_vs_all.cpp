@@ -264,8 +264,7 @@ int main(int argc, char** argv) {
   with_chk_flags(cfg);
 
   if (mc_on || !mc_replay_path.empty()) {
-    cfg.with_mc()
-        .with_mc_bound(mc_bound < 0 ? 0 : static_cast<std::uint64_t>(mc_bound))
+    cfg.with_mc_bound(mc_bound < 0 ? 0 : static_cast<std::uint64_t>(mc_bound))
         .with_mc_witness(mc_witness_path)
         .with_mc_replay(mc_replay_path)
         .with_mc_label(dataset_name + "/" +

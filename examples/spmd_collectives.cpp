@@ -88,7 +88,7 @@ int main() {
   rckalign::RckAlignOptions opts;
   opts.slave_count = kCores - 1;
   opts.cache = &cache;
-  const rckalign::RckAlignRun farm = rckalign::run_rckalign(dataset, opts);
+  const rckalign::PairsRun farm = rckalign::run_rckalign(dataset, opts);
   std::printf("  dynamic farm makespan:   %.1f simulated s on %d cores\n",
               noc::to_seconds(farm.makespan), kCores);
   std::printf(

@@ -34,7 +34,7 @@ double rckalign_seconds(const std::vector<bio::Protein>& dataset,
   opts.runtime = default_runtime();
   opts.cache = &cache;
   opts.lpt = lpt;
-  const rckalign::RckAlignRun run = rckalign::run_rckalign(dataset, opts);
+  const rckalign::PairsRun run = rckalign::run_rckalign(dataset, opts);
   return noc::to_seconds(run.makespan);
 }
 

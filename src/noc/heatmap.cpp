@@ -18,7 +18,6 @@ char utilization_digit(double fraction) noexcept {
 std::string render_link_heatmap(const obs::Recorder& rec, const Mesh& mesh,
                                 SimTime makespan) {
   if (makespan == 0) throw NocError("render_link_heatmap: zero makespan");
-  const double span = static_cast<double>(makespan);
 
   // Busy time per directed link, indexed like Mesh::link_index.
   std::vector<SimTime> busy(static_cast<std::size_t>(mesh.link_index_bound()), 0);
@@ -31,9 +30,14 @@ std::string render_link_heatmap(const obs::Recorder& rec, const Mesh& mesh,
     }
   }
 
+  // Digits are tenths of the busiest link's busy time: a farm's links stay
+  // idle for most of a run, so tenths of the makespan would read all 0. An
+  // idle network keeps the scale at 1 and reads all 0.
+  const SimTime busiest = busy.empty() ? 0 : *std::max_element(busy.begin(), busy.end());
+  const double scale = busiest > 0 ? static_cast<double>(busiest) : 1.0;
   const auto util = [&](int from, int to) {
     const auto idx = static_cast<std::size_t>(mesh.link_index({from, to}));
-    return static_cast<double>(busy[idx]) / span;
+    return static_cast<double>(busy[idx]) / scale;
   };
   // Busier direction of the {a->b, b->a} pair.
   const auto pair_util = [&](int a, int b) { return std::max(util(a, b), util(b, a)); };
@@ -60,8 +64,11 @@ std::string render_link_heatmap(const obs::Recorder& rec, const Mesh& mesh,
       os << '\n';
     }
   }
-  os << "link utilization in tenths of the run ('*' >= 95%); busier direction "
-        "of each pair shown\n";
+  std::snprintf(buf, sizeof buf, "%.3g%%",
+                100.0 * static_cast<double>(busiest) / static_cast<double>(makespan));
+  os << "link utilization in tenths of the busiest link's busy time ('*' >= 95%); "
+        "busier direction of each pair shown; the busiest link was busy "
+     << buf << " of the run\n";
   return os.str();
 }
 

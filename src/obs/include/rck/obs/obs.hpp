@@ -34,8 +34,8 @@
 
 namespace rck::obs {
 
-/// Observability configuration, carried inside scc::RuntimeConfig (and the
-/// consolidated rck::RunConfig). Everything defaults to off.
+/// Observability configuration, carried inside scc::RuntimeConfig (so also
+/// in the consolidated rck::RunConfig's runtime). Everything defaults to off.
 struct Config {
   /// Collect metrics + trace even when no output file is configured (the
   /// recorder is then read programmatically via SpmdRuntime::obs()).

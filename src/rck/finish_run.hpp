@@ -11,15 +11,15 @@
 namespace rck::detail {
 
 /// Write the run's configured obs files (obs::flush), then the chk report
-/// when cfg.chk.report_path is set. The report is written even when clean,
-/// so callers (and CI artifact steps) can always rely on the file existing
-/// after the run.
+/// when cfg.runtime.chk.report_path is set. The report is written even when
+/// clean, so callers (and CI artifact steps) can always rely on the file
+/// existing after the run.
 inline void finish_run(const RunConfig& cfg,
                        const std::shared_ptr<obs::Recorder>& recorder,
                        const chk::Checker* checker) {
   obs::flush(recorder);
-  if (checker != nullptr && !cfg.chk.report_path.empty())
-    chk::write_report(*checker, cfg.chk.report_path);
+  if (checker != nullptr && !cfg.runtime.chk.report_path.empty())
+    chk::write_report(*checker, cfg.runtime.chk.report_path);
 }
 
 }  // namespace rck::detail

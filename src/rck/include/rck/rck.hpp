@@ -8,13 +8,16 @@
 //   cfg.with_slaves(47).with_lpt(true).with_trace("trace.json");
 //   rck::RunResult out = rck::run(dataset, cfg);
 //
-// RunConfig composes every knob that used to be scattered across
-// rckalign::RckAlignOptions, scc::RuntimeConfig, scc::HostParallelism,
-// scc::FaultPlan and obs::Config, and validates the combination as a whole
-// (validate() returns typed issues; validated() throws rck::ConfigError).
-// The underlying structs remain available — RunConfig converts with
-// to_options() — so existing call sites keep working while new code targets
-// this one surface.
+// RunConfig is the flat farm's own options, rckalign::PairsOptions (slaves,
+// cache, LPT, batch, the fault-tolerant and master-failover farms, and the
+// scc::RuntimeConfig that holds the chip, the fault plan, the host pool,
+// obs and chk), plus the settings no farm reads: the methods, the service's
+// admission limits and the model checker's switches. It validates the
+// combination as a whole (validate() returns typed issues; validated()
+// throws rck::ConfigError). Each entry point reads the part it needs:
+// rck::run() ignores `service` and `mc`, run_query() ignores `cache` and
+// `service`, the service ignores `cache`, and mc_explore() / mc_replay()
+// read `mc`.
 #pragma once
 
 #include <cstdint>
@@ -79,8 +82,6 @@ struct ServiceLimits {
 /// rck::mc_explore() / rck::mc_replay(). The canonical (all-zeros) schedule
 /// is bit-identical to an mc-off run.
 struct McConfig {
-  /// Master switch for mc_explore(); rck::run() ignores it.
-  bool enable = false;
   /// Maximum number of schedules explored (0 = no bound: run until the
   /// pruned schedule tree is exhausted, however long that takes).
   std::uint64_t bound = 4096;
@@ -94,64 +95,26 @@ struct McConfig {
   bool operator==(const McConfig&) const = default;
 };
 
-/// The consolidated run configuration. Plain aggregate with chainable
-/// with_*() setters; every field may also be assigned directly.
-struct RunConfig {
-  // -- application ------------------------------------------------------
-  /// Slave cores (the paper sweeps 1..47); rank 0 is the master.
-  int slave_count = 47;
+/// The consolidated run configuration: the flat farm's PairsOptions, which
+/// every farm entry point reads as they stand, plus the settings no farm
+/// reads. Plain struct with chainable with_*() setters; every field may
+/// also be assigned directly. Observability and the race checker live in
+/// `runtime.obs` and `runtime.chk`, beside `runtime.faults` and
+/// `runtime.host`.
+struct RunConfig : rckalign::PairsOptions {
+  /// Declared so that RunConfig{} value-initializes: list-initializing the
+  /// aggregate's PairsOptions base draws a false -Wmaybe-uninitialized from
+  /// GCC 12 at -O2.
+  RunConfig() = default;
+
   /// Comparison methods, in ranking-slot order. The all-vs-all rck::run()
   /// uses exactly one; run_query() and the service fan a query out across
   /// all of them (Algorithm 1's set M). Must be non-empty.
   std::vector<rckalign::Method> methods{rckalign::Method::TmAlign};
-  /// LPT (longest-first) job ordering; the paper used FIFO.
-  bool lpt = false;
-  /// Farm grant size: jobs per master->slave round trip. K > 1 batches
-  /// grants, which cuts master round trips in simulated time; slaves serve
-  /// a grant job by job from the pre-executed outcomes. Results and per-job
-  /// cycle charges are bit-identical to K = 1. Plain farm only —
-  /// incompatible with fault_tolerant / master_ft / a non-empty fault plan.
-  std::size_t batch = 1;
-  /// Optional precomputed TM-align results of the dataset (not owned; may
-  /// be null). Used by rck::run() only.
-  const rckalign::PairCache* cache = nullptr;
-  /// Fault-tolerant farm (leases, retry, blacklist). Forced on whenever
-  /// `runtime.faults` is non-empty.
-  bool fault_tolerant = false;
-  /// Lease knobs of the fault-tolerant farm; its farm options come from
-  /// `lpt` and `batch`, and master_ft sets standby_ue to slave_count + 1.
-  rckskel::FaultTolerantFarmOptions ft{};
-  /// Checkpointed master + standby failover: the master replicates farm
-  /// state to a standby core at rank slave_count + 1, which takes over on
-  /// missed heartbeats and finishes the farm without re-running completed
-  /// jobs. Implies fault_tolerant; requires slave_count + 2 cores. This is
-  /// the only mode in which the fault plan may crash rank 0.
-  bool master_ft = false;
-  /// Checkpoint cadence / heartbeat knobs for master_ft; the master,
-  /// standby and slaves share `ft` above.
-  rckskel::MasterFtOptions mft{};
-
-  // -- service ----------------------------------------------------------
   /// Admission control for rck::service::Service; ignored by rck::run()
   /// and run_query(), but validated unconditionally so one validated
   /// RunConfig can be handed to any entry point.
   ServiceLimits service{};
-
-  // -- simulation (chip, network, faults, host parallelism) -------------
-  scc::RuntimeConfig runtime{};
-
-  // -- observability ----------------------------------------------------
-  /// Single source of truth for tracing/metrics; copied into the runtime
-  /// by to_options(). Off by default (zero simulated + negligible host
-  /// overhead, see DESIGN.md "Observability").
-  obs::Config obs{};
-
-  // -- analysis ---------------------------------------------------------
-  /// Race-detector (rck::chk) switches; copied into the runtime by
-  /// to_options(). Off by default. A clean chk-enabled run is
-  /// bit-identical (cycles, alignments, obs bytes) to a chk-disabled one.
-  chk::Config chk{};
-
   /// Systematic schedule exploration (rck::mc) switches; used by
   /// rck::mc_explore() / rck::mc_replay(), ignored by rck::run().
   McConfig mc{};
@@ -160,7 +123,6 @@ struct RunConfig {
   RunConfig& with_slaves(int n) { slave_count = n; return *this; }
   RunConfig& with_method(rckalign::Method m) { methods = {m}; return *this; }
   RunConfig& with_methods(std::vector<rckalign::Method> ms) { methods = std::move(ms); return *this; }
-  RunConfig& with_service(const ServiceLimits& s) { service = s; return *this; }
   RunConfig& with_queue_capacity(std::size_t n) { service.queue_capacity = n; return *this; }
   RunConfig& with_max_queries_per_round(std::size_t n) { service.max_queries_per_round = n; return *this; }
   RunConfig& with_fail_on_shed(bool on = true) { service.fail_on_shed = on; return *this; }
@@ -168,22 +130,24 @@ struct RunConfig {
   RunConfig& with_batch(std::size_t k) { batch = k; return *this; }
   RunConfig& with_cache(const rckalign::PairCache* c) { cache = c; return *this; }
   RunConfig& with_fault_tolerance(bool on = true) { fault_tolerant = on; return *this; }
-  RunConfig& with_ft(const rckskel::FaultTolerantFarmOptions& o) { ft = o; return *this; }
   RunConfig& with_master_ft(bool on = true) { master_ft = on; return *this; }
   RunConfig& with_master_ft(const rckskel::MasterFtOptions& o) { master_ft = true; mft = o; return *this; }
-  RunConfig& with_runtime(const scc::RuntimeConfig& rt) { runtime = rt; return *this; }
+  /// A non-empty plan runs the leased (fault-tolerant) farm.
   RunConfig& with_faults(const scc::FaultPlan& plan) { runtime.faults = plan; return *this; }
   /// Host workers that pre-execute the run's comparisons before the serial
   /// simulation starts (1 = inline on the calling thread). Wall-clock only.
   RunConfig& with_host_threads(int threads) { runtime.host.threads = threads; return *this; }
-  RunConfig& with_obs(const obs::Config& o) { obs = o; return *this; }
-  RunConfig& with_trace(std::string path) { obs.trace_path = std::move(path); return *this; }
-  RunConfig& with_metrics(std::string path) { obs.metrics_path = std::move(path); return *this; }
-  RunConfig& with_collect(bool on = true) { obs.enable = on; return *this; }
-  RunConfig& with_chk(bool on = true) { chk.enable = on; return *this; }
-  RunConfig& with_chk_seed(std::uint64_t seed) { chk.schedule_seed = seed; return *this; }
-  RunConfig& with_chk_report(std::string path) { chk.report_path = std::move(path); return *this; }
-  RunConfig& with_mc(bool on = true) { mc.enable = on; return *this; }
+  /// Observability: off by default (zero simulated + negligible host
+  /// overhead, see DESIGN.md "Observability").
+  RunConfig& with_obs(const obs::Config& o) { runtime.obs = o; return *this; }
+  RunConfig& with_trace(std::string path) { runtime.obs.trace_path = std::move(path); return *this; }
+  RunConfig& with_metrics(std::string path) { runtime.obs.metrics_path = std::move(path); return *this; }
+  RunConfig& with_collect(bool on = true) { runtime.obs.enable = on; return *this; }
+  /// Race detector (rck::chk): off by default. A clean chk-enabled run is
+  /// bit-identical (cycles, alignments, obs bytes) to a chk-disabled one.
+  RunConfig& with_chk(bool on = true) { runtime.chk.enable = on; return *this; }
+  RunConfig& with_chk_seed(std::uint64_t seed) { runtime.chk.schedule_seed = seed; return *this; }
+  RunConfig& with_chk_report(std::string path) { runtime.chk.report_path = std::move(path); return *this; }
   RunConfig& with_mc_bound(std::uint64_t n) { mc.bound = n; return *this; }
   RunConfig& with_mc_replay(std::string path) { mc.replay_path = std::move(path); return *this; }
   RunConfig& with_mc_witness(std::string path) { mc.witness_path = std::move(path); return *this; }
@@ -196,28 +160,17 @@ struct RunConfig {
   std::vector<ConfigIssue> validate() const;
 
   /// validate(), throwing ConfigError ("rck.config.invalid") on any issue.
-  /// Returns *this so call sites can chain into to_options()/run().
+  /// Returns *this so call sites can chain into run().
   const RunConfig& validated() const;
-
-  /// Lower to run_rckalign()'s options: to_pairs_options() plus `cache`
-  /// and the first method — rck::run() rejects multi-method configurations
-  /// up front.
-  rckalign::RckAlignOptions to_options() const;
-
-  /// Lower to the pair-set options consumed by rckalign::run_pairs(), the
-  /// one flat-farm program (fault_tolerant forced on when the fault plan is
-  /// non-empty; obs and chk copied into the runtime). `cache` stays null:
-  /// the structure tables of run_query() and the alignment service are not
-  /// the cached dataset.
-  rckalign::PairsOptions to_pairs_options() const;
 };
 
-/// run_rckalign's outcome under the umbrella API (alias, not a wrapper: the
+/// The flat farm's outcome under the umbrella API (alias, not a wrapper: the
 /// run struct already carries reports and the obs recorder).
-using RunResult = rckalign::RckAlignRun;
+using RunResult = rckalign::PairsRun;
 
 /// Validate `cfg`, execute the all-vs-all task, write the configured obs
-/// files (obs::flush) and write the chk report when cfg.chk.report_path is set.
+/// files (obs::flush) and write the chk report when
+/// cfg.runtime.chk.report_path is set.
 RunResult run(const std::vector<bio::Protein>& dataset, const RunConfig& cfg);
 
 /// Outcome of one bounded exploration (or replay) of `cfg`'s schedule tree.
@@ -245,7 +198,7 @@ struct McOutcome {
 /// schedule's protocol-event log is checked against the invariant suite
 /// (lease safety, no re-execution, checkpoint monotonicity), the run must
 /// complete (deadlock freedom), and its result matrix must be bit-identical
-/// to the canonical schedule's. Requires cfg.mc.enable.
+/// to the canonical schedule's.
 McOutcome mc_explore(const std::vector<bio::Protein>& dataset,
                      const RunConfig& cfg);
 
@@ -278,7 +231,7 @@ void append_query_specs(const Query& q,
 /// The hit reported by `row`, a result row of a query of kind `kind` whose
 /// probes sit in the structure table from `probe_base` on (see
 /// append_query_specs). Shared by run_query() and the service.
-QueryHit query_hit(const rckalign::PairsRow& row, QueryKind kind,
+QueryHit query_hit(const rckalign::PairRow& row, QueryKind kind,
                    std::uint32_t probe_base);
 
 /// The per-method ranking rule: does `x` outrank `y`? TM-align and CE rank
@@ -298,8 +251,8 @@ void rank_query_hits(std::vector<QueryHit>& hits,
 /// Validate `cfg` and the query shape (throwing ConfigError listing every
 /// issue), execute the query's comparisons over the database through
 /// rckalign::run_pairs(), write the configured obs files (obs::flush) and
-/// the chk report when cfg.chk.report_path is set, and return the ranked
-/// result. The database is untouched; probes ride inside `q`.
+/// the chk report when cfg.runtime.chk.report_path is set, and return the
+/// ranked result. The database is untouched; probes ride inside `q`.
 QueryResult run_query(const std::vector<bio::Protein>& database,
                       const Query& q, const RunConfig& cfg);
 

@@ -66,11 +66,11 @@ struct ScheduleOutcome {
 ScheduleOutcome run_schedule(const std::vector<bio::Protein>& dataset,
                              const RunConfig& cfg,
                              const std::shared_ptr<mc::Session>& session) {
-  RunConfig c = cfg;
-  c.runtime.mc = session;
+  rckalign::RckAlignOptions opts{cfg, cfg.methods.front()};
+  opts.runtime.mc = session;
   ScheduleOutcome out;
   try {
-    const RunResult r = rckalign::run_rckalign(dataset, c.to_options());
+    const RunResult r = rckalign::run_rckalign(dataset, opts);
     out.digest = matrix_digest(r.results);
     out.completed = true;
   } catch (const mc::ReplayError&) {
@@ -125,8 +125,6 @@ mc::Witness make_witness(const RunConfig& cfg, std::uint64_t schedule,
 McOutcome mc_explore(const std::vector<bio::Protein>& dataset,
                      const RunConfig& cfg) {
   cfg.validated();
-  if (!cfg.mc.enable)
-    throw mc::McError("mc_explore: cfg.mc.enable is off");
   mc::Explorer explorer(cfg.mc.bound);
   McOutcome out;
   std::optional<std::uint64_t> canonical;

@@ -83,11 +83,11 @@ void append_query_specs(const Query& q,
   }
 }
 
-QueryHit query_hit(const rckalign::PairsRow& row, QueryKind kind,
+QueryHit query_hit(const rckalign::PairRow& row, QueryKind kind,
                    std::uint32_t probe_base) {
   QueryHit h;
-  h.probe = row.a - probe_base;
-  h.entry = kind == QueryKind::Pair ? row.b - probe_base : row.b;
+  h.probe = row.i - probe_base;
+  h.entry = kind == QueryKind::Pair ? row.j - probe_base : row.j;
   h.method = row.method;
   h.tm_query = row.tm_norm_a;
   h.tm_entry = row.tm_norm_b;
@@ -202,8 +202,11 @@ QueryResult run_query(const std::vector<bio::Protein>& database,
   std::vector<rckalign::PairSpec> specs;
   append_query_specs(q, cfg.methods, probe_base, database.size(), specs);
 
-  rckalign::PairsRun run =
-      rckalign::run_pairs(structures, specs, cfg.to_pairs_options());
+  // The structure table is the database plus the probes, not the dataset a
+  // cache is built for.
+  rckalign::PairsOptions opts = cfg;
+  opts.cache = nullptr;
+  rckalign::PairsRun run = rckalign::run_pairs(structures, specs, opts);
   detail::finish_run(cfg, run.obs, run.chk.get());
 
   QueryResult res;
@@ -211,8 +214,8 @@ QueryResult run_query(const std::vector<bio::Protein>& database,
   res.arrival = q.arrival;
   res.makespan = run.makespan;
   res.completion = q.arrival + static_cast<std::uint64_t>(run.makespan);
-  res.hits.reserve(run.rows.size());
-  for (const rckalign::PairsRow& row : run.rows)
+  res.hits.reserve(run.results.size());
+  for (const rckalign::PairRow& row : run.results)
     res.hits.push_back(query_hit(row, q.kind, probe_base));
   rank_query_hits(res.hits, cfg.methods, q.top_k);
   return res;

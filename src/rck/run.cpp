@@ -138,8 +138,8 @@ std::vector<ConfigIssue> RunConfig::validate() const {
     }
   }
 
-  // A non-empty fault plan silently upgrades to the FT farm (to_options()),
-  // so its knobs get validated in that case too.
+  // run_pairs leases jobs under any non-empty fault plan, so the lease knobs
+  // get validated in that case too.
   if (fault_tolerant || master_ft || !faults.empty()) {
     if (ft.max_attempts < 1) {
       bad("ft.max_attempts", "must be >= 1");
@@ -171,15 +171,17 @@ std::vector<ConfigIssue> RunConfig::validate() const {
         "retry individual jobs");
   }
 
+  const obs::Config& obs = runtime.obs;
+  const chk::Config& chk = runtime.chk;
   if (!obs.trace_path.empty() && obs.trace_path == obs.metrics_path) {
-    bad("obs.metrics_path",
+    bad("runtime.obs.metrics_path",
         "trace_path and metrics_path point at the same file; the second "
         "write would clobber the first");
   }
 
   if (!chk.report_path.empty() &&
       (chk.report_path == obs.trace_path || chk.report_path == obs.metrics_path)) {
-    bad("chk.report_path",
+    bad("runtime.chk.report_path",
         "chk.report_path collides with an obs output path; the race report "
         "would clobber it");
   }
@@ -206,29 +208,6 @@ const RunConfig& RunConfig::validated() const {
   return *this;
 }
 
-rckalign::RckAlignOptions RunConfig::to_options() const {
-  rckalign::RckAlignOptions opts{
-      to_pairs_options(),
-      methods.empty() ? rckalign::Method::TmAlign : methods.front()};
-  opts.cache = cache;
-  return opts;
-}
-
-rckalign::PairsOptions RunConfig::to_pairs_options() const {
-  rckalign::PairsOptions opts;
-  opts.slave_count = slave_count;
-  opts.runtime = runtime;
-  opts.runtime.obs = obs;
-  opts.runtime.chk = chk;
-  opts.lpt = lpt;
-  opts.batch = batch;
-  opts.fault_tolerant = fault_tolerant || !runtime.faults.empty();
-  opts.ft = ft;
-  opts.master_ft = master_ft;
-  opts.mft = mft;
-  return opts;
-}
-
 RunResult run(const std::vector<bio::Protein>& dataset, const RunConfig& cfg) {
   cfg.validated();
   // The all-vs-all matrix is one method per run by construction (the cache,
@@ -241,7 +220,7 @@ RunResult run(const std::vector<bio::Protein>& dataset, const RunConfig& cfg) {
         "rck::run() executes exactly one method; use run_query() or the "
         "service for multi-method fan-out"}});
   }
-  RunResult out = rckalign::run_rckalign(dataset, cfg.to_options());
+  RunResult out = rckalign::run_rckalign(dataset, {cfg, cfg.methods.front()});
   detail::finish_run(cfg, out.obs, out.chk.get());
   return out;
 }

@@ -14,23 +14,12 @@ std::vector<std::pair<std::uint32_t, std::uint32_t>> all_pairs(std::size_t n) {
   return pairs;
 }
 
-RckAlignRun run_rckalign(const std::vector<bio::Protein>& dataset,
-                         const RckAlignOptions& opts) {
+PairsRun run_rckalign(const std::vector<bio::Protein>& dataset,
+                      const RckAlignOptions& opts) {
   if (dataset.size() < 2)
     throw AlignError("run_rckalign: need at least two chains");
-  PairsRun pr = run_pairs(detail::structure_table(dataset),
-                          detail::all_pair_specs(dataset.size(), opts.method), opts);
-  RckAlignRun run;
-  run.makespan = pr.makespan;
-  run.results.reserve(pr.rows.size());
-  for (const PairsRow& r : pr.rows) run.results.push_back(detail::to_pair_row(r));
-  run.core_reports = std::move(pr.core_reports);
-  run.network = pr.network;
-  run.events = pr.events;
-  run.farm_report = std::move(pr.farm_report);
-  run.obs = std::move(pr.obs);
-  run.chk = std::move(pr.chk);
-  return run;
+  return run_pairs(detail::structure_table(dataset),
+                   detail::all_pair_specs(dataset.size(), opts.method), opts);
 }
 
 noc::SimTime run_serial(const std::vector<bio::Protein>& dataset, const PairCache& cache,

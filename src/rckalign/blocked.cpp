@@ -118,10 +118,8 @@ BlockedRun run_rckalign_blocked(const std::vector<bio::Protein>& dataset,
           fopts.send_terminate = false;
           first_round = false;
           const rckskel::Task task = rckskel::Task::make_par(slaves, std::move(jobs));
-          for (rckskel::JobResult& jr : rckskel::farm(comm, task, fopts)) {
-            run.results.push_back(
-                detail::to_pair_row(decode_outcome(std::move(jr.payload)), jr.worker));
-          }
+          for (rckskel::JobResult& jr : rckskel::farm(comm, task, fopts))
+            run.results.push_back(detail::collected_row(jr));
         }
       }
       rckskel::terminate(comm, slaves);

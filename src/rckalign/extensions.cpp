@@ -38,8 +38,7 @@ MultiMethodRun run_multi_method(const std::vector<bio::Protein>& dataset,
   MultiMethodRun run;
   run.makespan = pr.makespan;
   run.results.resize(opts.groups.size());
-  for (const PairsRow& r : pr.rows)
-    run.results[r.spec / npairs].push_back(detail::to_pair_row(r));
+  for (const PairRow& r : pr.results) run.results[r.spec / npairs].push_back(r);
   run.core_reports = std::move(pr.core_reports);
   return run;
 }
@@ -178,10 +177,8 @@ HierarchyRun run_hierarchical(const std::vector<bio::Protein>& dataset,
       const rckskel::Task task = rckskel::Task::make_par(masters, std::move(batches));
       std::vector<rckskel::JobResult> collected = rckskel::farm(comm, task, {});
       for (rckskel::JobResult& batch_res : collected) {
-        for (rckskel::JobResult& jr : unpack_results(batch_res.payload)) {
-          run.results.push_back(
-              detail::to_pair_row(decode_outcome(std::move(jr.payload)), jr.worker));
-        }
+        for (rckskel::JobResult& jr : unpack_results(batch_res.payload))
+          run.results.push_back(detail::collected_row(jr));
       }
     } else if (ue <= g) {
       // Group master: serve batches from the root; farm each batch to the

@@ -37,7 +37,7 @@ struct ClusterResult {
 /// Cluster from a pair cache (uses each pair's max TM normalization).
 ClusterResult cluster_by_tm(const PairCache& cache, double tm_threshold = 0.5);
 
-/// Cluster from collected PairRows (e.g. an RckAlignRun's results).
+/// Cluster from collected PairRows (e.g. a PairsRun's results).
 /// `n` is the chain count; missing pairs default to distance 1.
 ClusterResult cluster_rows(std::size_t n, const std::vector<PairRow>& rows,
                            double tm_threshold = 0.5);

@@ -32,8 +32,8 @@
 
 namespace rck::rckalign {
 
-/// Farm configuration for a pair-set run. Prefer deriving this from a
-/// validated rck::RunConfig via RunConfig::to_pairs_options().
+/// Farm configuration for a pair-set run. rck::RunConfig derives from it,
+/// so a validated RunConfig is itself a PairsOptions.
 struct PairsOptions {
   /// Number of slave cores (the paper sweeps 1..47); rank 0 is the master.
   int slave_count = 47;
@@ -51,16 +51,17 @@ struct PairsOptions {
   /// plain farm sends BATCH frames, which farm_slave serves job by job;
   /// this cuts master round trips in simulated time. Per-job results and
   /// cycle charges are bit-identical to K = 1; only the dispatch schedule
-  /// changes. Requires the plain farm: incompatible with fault_tolerant /
-  /// master_ft, which lease and retry individual jobs.
+  /// changes. Requires the plain farm: incompatible with the leased farm
+  /// (see fault_tolerant), which leases and retries individual jobs.
   std::size_t batch = 1;
   /// Use the fault-tolerant farm (leases, retry, blacklist) instead of the
-  /// paper's plain FARM. Required whenever runtime.faults is non-empty, and
-  /// harmless without faults (simulated makespan is within lease-bookkeeping
-  /// noise of the plain farm). A lease derived from the cost hint
-  /// (ft.lease == 0) is only sized in cycles for cached TM-align specs; a
-  /// run with any other spec instead gets one fixed lease of
-  /// ft.lease_margin + ft.lease_slack x its longest job's simulated time.
+  /// paper's plain FARM. Implied by master_ft and by a non-empty
+  /// runtime.faults, which always run the leased farm; harmless without
+  /// faults (simulated makespan is within lease-bookkeeping noise of the
+  /// plain farm). A lease derived from the cost hint (ft.lease == 0) is
+  /// only sized in cycles for cached TM-align specs; a run with any other
+  /// spec instead gets one fixed lease of ft.lease_margin + ft.lease_slack
+  /// x its longest job's simulated time.
   bool fault_tolerant = false;
   /// Resilience knobs for the fault-tolerant farm (leases, retries,
   /// timeouts); under master_ft standby_ue is overridden by the standby's
@@ -85,33 +86,40 @@ struct SlaveGroup {
   std::size_t specs = 0;
 };
 
-/// One completed comparison. `spec` is the index of the PairSpec that
-/// requested it (stable across duplicates); rows arrive in collection
-/// order, which is deterministic for a given configuration.
-struct PairsRow {
+/// One completed comparison: the spec that requested it, its scores, the
+/// cycles the slave charged for it and the slave that produced it. Every
+/// farm driver reports its results as these rows. Fields run widest first,
+/// so a row takes 72 bytes.
+struct PairRow {
+  /// Index of the PairSpec (the farm job id) that requested it; stable
+  /// across duplicate specs.
   std::uint64_t spec = 0;
-  std::uint32_t a = 0;
-  std::uint32_t b = 0;
-  Method method = Method::TmAlign;
+  std::uint64_t work_cycles = 0;  ///< compute cycles the slave charged
   double tm_norm_a = 0.0;
   double tm_norm_b = 0.0;
   double rmsd = 0.0;
   double seq_identity = 0.0;
+  std::uint32_t i = 0;  ///< the spec's chain a (structure table index)
+  std::uint32_t j = 0;  ///< the spec's chain b
   std::uint32_t aligned_length = 0;
-  std::uint64_t work_cycles = 0;  ///< compute cycles the slave charged
-  int worker = -1;                ///< slave rank that produced it
+  int worker = -1;  ///< slave rank that produced it
+  Method method = Method::TmAlign;
 
-  bool operator==(const PairsRow&) const = default;
+  bool operator==(const PairRow&) const = default;
 };
 
-/// Outcome of one pair-set execution.
+/// Outcome of one flat-farm run. run_pairs() builds it; run_rckalign() and
+/// rck::run() (as rck::RunResult) return it as it comes.
 struct PairsRun {
   noc::SimTime makespan = 0;  ///< simulated wall-clock of the whole task
-  std::vector<PairsRow> rows;  ///< one per spec, in collection order
+  /// One row per spec, in collection order, which is deterministic for a
+  /// given configuration.
+  std::vector<PairRow> results;
   std::vector<scc::CoreReport> core_reports;
   noc::NetworkStats network;
-  std::uint64_t events = 0;
-  rckskel::FarmReport farm_report{};  ///< populated under the FT farms
+  std::uint64_t events = 0;  ///< simulation events fired
+  /// Recovery bookkeeping; populated only by the leased farm.
+  rckskel::FarmReport farm_report{};
   /// Observability recorder (null unless opts.runtime.obs is active). Kept
   /// alive past the runtime so obs::flush and tests can read metrics +
   /// trace, and scc::render_gantt / noc::render_link_heatmap can draw the

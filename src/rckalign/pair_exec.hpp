@@ -4,7 +4,8 @@
 // which slave runs it or when. So every driver runs the comparisons it will
 // farm on a host pool before its simulation starts (OutcomeTable::build),
 // then simulates on the serial scheduler: a slave decodes a job's key, looks
-// up the outcome, charges its cycles and replies. Shared by the flat farm
+// up the outcome, charges its cycles and replies, and the master turns each
+// collected reply into a row (collected_row). Shared by the flat farm
 // (pairs.cpp) and its all-vs-all shims (app.cpp, extensions.cpp), the
 // blocked farm (blocked.cpp) and the hierarchy (extensions.cpp). Not part
 // of the public API (lives next to the sources, not under include/).
@@ -12,6 +13,7 @@
 
 #include <algorithm>
 #include <span>
+#include <utility>
 #include <vector>
 
 #include "rck/rcce/rcce.hpp"
@@ -47,16 +49,21 @@ inline std::vector<PairSpec> all_pair_specs(std::size_t n, Method method) {
   return specs;
 }
 
-/// A pair-set row as an all-vs-all row.
-inline PairRow to_pair_row(const PairsRow& r) {
-  return PairRow{r.a,    r.b,          r.tm_norm_a,      r.tm_norm_b,
-                 r.rmsd, r.seq_identity, r.aligned_length, r.worker};
-}
-
-/// A decoded outcome, produced by slave `worker`, as an all-vs-all row.
-inline PairRow to_pair_row(const PairOutcome& o, int worker) {
-  return PairRow{o.i,    o.j,          o.tm_norm_a,      o.tm_norm_b,
-                 o.rmsd, o.seq_identity, o.aligned_length, worker};
+/// The row of a collected farm result: the job id is the spec index, the
+/// payload an encoded PairOutcome.
+inline PairRow collected_row(rckskel::JobResult& jr) {
+  const PairOutcome o = decode_outcome(std::move(jr.payload));
+  return PairRow{.spec = jr.id,
+                 .work_cycles = o.work_cycles,
+                 .tm_norm_a = o.tm_norm_a,
+                 .tm_norm_b = o.tm_norm_b,
+                 .rmsd = o.rmsd,
+                 .seq_identity = o.seq_identity,
+                 .i = o.i,
+                 .j = o.j,
+                 .aligned_length = o.aligned_length,
+                 .worker = jr.worker,
+                 .method = o.method};
 }
 
 /// Does a job for `s` carry its exact cycles as cost hint? Only a cached

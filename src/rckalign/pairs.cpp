@@ -17,7 +17,7 @@ namespace {
 
 void validate_inputs(std::span<const bio::Protein* const> structures,
                      std::span<const PairSpec> specs, const PairsOptions& opts,
-                     std::span<const SlaveGroup> partition) {
+                     bool leased, std::span<const SlaveGroup> partition) {
   if (opts.cache != nullptr && opts.cache->chain_count() != structures.size())
     throw AlignError("run_pairs: cache built for a different structure table");
   for (std::size_t k = 0; k < specs.size(); ++k) {
@@ -36,7 +36,7 @@ void validate_inputs(std::span<const bio::Protein* const> structures,
   if (opts.slave_count < 1 || core_count > opts.runtime.chip.core_count())
     throw AlignError("run_pairs: slave_count out of range for chip");
   if (opts.batch == 0) throw AlignError("run_pairs: batch must be >= 1");
-  if (opts.batch > 1 && (opts.fault_tolerant || opts.master_ft))
+  if (opts.batch > 1 && leased)
     throw AlignError(
         "run_pairs: batched grants require the plain farm (the "
         "fault-tolerant farms lease and retry individual jobs)");
@@ -81,7 +81,11 @@ rckskel::Task make_task(std::vector<rckskel::Job> jobs, int slave_count,
 PairsRun run_pairs(std::span<const bio::Protein* const> structures,
                    std::span<const PairSpec> specs, const PairsOptions& opts,
                    std::span<const SlaveGroup> partition) {
-  validate_inputs(structures, specs, opts, partition);
+  // The farm leases jobs under fault_tolerant, under master_ft and whenever
+  // the fault plan is non-empty: only leases survive a planned fault.
+  const bool leased =
+      opts.fault_tolerant || opts.master_ft || !opts.runtime.faults.empty();
+  validate_inputs(structures, specs, opts, leased, partition);
 
   PairsRun run;
   scc::SpmdRuntime rt(opts.runtime);
@@ -101,7 +105,7 @@ PairsRun run_pairs(std::span<const bio::Protein* const> structures,
   fopts.lpt_order = opts.lpt;
   fopts.batch = opts.batch;
   rckskel::FaultTolerantFarmOptions ft = opts.ft;
-  if ((opts.fault_tolerant || opts.master_ft) && ft.lease == 0 &&
+  if (leased && ft.lease == 0 &&
       std::any_of(specs.begin(), specs.end(), [&](const PairSpec& s) {
         return !detail::has_cycle_hint(s, opts.cache);
       })) {
@@ -124,9 +128,9 @@ PairsRun run_pairs(std::span<const bio::Protein* const> structures,
   // right core lane); the buffers are merged after rt.run(), preferring the
   // standby's copy whenever a takeover produced one. A crashed master
   // unwinds before writing its buffer, so the merge never sees torn state.
-  std::vector<PairsRow> master_rows;
+  std::vector<PairRow> master_rows;
   rckskel::FarmReport master_rep{};
-  std::optional<std::vector<PairsRow>> standby_rows;
+  std::optional<std::vector<PairRow>> standby_rows;
   rckskel::FarmReport standby_rep{};
 
   const auto program = [&](scc::CoreCtx& ctx) {
@@ -160,16 +164,11 @@ PairsRun run_pairs(std::span<const bio::Protein* const> structures,
     };
 
     const auto decode_collected = [&](std::vector<rckskel::JobResult>& collected,
-                                      std::vector<PairsRow>& rows) {
+                                      std::vector<PairRow>& rows) {
       const obs::Handle h = comm.obs();
       const noc::SimTime t_decode0 = ctx.now();
       rows.reserve(collected.size());
-      for (rckskel::JobResult& jr : collected) {
-        const PairOutcome o = decode_outcome(std::move(jr.payload));
-        rows.push_back(PairsRow{jr.id, o.i, o.j, o.method, o.tm_norm_a,
-                                o.tm_norm_b, o.rmsd, o.seq_identity,
-                                o.aligned_length, o.work_cycles, jr.worker});
-      }
+      for (rckskel::JobResult& jr : collected) rows.push_back(detail::collected_row(jr));
       if (h) {
         h.span(obs::Lane::Core, h.ids().n_decode_results, t_decode0, ctx.now());
         // Aggregate throughput over this core's elapsed time so far (the
@@ -188,7 +187,7 @@ PairsRun run_pairs(std::span<const bio::Protein* const> structures,
       if (opts.master_ft) {
         collected =
             rckskel::farm_ft_master(comm, task, fopts, ft, opts.mft, &master_rep);
-      } else if (opts.fault_tolerant) {
+      } else if (leased) {
         collected = rckskel::farm_ft(comm, task, fopts, ft, &master_rep);
       } else {
         collected = rckskel::farm(comm, task, fopts);
@@ -204,7 +203,7 @@ PairsRun run_pairs(std::span<const bio::Protein* const> structures,
       }
     } else {
       const rckskel::Worker worker = detail::pair_worker(outcomes);
-      if (opts.master_ft || opts.fault_tolerant) {
+      if (leased) {
         rckskel::farm_slave_ft(comm, kMaster, worker, fopts, ft);
       } else {
         rckskel::farm_slave(comm, kMaster, worker, fopts);
@@ -215,10 +214,10 @@ PairsRun run_pairs(std::span<const bio::Protein* const> structures,
   const int core_count = opts.slave_count + (opts.master_ft ? 2 : 1);
   run.makespan = rt.run(core_count, program);
   if (standby_rows.has_value()) {
-    run.rows = std::move(*standby_rows);
+    run.results = std::move(*standby_rows);
     run.farm_report = standby_rep;
   } else {
-    run.rows = std::move(master_rows);
+    run.results = std::move(master_rows);
     run.farm_report = master_rep;
   }
   run.core_reports = rt.core_reports();

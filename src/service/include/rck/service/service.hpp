@@ -137,8 +137,8 @@ class Service {
   /// service-lifetime recorder.
   std::string obs_json() const;
   /// Write the recorder's configured obs files through obs::flush
-  /// (metrics_path from RunConfig::obs; the service never writes a Chrome
-  /// trace).
+  /// (metrics_path from RunConfig::runtime.obs; the service never writes a
+  /// Chrome trace).
   void write_obs() const;
   const std::shared_ptr<obs::Recorder>& recorder() const noexcept {
     return rec_;
@@ -154,7 +154,7 @@ class Service {
   void shed_query(Pending&& p, std::vector<QueryResult>& out);
 
   RunConfig cfg_;
-  rckalign::PairsOptions round_opts_;  ///< cfg_ lowered, obs/chk stripped
+  rckalign::PairsOptions round_opts_;  ///< cfg_'s farm part; no cache, obs or chk
   std::vector<bio::Protein> entries_;
   std::vector<MatrixCell> matrix_;
   /// Pointer table over entries_, rebuilt whenever the database changes.

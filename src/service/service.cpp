@@ -18,7 +18,7 @@ std::size_t tri_index(std::size_t i, std::size_t j) noexcept {
   return j * (j - 1) / 2 + i;
 }
 
-MatrixCell cell_of(const rckalign::PairsRow& row) {
+MatrixCell cell_of(const rckalign::PairRow& row) {
   MatrixCell c;
   c.tm_norm_a = row.tm_norm_a;
   c.tm_norm_b = row.tm_norm_b;
@@ -51,13 +51,15 @@ std::string join_query_issues(const std::vector<ConfigIssue>& issues) {
 Service::Service(std::vector<bio::Protein> database, RunConfig cfg)
     : cfg_(std::move(cfg)) {
   cfg_.validated();
-  round_opts_ = cfg_.to_pairs_options();
-  // The service owns one lifetime recorder; per-round runtime obs/chk would
-  // re-register and clobber each other, so rounds run bare.
+  round_opts_ = cfg_;
+  // Rounds farm the database plus probes, not the dataset a cache is built
+  // for. The service owns one lifetime recorder; per-round runtime obs/chk
+  // would re-register and clobber each other, so rounds run bare.
+  round_opts_.cache = nullptr;
   round_opts_.runtime.obs = obs::Config::off();
   round_opts_.runtime.chk = chk::Config{};
 
-  obs::Config oc = cfg_.obs;
+  obs::Config oc = cfg_.runtime.obs;
   oc.enable = true;        // the service always keeps its own metrics
   oc.trace_path.clear();   // rounds carry no recorder, so no trace either
   rec_ = std::make_shared<obs::Recorder>(oc, /*core_shards=*/1);
@@ -92,7 +94,7 @@ Service::Service(std::vector<bio::Protein> database, RunConfig cfg)
         specs.push_back(rckalign::PairSpec{i, j, method});
     rckalign::PairsRun run = rckalign::run_pairs(db_ptrs_, specs, round_opts_);
     matrix_.resize(specs.size());
-    for (const rckalign::PairsRow& row : run.rows)
+    for (const rckalign::PairRow& row : run.results)
       matrix_[row.spec] = cell_of(row);
     stats_.matrix_jobs += specs.size();
     rec_->add(0, c_matrix_jobs_, specs.size());
@@ -131,7 +133,7 @@ std::size_t Service::add_structure(bio::Protein p) {
     rckalign::PairsRun run = rckalign::run_pairs(db_ptrs_, specs, round_opts_);
     const std::size_t base = matrix_.size();
     matrix_.resize(base + n);
-    for (const rckalign::PairsRow& row : run.rows)
+    for (const rckalign::PairRow& row : run.results)
       matrix_[base + row.spec] = cell_of(row);
     stats_.matrix_jobs += n;
     rec_->add(0, c_matrix_jobs_, n);
@@ -259,7 +261,7 @@ std::vector<QueryResult> Service::drain() {
       res.makespan = run.makespan;
       res.completion = static_cast<std::uint64_t>(stats_.clock);
     }
-    for (const rckalign::PairsRow& row : run.rows) {
+    for (const rckalign::PairRow& row : run.results) {
       const std::uint32_t qi = owner[row.spec];
       round_results[qi].hits.push_back(
           query_hit(row, round[qi].query.kind, probe_base[qi]));

@@ -246,19 +246,22 @@ TEST(ChkRuntime, CleanRunEmitsNoObsBytes) {
 }
 
 TEST(ChkRunConfig, UmbrellaPlumbingAndValidation) {
+  // The chk setters write the runtime config the farm builds its runtime
+  // from, so a checked config's run carries a checker.
   RunConfig cfg;
   cfg.with_chk().with_chk_seed(9).with_chk_report("out/chk.json");
-  EXPECT_TRUE(cfg.chk.enable);
-  const rckalign::RckAlignOptions opts = cfg.to_options();
-  EXPECT_TRUE(opts.runtime.chk.enable);
-  EXPECT_EQ(opts.runtime.chk.schedule_seed, 9u);
-  EXPECT_EQ(opts.runtime.chk.report_path, "out/chk.json");
+  EXPECT_TRUE(cfg.runtime.chk.enable);
+  EXPECT_EQ(cfg.runtime.chk.schedule_seed, 9u);
+  EXPECT_EQ(cfg.runtime.chk.report_path, "out/chk.json");
+  scc::SpmdRuntime rt(cfg.runtime);
+  rt.run(2, echo_program);
+  EXPECT_NE(rt.chk(), nullptr);
 
   RunConfig clash;
   clash.with_metrics("same.json").with_chk_report("same.json");
   bool found = false;
   for (const ConfigIssue& issue : clash.validate())
-    if (issue.field == "chk.report_path") found = true;
+    if (issue.field == "runtime.chk.report_path") found = true;
   EXPECT_TRUE(found);
   EXPECT_THROW(clash.validated(), ConfigError);
 }

@@ -40,7 +40,7 @@ TEST_F(EndToEnd, SimulatedResultsEqualDirectAlignment) {
   rckalign::RckAlignOptions opts;
   opts.slave_count = 5;
   opts.cache = cache_;
-  const rckalign::RckAlignRun run = rckalign::run_rckalign(*dataset_, opts);
+  const rckalign::PairsRun run = rckalign::run_rckalign(*dataset_, opts);
   ASSERT_EQ(run.results.size(), 28u);
   for (const rckalign::PairRow& row : run.results) {
     const core::TmAlignResult direct =
@@ -69,7 +69,7 @@ TEST_F(EndToEnd, SlaveComputeCyclesSumToCacheTotal) {
   rckalign::RckAlignOptions opts;
   opts.slave_count = 4;
   opts.cache = cache_;
-  const rckalign::RckAlignRun run = rckalign::run_rckalign(*dataset_, opts);
+  const rckalign::PairsRun run = rckalign::run_rckalign(*dataset_, opts);
   std::uint64_t slave_cycles = 0;
   for (std::size_t s = 1; s < run.core_reports.size(); ++s)
     slave_cycles += run.core_reports[s].compute_cycles;
@@ -83,7 +83,7 @@ TEST_F(EndToEnd, FamilyBlockStructureSurvivesTheStack) {
   rckalign::RckAlignOptions opts;
   opts.slave_count = 3;
   opts.cache = cache_;
-  const rckalign::RckAlignRun run = rckalign::run_rckalign(*dataset_, opts);
+  const rckalign::PairsRun run = rckalign::run_rckalign(*dataset_, opts);
   std::map<std::pair<std::uint32_t, std::uint32_t>, double> tm;
   for (const rckalign::PairRow& r : run.results)
     tm[{r.i, r.j}] = std::max(r.tm_norm_a, r.tm_norm_b);

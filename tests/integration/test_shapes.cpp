@@ -82,7 +82,7 @@ TEST_F(Shapes, MasterIsNotTheBottleneck) {
   opts.slave_count = 47;
   opts.runtime = harness::default_runtime();
   opts.cache = &ctx_->ck34_cache;
-  const rckalign::RckAlignRun run = rckalign::run_rckalign(ctx_->ck34, opts);
+  const rckalign::PairsRun run = rckalign::run_rckalign(ctx_->ck34, opts);
   const double master_busy = noc::to_seconds(run.core_reports[0].busy);
   const double makespan = noc::to_seconds(run.makespan);
   EXPECT_LT(master_busy / makespan, 0.25);
@@ -120,8 +120,8 @@ TEST_F(Shapes, FaultTolerantFarmNoFaultParityOnCk34) {
   plain.cache = &ctx_->ck34_cache;
   rckalign::RckAlignOptions ft = plain;
   ft.fault_tolerant = true;
-  const rckalign::RckAlignRun a = rckalign::run_rckalign(ctx_->ck34, plain);
-  const rckalign::RckAlignRun b = rckalign::run_rckalign(ctx_->ck34, ft);
+  const rckalign::PairsRun a = rckalign::run_rckalign(ctx_->ck34, plain);
+  const rckalign::PairsRun b = rckalign::run_rckalign(ctx_->ck34, ft);
   ASSERT_EQ(a.results.size(), b.results.size());
   EXPECT_EQ(b.farm_report.retries, 0u);
   EXPECT_EQ(b.farm_report.lease_expiries, 0u);

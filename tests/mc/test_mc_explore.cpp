@@ -32,7 +32,6 @@ TEST(McExplore, CleanFarmExploresBitIdentical) {
   RunConfig cfg;
   cfg.with_slaves(3)
       .with_cache(&cache)
-      .with_mc()
       .with_mc_bound(48)
       .with_mc_label("test/plain");
   const McOutcome out = mc_explore(ds, cfg);
@@ -55,10 +54,9 @@ TEST(McExplore, BatchConfigMatchesPlainDigest) {
   const auto ds = tiny_dataset();
   const rckalign::PairCache cache = rckalign::PairCache::build(ds);
   RunConfig plain;
-  plain.with_slaves(3).with_cache(&cache).with_mc().with_mc_bound(8);
+  plain.with_slaves(3).with_cache(&cache).with_mc_bound(8);
   RunConfig batch;
-  batch.with_slaves(3).with_cache(&cache).with_batch(3).with_mc().with_mc_bound(
-      8);
+  batch.with_slaves(3).with_cache(&cache).with_batch(3).with_mc_bound(8);
   EXPECT_EQ(mc_explore(ds, plain).canonical_digest,
             mc_explore(ds, batch).canonical_digest);
 }
@@ -74,7 +72,6 @@ TEST(McExplore, MutantCaughtAndWitnessReplaysIdentically) {
   cfg.with_slaves(3)
       .with_cache(&cache)
       .with_fault_tolerance()
-      .with_mc()
       .with_mc_bound(128)
       .with_mc_label("test/ft-double-grant")
       .with_mc_witness(witness_path)
@@ -98,7 +95,7 @@ TEST(McExplore, MutantCaughtAndWitnessReplaysIdentically) {
 
 TEST(McExplore, ValidationRejectsConflictingPaths) {
   RunConfig cfg;
-  cfg.with_mc().with_mc_replay("w.json").with_mc_witness("w.json");
+  cfg.with_mc_replay("w.json").with_mc_witness("w.json");
   EXPECT_FALSE(cfg.validate().empty());
 }
 

@@ -33,10 +33,10 @@ TEST(RunConfig, ChainableSettersCompose) {
   EXPECT_EQ(cfg.slave_count, 5);
   EXPECT_TRUE(cfg.lpt);
   EXPECT_EQ(cfg.runtime.host.threads, 4);
-  EXPECT_EQ(cfg.obs.trace_path, "t.json");
-  EXPECT_EQ(cfg.obs.metrics_path, "m.json");
-  EXPECT_TRUE(cfg.obs.enable);
-  EXPECT_TRUE(cfg.obs.active());
+  EXPECT_EQ(cfg.runtime.obs.trace_path, "t.json");
+  EXPECT_EQ(cfg.runtime.obs.metrics_path, "m.json");
+  EXPECT_TRUE(cfg.runtime.obs.enable);
+  EXPECT_TRUE(cfg.runtime.obs.active());
   EXPECT_TRUE(cfg.validate().empty());
 }
 
@@ -158,9 +158,12 @@ TEST(RunConfig, RejectsBadBatch) {
 }
 
 TEST(RunConfig, ToOptionsCarriesBatch) {
+  // rck::run() hands run_rckalign {cfg, method}: the batch the setter
+  // stores is the batch the farm reads.
   RunConfig cfg;
   cfg.with_batch(8);
-  EXPECT_EQ(cfg.to_options().batch, 8u);
+  const rckalign::RckAlignOptions opts{cfg, cfg.methods.front()};
+  EXPECT_EQ(opts.batch, 8u);
 }
 
 TEST(RunConfig, RejectsEmptyMethodList) {
@@ -199,9 +202,11 @@ TEST(RunConfig, RejectsBadServiceLimits) {
 }
 
 TEST(RunConfig, ToPairsOptionsCarriesTheKnobs) {
+  // A RunConfig is the PairsOptions that run_pairs reads; the setters write
+  // its fields.
   RunConfig cfg;
   cfg.with_slaves(5).with_lpt().with_batch(4).with_host_threads(3);
-  const rckalign::PairsOptions opts = cfg.to_pairs_options();
+  const rckalign::PairsOptions& opts = cfg;
   EXPECT_EQ(opts.slave_count, 5);
   EXPECT_TRUE(opts.lpt);
   EXPECT_EQ(opts.batch, 4u);
@@ -211,7 +216,7 @@ TEST(RunConfig, ToPairsOptionsCarriesTheKnobs) {
 TEST(RunConfig, RejectsTraceAndMetricsSharingAFile) {
   RunConfig cfg;
   cfg.with_trace("same.json").with_metrics("same.json");
-  EXPECT_TRUE(has_issue(cfg.validate(), "obs.metrics_path"));
+  EXPECT_TRUE(has_issue(cfg.validate(), "runtime.obs.metrics_path"));
 }
 
 TEST(RunConfig, ValidatedThrowsTypedErrorListingEveryIssue) {
@@ -230,19 +235,34 @@ TEST(RunConfig, ValidatedThrowsTypedErrorListingEveryIssue) {
 }
 
 TEST(RunConfig, ToOptionsForcesFaultToleranceUnderAFaultPlan) {
+  // A non-empty fault plan runs the leased farm without
+  // with_fault_tolerance(): only that farm fills in the farm report, and it
+  // finishes every pair past the crashed slave.
+  const std::vector<bio::Protein> dataset = bio::build_dataset(bio::tiny_spec());
+  const std::size_t pairs = dataset.size() * (dataset.size() - 1) / 2;
   RunConfig cfg;
-  EXPECT_FALSE(cfg.to_options().fault_tolerant);
+  cfg.with_slaves(3);
+  const RunResult plain = rck::run(dataset, cfg);
+  EXPECT_EQ(plain.farm_report.jobs, 0u);
   scc::FaultPlan plan;
-  plan.crashes.push_back({3, 1'000'000});
+  plan.crashes.push_back({2, plain.makespan / 4});
   cfg.with_faults(plan);
-  EXPECT_TRUE(cfg.to_options().fault_tolerant);
+  ASSERT_FALSE(cfg.fault_tolerant);
+  const RunResult leased = rck::run(dataset, cfg);
+  EXPECT_EQ(leased.farm_report.jobs, pairs);
+  EXPECT_EQ(leased.farm_report.dead_ues, std::vector<int>{2});
+  EXPECT_EQ(leased.results.size(), pairs);
 }
 
 TEST(RunConfig, ToOptionsRoutesObsIntoRuntime) {
+  // Obs settings live in the runtime config the farm builds its runtime
+  // from, so a collecting config's run carries a recorder.
   RunConfig cfg;
   cfg.with_collect();
-  const rckalign::RckAlignOptions opts = cfg.to_options();
-  EXPECT_TRUE(opts.runtime.obs.active());
+  EXPECT_TRUE(cfg.runtime.obs.active());
+  scc::SpmdRuntime rt(cfg.runtime);
+  rt.run(2, [](scc::CoreCtx&) {});
+  EXPECT_NE(rt.obs(), nullptr);
 }
 
 TEST(Run, InvalidConfigThrowsBeforeSimulating) {

@@ -45,7 +45,7 @@ TEST_F(RckAlignTest, AllPairsEnumeration) {
 }
 
 TEST_F(RckAlignTest, CompletesAllPairs) {
-  const RckAlignRun run = run_rckalign(*dataset_, options(4));
+  const PairsRun run = run_rckalign(*dataset_, options(4));
   EXPECT_EQ(run.results.size(), 28u);
   std::set<std::pair<std::uint32_t, std::uint32_t>> seen;
   for (const PairRow& r : run.results) {
@@ -56,7 +56,7 @@ TEST_F(RckAlignTest, CompletesAllPairs) {
 }
 
 TEST_F(RckAlignTest, ResultsMatchCache) {
-  const RckAlignRun run = run_rckalign(*dataset_, options(3));
+  const PairsRun run = run_rckalign(*dataset_, options(3));
   for (const PairRow& r : run.results) {
     const PairEntry& e = cache_->at(r.i, r.j);
     EXPECT_DOUBLE_EQ(r.tm_norm_a, e.tm_norm_a);
@@ -72,8 +72,8 @@ TEST_F(RckAlignTest, NoCacheProducesSameScores) {
   RckAlignOptions cached = options(2);
   RckAlignOptions live = options(2);
   live.cache = nullptr;
-  const RckAlignRun a = run_rckalign(*dataset_, cached);
-  const RckAlignRun b = run_rckalign(*dataset_, live);
+  const PairsRun a = run_rckalign(*dataset_, cached);
+  const PairsRun b = run_rckalign(*dataset_, live);
   EXPECT_EQ(a.makespan, b.makespan);
   ASSERT_EQ(a.results.size(), b.results.size());
   auto key = [](const PairRow& r) { return std::pair{r.i, r.j}; };
@@ -102,8 +102,8 @@ TEST_F(RckAlignTest, CacheOnlyServesTmAlignJobs) {
     cached.fault_tolerant = c.fault_tolerant;
     RckAlignOptions live = cached;
     live.cache = nullptr;
-    const RckAlignRun a = run_rckalign(*dataset_, cached);
-    const RckAlignRun b = run_rckalign(*dataset_, live);
+    const PairsRun a = run_rckalign(*dataset_, cached);
+    const PairsRun b = run_rckalign(*dataset_, live);
     const int m = static_cast<int>(c.method);
     EXPECT_EQ(a.makespan, b.makespan) << "method " << m;
     EXPECT_TRUE(a.results == b.results) << "method " << m;
@@ -133,8 +133,8 @@ TEST_F(RckAlignTest, OneSlaveCloseToSerial) {
 }
 
 TEST_F(RckAlignTest, Deterministic) {
-  const RckAlignRun a = run_rckalign(*dataset_, options(5));
-  const RckAlignRun b = run_rckalign(*dataset_, options(5));
+  const PairsRun a = run_rckalign(*dataset_, options(5));
+  const PairsRun b = run_rckalign(*dataset_, options(5));
   EXPECT_EQ(a.makespan, b.makespan);
   EXPECT_EQ(a.events, b.events);
   ASSERT_EQ(a.results.size(), b.results.size());
@@ -155,7 +155,7 @@ TEST_F(RckAlignTest, LptNotSlowerOnHeterogeneousJobs) {
 }
 
 TEST_F(RckAlignTest, CoreReportsConsistent) {
-  const RckAlignRun run = run_rckalign(*dataset_, options(4));
+  const PairsRun run = run_rckalign(*dataset_, options(4));
   ASSERT_EQ(run.core_reports.size(), 5u);  // master + 4 slaves
   // Master sends one job message per pair plus terminates.
   EXPECT_GE(run.core_reports[0].messages_sent, 28u + 4u);
@@ -172,7 +172,7 @@ TEST_F(RckAlignTest, CoreReportsConsistent) {
 }
 
 TEST_F(RckAlignTest, WorkSpreadAcrossSlaves) {
-  const RckAlignRun run = run_rckalign(*dataset_, options(4));
+  const PairsRun run = run_rckalign(*dataset_, options(4));
   std::set<int> workers;
   for (const PairRow& r : run.results) workers.insert(r.worker);
   EXPECT_EQ(workers.size(), 4u);
@@ -191,7 +191,7 @@ TEST_F(RckAlignTest, OptionValidation) {
 }
 
 TEST_F(RckAlignTest, NetworkCarriedTheStructures) {
-  const RckAlignRun run = run_rckalign(*dataset_, options(4));
+  const PairsRun run = run_rckalign(*dataset_, options(4));
   // Every job ships two serialized proteins; total bytes must exceed the
   // summed payload sizes.
   std::uint64_t min_bytes = 0;

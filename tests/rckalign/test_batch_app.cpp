@@ -72,9 +72,9 @@ std::vector<bio::Protein>* BatchAppTest::dataset_ = nullptr;
 PairCache* BatchAppTest::cache_ = nullptr;
 
 TEST_F(BatchAppTest, BatchedRunMatchesUnbatchedBitwise) {
-  const RckAlignRun solo = run_rckalign(*dataset_, live(3, 1));
+  const PairsRun solo = run_rckalign(*dataset_, live(3, 1));
   for (const std::size_t k : {std::size_t{4}, std::size_t{8}}) {
-    const RckAlignRun batched = run_rckalign(*dataset_, live(3, k));
+    const PairsRun batched = run_rckalign(*dataset_, live(3, k));
     expect_rows_identical(sorted_rows(solo.results), sorted_rows(batched.results));
   }
 }
@@ -82,8 +82,8 @@ TEST_F(BatchAppTest, BatchedRunMatchesUnbatchedBitwise) {
 TEST_F(BatchAppTest, BatchingCutsMasterMessageCount) {
   // The whole point of K-job grants: fewer master round trips. With 28 jobs
   // and K=4 the master sends ~1/4 the job frames (results likewise).
-  const RckAlignRun solo = run_rckalign(*dataset_, live(3, 1));
-  const RckAlignRun batched = run_rckalign(*dataset_, live(3, 4));
+  const PairsRun solo = run_rckalign(*dataset_, live(3, 1));
+  const PairsRun batched = run_rckalign(*dataset_, live(3, 4));
   EXPECT_LT(batched.core_reports[0].messages_sent,
             solo.core_reports[0].messages_sent);
   EXPECT_LT(batched.core_reports[0].messages_received,
@@ -91,8 +91,8 @@ TEST_F(BatchAppTest, BatchingCutsMasterMessageCount) {
 }
 
 TEST_F(BatchAppTest, BatchedRunDeterministic) {
-  const RckAlignRun a = run_rckalign(*dataset_, live(4, 4));
-  const RckAlignRun b = run_rckalign(*dataset_, live(4, 4));
+  const PairsRun a = run_rckalign(*dataset_, live(4, 4));
+  const PairsRun b = run_rckalign(*dataset_, live(4, 4));
   EXPECT_EQ(a.makespan, b.makespan);
   EXPECT_EQ(a.events, b.events);
   ASSERT_EQ(a.results.size(), b.results.size());
@@ -109,8 +109,8 @@ TEST_F(BatchAppTest, BatchedBitIdenticalUnderHostThreads) {
   RckAlignOptions serial = live(4, 4);
   RckAlignOptions threaded = live(4, 4);
   threaded.runtime.host.threads = 3;
-  const RckAlignRun a = run_rckalign(*dataset_, serial);
-  const RckAlignRun b = run_rckalign(*dataset_, threaded);
+  const PairsRun a = run_rckalign(*dataset_, serial);
+  const PairsRun b = run_rckalign(*dataset_, threaded);
   EXPECT_EQ(a.makespan, b.makespan);
   EXPECT_EQ(a.events, b.events);
   const auto sa = sorted_rows(a.results), sb = sorted_rows(b.results);
@@ -128,8 +128,8 @@ TEST_F(BatchAppTest, CachedRunsReplaySoloInsideGrants) {
   RckAlignOptions cached4 = live(3, 4);
   cached1.cache = cache_;
   cached4.cache = cache_;
-  const RckAlignRun a = run_rckalign(*dataset_, cached1);
-  const RckAlignRun b = run_rckalign(*dataset_, cached4);
+  const PairsRun a = run_rckalign(*dataset_, cached1);
+  const PairsRun b = run_rckalign(*dataset_, cached4);
   expect_rows_identical(sorted_rows(a.results), sorted_rows(b.results));
 }
 

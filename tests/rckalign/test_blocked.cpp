@@ -92,7 +92,7 @@ TEST_F(BlockedTest, ScoresMatchUnblockedRun) {
   RckAlignOptions plain_opts;
   plain_opts.slave_count = 4;
   plain_opts.cache = cache_;
-  const RckAlignRun plain = run_rckalign(*dataset_, plain_opts);
+  const PairsRun plain = run_rckalign(*dataset_, plain_opts);
 
   auto index = [](const std::vector<PairRow>& rows) {
     std::map<std::pair<std::uint32_t, std::uint32_t>, double> m;

@@ -78,14 +78,25 @@ TEST_F(ClusteringTest, ClustersViewConsistent) {
   EXPECT_EQ(total, dataset_->size());
 }
 
+/// The row slave 1 reports for cached pair (i, j).
+PairRow cached_row(const PairCache& cache, std::uint32_t i, std::uint32_t j) {
+  const PairEntry& e = cache.at(i, j);
+  return PairRow{.tm_norm_a = e.tm_norm_a,
+                 .tm_norm_b = e.tm_norm_b,
+                 .rmsd = e.rmsd,
+                 .seq_identity = e.seq_identity,
+                 .i = i,
+                 .j = j,
+                 .aligned_length = e.aligned_length,
+                 .worker = 1};
+}
+
 TEST_F(ClusteringTest, RowsPathMatchesCachePath) {
   // Build rows from the cache and cluster both ways.
   std::vector<PairRow> rows;
   for (std::uint32_t j = 1; j < 8; ++j)
     for (std::uint32_t i = 0; i < j; ++i) {
-      const PairEntry& e = cache_->at(i, j);
-      rows.push_back(PairRow{i, j, e.tm_norm_a, e.tm_norm_b, e.rmsd,
-                             e.seq_identity, e.aligned_length, 1});
+      rows.push_back(cached_row(*cache_, i, j));
     }
   const ClusterResult a = cluster_by_tm(*cache_, 0.5);
   const ClusterResult b = cluster_rows(8, rows, 0.5);
@@ -97,10 +108,7 @@ TEST_F(ClusteringTest, MissingPairsDefaultToDistant) {
   // across (missing pairs are distance 1).
   std::vector<PairRow> rows;
   auto add = [&](std::uint32_t i, std::uint32_t j) {
-    const PairEntry& e = cache_->at(i, j);
-    rows.push_back(
-        PairRow{i, j, e.tm_norm_a, e.tm_norm_b, e.rmsd, e.seq_identity,
-                e.aligned_length, 1});
+    rows.push_back(cached_row(*cache_, i, j));
   };
   add(0, 1); add(0, 2); add(1, 2);
   add(3, 4); add(3, 5); add(4, 5);
@@ -110,7 +118,9 @@ TEST_F(ClusteringTest, MissingPairsDefaultToDistant) {
 }
 
 TEST_F(ClusteringTest, BadRowIndexThrows) {
-  std::vector<PairRow> rows{PairRow{0, 99, 0.9, 0.9, 1.0, 0.5, 50, 1}};
+  std::vector<PairRow> rows{PairRow{.tm_norm_a = 0.9, .tm_norm_b = 0.9, .rmsd = 1.0,
+                                    .seq_identity = 0.5, .i = 0, .j = 99,
+                                    .aligned_length = 50, .worker = 1}};
   EXPECT_THROW(cluster_rows(8, rows, 0.5), rck::rckalign::AlignError);
 }
 

@@ -32,7 +32,7 @@ class FaultAppTest : public ::testing::Test {
     o.fault_tolerant = true;
     return o;
   }
-  static void expect_complete_and_correct(const RckAlignRun& run) {
+  static void expect_complete_and_correct(const PairsRun& run) {
     ASSERT_EQ(run.results.size(), 28u);  // C(8,2) pairs of the tiny dataset
     std::set<std::pair<std::uint32_t, std::uint32_t>> seen;
     for (const PairRow& r : run.results) {
@@ -55,8 +55,8 @@ TEST_F(FaultAppTest, NoFaultsMatchesPlainFarm) {
   RckAlignOptions plain;
   plain.slave_count = 4;
   plain.cache = cache_;
-  const RckAlignRun a = run_rckalign(*dataset_, plain);
-  const RckAlignRun b = run_rckalign(*dataset_, ft_options(4));
+  const PairsRun a = run_rckalign(*dataset_, plain);
+  const PairsRun b = run_rckalign(*dataset_, ft_options(4));
   expect_complete_and_correct(a);
   expect_complete_and_correct(b);
   EXPECT_EQ(b.farm_report.retries, 0u);
@@ -75,10 +75,30 @@ TEST_F(FaultAppTest, CompletesDespiteMidRunCrashes) {
   RckAlignOptions opts = ft_options(4);
   opts.runtime.faults.crashes.push_back({2, base / 4});
   opts.runtime.faults.crashes.push_back({4, base / 2});
-  const RckAlignRun run = run_rckalign(*dataset_, opts);
+  const PairsRun run = run_rckalign(*dataset_, opts);
   expect_complete_and_correct(run);
   EXPECT_EQ(run.farm_report.dead_ues.size(), 2u);
   EXPECT_GE(run.makespan, base);  // losing slaves can only slow things down
+}
+
+TEST_F(FaultAppTest, AFaultPlanRunsTheLeasedFarmWithoutFaultTolerant) {
+  // run_pairs leases jobs whenever the fault plan is non-empty, whatever
+  // fault_tolerant says; the plain farm would wait on the dead slave forever
+  // and end in rck.scc.deadlock.
+  const noc::SimTime base = run_rckalign(*dataset_, ft_options(4)).makespan;
+  std::vector<const bio::Protein*> table;
+  for (const bio::Protein& p : *dataset_) table.push_back(&p);
+  std::vector<PairSpec> specs;
+  for (const auto& [i, j] : all_pairs(dataset_->size()))
+    specs.push_back(PairSpec{i, j, Method::TmAlign});
+  PairsOptions opts;
+  opts.slave_count = 4;
+  opts.cache = cache_;
+  opts.runtime.faults.crashes.push_back({2, base / 4});
+  ASSERT_FALSE(opts.fault_tolerant);
+  const PairsRun run = run_pairs(table, specs, opts);
+  expect_complete_and_correct(run);
+  EXPECT_EQ(run.farm_report.dead_ues, std::vector<int>{2});
 }
 
 TEST_F(FaultAppTest, DeterministicReplayWithFaults) {
@@ -87,8 +107,8 @@ TEST_F(FaultAppTest, DeterministicReplayWithFaults) {
   opts.runtime.faults.crashes.push_back({1, base / 3});
   opts.runtime.faults.messages.push_back(
       {scc::FaultPlan::MessageFault::Kind::Corrupt, 2, 0, 3});
-  const RckAlignRun a = run_rckalign(*dataset_, opts);
-  const RckAlignRun b = run_rckalign(*dataset_, opts);
+  const PairsRun a = run_rckalign(*dataset_, opts);
+  const PairsRun b = run_rckalign(*dataset_, opts);
   EXPECT_EQ(a.makespan, b.makespan);
   EXPECT_TRUE(a.farm_report == b.farm_report);
   ASSERT_EQ(a.results.size(), b.results.size());

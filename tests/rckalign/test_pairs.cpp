@@ -48,11 +48,11 @@ TEST_F(PairsTest, RowsMatchDirectKernelPerSpec) {
       {0, 1, Method::TmAlign}, {2, 3, Method::TmAlign}, {3, 0, Method::TmAlign}};
   const auto t = table();
   const PairsRun run = run_pairs(t, specs, options(3));
-  ASSERT_EQ(run.rows.size(), specs.size());
-  for (const PairsRow& row : run.rows) {
+  ASSERT_EQ(run.results.size(), specs.size());
+  for (const PairRow& row : run.results) {
     const PairSpec& s = specs[row.spec];
-    EXPECT_EQ(row.a, s.a);
-    EXPECT_EQ(row.b, s.b);
+    EXPECT_EQ(row.i, s.a);
+    EXPECT_EQ(row.j, s.b);
     EXPECT_EQ(row.method, s.method);
     // Chain `a` is the query side: tm_norm_a must be normalized by a.
     const core::TmAlignResult direct =
@@ -70,15 +70,15 @@ TEST_F(PairsTest, DuplicateSpecsMapBackThroughSpecIndex) {
       {0, 1, Method::TmAlign}, {0, 1, Method::TmAlign}, {0, 1, Method::TmAlign}};
   const auto t = table();
   const PairsRun run = run_pairs(t, specs, options(2));
-  ASSERT_EQ(run.rows.size(), 3u);
+  ASSERT_EQ(run.results.size(), 3u);
   std::set<std::uint64_t> seen;
-  for (const PairsRow& row : run.rows) {
+  for (const PairRow& row : run.results) {
     seen.insert(row.spec);
-    EXPECT_EQ(row.a, 0u);
-    EXPECT_EQ(row.b, 1u);
+    EXPECT_EQ(row.i, 0u);
+    EXPECT_EQ(row.j, 1u);
   }
   EXPECT_EQ(seen.size(), 3u);  // each duplicate keeps its own identity
-  EXPECT_EQ(run.rows[0].tm_norm_a, run.rows[1].tm_norm_a);
+  EXPECT_EQ(run.results[0].tm_norm_a, run.results[1].tm_norm_a);
 }
 
 TEST_F(PairsTest, ValidatesInputsWithAlignError) {
@@ -129,7 +129,7 @@ TEST_F(PairsTest, RunsAreDeterministic) {
   const PairsRun a = run_pairs(t, specs, options(3));
   const PairsRun b = run_pairs(t, specs, options(3));
   EXPECT_EQ(a.makespan, b.makespan);
-  EXPECT_EQ(a.rows, b.rows);
+  EXPECT_EQ(a.results, b.results);
   EXPECT_EQ(a.core_reports, b.core_reports);
 }
 
@@ -143,13 +143,13 @@ TEST_F(PairsTest, BatchedGrantsAreBitIdenticalToSolo) {
   PairsOptions batched = options(3);
   batched.batch = 4;
   const PairsRun packed = run_pairs(t, specs, batched);
-  ASSERT_EQ(solo.rows.size(), packed.rows.size());
+  ASSERT_EQ(solo.results.size(), packed.results.size());
   // Collection order differs under batching; compare by spec index.
   auto by_spec = [](const PairsRun& r) {
-    std::vector<PairsRow> rows = r.rows;
+    std::vector<PairRow> rows = r.results;
     std::sort(rows.begin(), rows.end(),
-              [](const PairsRow& x, const PairsRow& y) { return x.spec < y.spec; });
-    for (PairsRow& row : rows) row.worker = -1;  // scheduling may differ
+              [](const PairRow& x, const PairRow& y) { return x.spec < y.spec; });
+    for (PairRow& row : rows) row.worker = -1;  // scheduling may differ
     return rows;
   };
   EXPECT_EQ(by_spec(solo), by_spec(packed));

@@ -142,11 +142,11 @@ TEST(PreExecution, DuplicateSpecsRunOneKernelPerDistinctComparison) {
   opts.slave_count = 3;
   const PairsRun run = run_pairs(structures, specs, opts);
   EXPECT_EQ(run.kernels, 4u);
-  ASSERT_EQ(run.rows.size(), specs.size());
+  ASSERT_EQ(run.results.size(), specs.size());
   std::set<std::uint64_t> spec_ids;
-  for (const PairsRow& row : run.rows) {
+  for (const PairRow& row : run.results) {
     spec_ids.insert(row.spec);
-    EXPECT_EQ(row.a, specs[row.spec].a);
+    EXPECT_EQ(row.i, specs[row.spec].a);
     EXPECT_EQ(row.method, specs[row.spec].method);
   }
   EXPECT_EQ(spec_ids.size(), specs.size());
@@ -175,8 +175,8 @@ TEST(PreExecution, UncachedTinyRunIsIdenticalAtFourThreads) {
   serial.runtime.obs = obs::Config::collect();
   RckAlignOptions pooled = serial;
   pooled.runtime.host.threads = 4;
-  const RckAlignRun a = run_rckalign(tiny(), serial);
-  const RckAlignRun b = run_rckalign(tiny(), pooled);
+  const PairsRun a = run_rckalign(tiny(), serial);
+  const PairsRun b = run_rckalign(tiny(), pooled);
   EXPECT_EQ(a.makespan, b.makespan);
   EXPECT_EQ(a.results, b.results);
   EXPECT_EQ(a.core_reports, b.core_reports);

@@ -14,11 +14,12 @@
 // pins the obs trace bytes of each flat-farm flavour at one host width; it
 // was recorded from the farm whose plain and fault-tolerant masters were
 // still two loops, and holds for the one engine that replaced them. A fourth
-// pins the Gantt chart and link heatmap of four of those flavours. It was
-// recorded when the runtime still kept a separate activity trace: the chart
-// was render_gantt over that trace for every core, and the heatmap was read
-// from the network's link statistics. Both pictures are now drawn from the
-// obs recorder and must keep those bytes.
+// pins the Gantt chart and link heatmap of four of those flavours. Its Gantt
+// values were recorded when the runtime still kept a separate activity
+// trace: the chart was render_gantt over that trace for every core. Its
+// heatmap values were recorded when the heatmap began scaling each link to
+// the busiest link's busy time; in tenths of the makespan, all four had read
+// 0 on every link.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -58,7 +59,8 @@ struct Fnv {
   }
 };
 
-void add_rows(Fnv& f, const std::vector<PairRow>& rows) {
+/// An all-vs-all matrix's rows: the pair, the scores and the worker.
+void add_matrix_rows(Fnv& f, const std::vector<PairRow>& rows) {
   f.pod(rows.size());
   for (const PairRow& r : rows) {
     f.pod(r.i);
@@ -72,12 +74,13 @@ void add_rows(Fnv& f, const std::vector<PairRow>& rows) {
   }
 }
 
-void add_rows(Fnv& f, const std::vector<PairsRow>& rows) {
+/// A spec list's rows: every field, the spec and its method included.
+void add_spec_rows(Fnv& f, const std::vector<PairRow>& rows) {
   f.pod(rows.size());
-  for (const PairsRow& r : rows) {
+  for (const PairRow& r : rows) {
     f.pod(r.spec);
-    f.pod(r.a);
-    f.pod(r.b);
+    f.pod(r.i);
+    f.pod(r.j);
     f.pod(r.method);
     f.pod(r.tm_norm_a);
     f.pod(r.tm_norm_b);
@@ -155,7 +158,7 @@ scc::RuntimeConfig runtime(int width) {
 
 enum class Farm { Plain, Batch4, FtSlaveCrash, MasterFt };
 
-RckAlignRun farm_run(bool lpt, Farm farm, int width, const PairCache* cache) {
+PairsRun farm_run(bool lpt, Farm farm, int width, const PairCache* cache) {
   RckAlignOptions o;
   o.slave_count = kSlaves;
   o.runtime = runtime(width);
@@ -181,7 +184,7 @@ RckAlignRun farm_run(bool lpt, Farm farm, int width, const PairCache* cache) {
       o.runtime.faults.crashes.push_back({0, noc::from_seconds(80.0)});
       break;
   }
-  const RckAlignRun run = run_rckalign(ck34(), o);
+  const PairsRun run = run_rckalign(ck34(), o);
   if (farm == Farm::FtSlaveCrash) {
     EXPECT_TRUE(run.core_reports[3].crashed);
   } else if (farm == Farm::MasterFt) {
@@ -191,10 +194,10 @@ RckAlignRun farm_run(bool lpt, Farm farm, int width, const PairCache* cache) {
 }
 
 std::string farm_digest(bool lpt, Farm farm, int width, const PairCache* cache) {
-  const RckAlignRun run = farm_run(lpt, farm, width, cache);
+  const PairsRun run = farm_run(lpt, farm, width, cache);
   Fnv f;
   f.pod(run.makespan);
-  add_rows(f, run.results);
+  add_matrix_rows(f, run.results);
   add_reports(f, run.core_reports);
   add_network(f, run.network);
   f.pod(run.events);
@@ -223,7 +226,7 @@ std::string blocked_digest(int width) {
   const BlockedRun run = run_rckalign_blocked(ck34(), o);
   Fnv f;
   f.pod(run.makespan);
-  add_rows(f, run.results);
+  add_matrix_rows(f, run.results);
   f.pod(run.blocks);
   f.pod(run.block_loads);
   f.pod(run.bytes_loaded);
@@ -238,8 +241,8 @@ std::string mcpsc_digest(int width) {
   const MultiMethodRun run = run_multi_method(ck34(), o);
   Fnv f;
   f.pod(run.makespan);
-  add_rows(f, run.results[0]);
-  add_rows(f, run.results[1]);
+  add_matrix_rows(f, run.results[0]);
+  add_matrix_rows(f, run.results[1]);
   add_reports(f, run.core_reports);
   return hex(f.h);
 }
@@ -257,7 +260,7 @@ std::string multi_method_digest(int width, const PairCache* cache) {
   const MultiMethodRun run = run_multi_method(ck34(), o);
   Fnv f;
   f.pod(run.makespan);
-  for (const std::vector<PairRow>& rows : run.results) add_rows(f, rows);
+  for (const std::vector<PairRow>& rows : run.results) add_matrix_rows(f, rows);
   add_reports(f, run.core_reports);
   return hex(f.h);
 }
@@ -304,7 +307,7 @@ std::string k_vs_all(int width) {
   }
   Fnv f;
   f.pod(run.makespan);
-  add_rows(f, run.rows);
+  add_spec_rows(f, run.results);
   add_reports(f, run.core_reports);
   add_network(f, run.network);
   add_farm_report(f, run.farm_report);
@@ -319,7 +322,7 @@ std::string hierarchical_digest(int width) {
   const HierarchyRun run = run_hierarchical(ck34(), o);
   Fnv f;
   f.pod(run.makespan);
-  add_rows(f, run.results);
+  add_matrix_rows(f, run.results);
   add_reports(f, run.core_reports);
   return hex(f.h);
 }
@@ -345,7 +348,7 @@ std::string one_vs_all_digest(int width) {
   o.runtime = runtime(width);
   const PairsRun run = run_pairs(structures, specs, o);
   std::vector<QueryHit> hits;
-  for (const PairsRow& row : run.rows)
+  for (const PairRow& row : run.results)
     hits.push_back(query_hit(row, QueryKind::OneVsAll, n));
   rank_query_hits(hits, methods, 0);
 
@@ -477,12 +480,12 @@ struct PinnedPictures {
 
 const std::vector<PinnedPictures>& pictures_pinned() {
   static const std::vector<PinnedPictures> table = {
-      {"fifo/plain", false, Farm::Plain, "029107b35b471384", "79aaae35868cce3d"},
-      {"lpt/batch4", true, Farm::Batch4, "a14a86d39916ba72", "79aaae35868cce3d"},
+      {"fifo/plain", false, Farm::Plain, "029107b35b471384", "ae7ae5e9374941cb"},
+      {"lpt/batch4", true, Farm::Batch4, "a14a86d39916ba72", "2e54762922d34c2f"},
       {"fifo/ft-slave-crash", false, Farm::FtSlaveCrash, "116434041cafb10c",
-       "79aaae35868cce3d"},
+       "1e77d9d680980c5f"},
       {"fifo/master-ft", false, Farm::MasterFt, "eb71c39d468b2c3a",
-       "79aaae35868cce3d"},
+       "42c595218086fca9"},
   };
   return table;
 }
@@ -509,14 +512,28 @@ TEST(PinnedTraces, FlatFarmTraceBytesMatchTheParentFarm) {
   }
 }
 
+/// The digits of the two links of router 00, the master's: east to 01 and
+/// down to 06.
+std::string master_router_digits(const std::string& heatmap) {
+  const std::size_t east = heatmap.find("[00] ");
+  const std::size_t down = heatmap.find(" v");
+  if (east == std::string::npos || down == std::string::npos) return {};
+  return {heatmap[east + 5], heatmap[down + 2]};
+}
+
 TEST(PinnedTraces, GanttAndHeatmapBytesMatchTheParent) {
   const noc::Mesh mesh = runtime(1).chip.make_mesh();
+  ASSERT_EQ(runtime(1).chip.router_of_core(0), 0);
   for (const PinnedPictures& p : pictures_pinned()) {
-    const RckAlignRun run = farm_run(p.lpt, p.farm, 1, &ck34_cache());
+    const PairsRun run = farm_run(p.lpt, p.farm, 1, &ck34_cache());
     EXPECT_EQ(text_digest(scc::render_gantt(*run.obs, run.makespan)), p.gantt) << p.name;
-    EXPECT_EQ(text_digest(noc::render_link_heatmap(*run.obs, mesh, run.makespan)),
-              p.heatmap)
-        << p.name;
+    const std::string heatmap = noc::render_link_heatmap(*run.obs, mesh, run.makespan);
+    EXPECT_EQ(text_digest(heatmap), p.heatmap) << p.name;
+    // Every job and result crosses the master's router, so one of its links
+    // must show traffic.
+    const std::string digits = master_router_digits(heatmap);
+    ASSERT_EQ(digits.size(), 2u) << p.name;
+    EXPECT_NE(digits, "00") << p.name << "\n" << heatmap;
   }
 }
 

@@ -51,8 +51,8 @@ class Ck34Determinism : public ::testing::Test {
     return o;
   }
 
-  static void expect_identical(const rckalign::RckAlignRun& a,
-                               const rckalign::RckAlignRun& b) {
+  static void expect_identical(const rckalign::PairsRun& a,
+                               const rckalign::PairsRun& b) {
     EXPECT_EQ(a.makespan, b.makespan);
     EXPECT_EQ(a.results, b.results);
     EXPECT_EQ(a.core_reports, b.core_reports);
@@ -143,7 +143,7 @@ TEST_F(Ck34Determinism, ThreadMatrixChaosMasterFtObsBitIdentical) {
     return rckalign::run_rckalign(*dataset_, o);
   };
 
-  auto obs_bytes = [](const rckalign::RckAlignRun& run) {
+  auto obs_bytes = [](const rckalign::PairsRun& run) {
     EXPECT_NE(run.obs, nullptr);
     return std::pair<std::string, std::string>{
         obs::chrome_trace_json(*run.obs), run.obs->snapshot().to_json()};

@@ -14,10 +14,14 @@
 //
 // The digests were recorded by building this file against the runtime that
 // still kept its own activity trace and copied it into the recorder's core
-// lanes after each run. The spans are hashed in the recorder's canonical
-// (time, shard, sequence) order, so a schedule perturbation that only
-// reorders same-instant work on different cores leaves the digest alone:
-// the chk-perturbed mini_farm pins the same value as the unperturbed one.
+// lanes after each run; the two tied_gather pins were recorded later,
+// against the runtime whose recorder is the only record of core activity.
+// The spans are hashed in the recorder's canonical (time, shard, sequence)
+// order, so a schedule perturbation that only reorders same-instant work on
+// different cores leaves the digest alone: the chk-perturbed mini_farm pins
+// the same value as the unperturbed one. A perturbation shows only where
+// the reordered ties change what the cores or the network do, as in
+// tied_gather, whose perturbed and unperturbed pins differ.
 #include <gtest/gtest.h>
 
 #include <array>
@@ -328,6 +332,22 @@ Program steal_heavy(std::uint64_t seed, int sections) {
   };
 }
 
+// Every core leaves a barrier at the same instant and sends rank 0 one
+// payload, 64 B from even ranks and 2,112 B from odd ones. The order in
+// which the tied cores inject decides which messages queue behind which on
+// the links into rank 0, so a schedule perturbation that reorders the tie
+// moves the network's queueing and the cores' finish times.
+Program tied_gather() {
+  return [](CoreCtx& ctx) {
+    ctx.barrier();
+    if (ctx.rank() == 0) {
+      for (int src = 1; src < ctx.nranks(); ++src) (void)ctx.recv(src);
+    } else {
+      ctx.send(0, bio::Bytes(ctx.rank() % 2 == 0 ? 64 : 2112, std::byte{0}));
+    }
+  };
+}
+
 RuntimeConfig chk_perturbed_cfg() {
   RuntimeConfig cfg;
   cfg.chk.enable = true;
@@ -462,8 +482,17 @@ TEST(SerialReplay, StealHeavyMatchesPinnedDigests) {
 }
 
 TEST(SerialReplay, ChkPerturbedScheduleMatchesPinnedDigest) {
+  // mini_farm's master sends one job at a time, so only its barrier exits
+  // tie, and the perturbed run pins the unperturbed value.
   expect_pinned(
       {"mini_farm 6x4 chk", "3df0df472f081c8c", 6, mini_farm(4), chk_perturbed_cfg()});
+  // tied_gather's sends tie, so the perturbation shows in the digest.
+  const Case plain{"tied_gather 8", "887f0d7de1fb61dd", 8, tied_gather(), {}};
+  const Case perturbed{"tied_gather 8 chk", "77c6435b04aeb13e", 8, tied_gather(),
+                       chk_perturbed_cfg()};
+  expect_pinned(plain);
+  expect_pinned(perturbed);
+  EXPECT_NE(plain.digest, perturbed.digest);
 }
 
 // ---- Host width ------------------------------------------------------------

@@ -59,7 +59,6 @@ RunConfig make_config(const ConfigSpec& spec, int slaves,
   cfg.with_slaves(slaves)
       .with_cache(cache)
       .with_batch(spec.batch)
-      .with_mc()
       .with_mc_bound(bound)
       .with_mc_label(spec.name)
       .with_protocol_mutant(spec.mutant);
